@@ -10,6 +10,14 @@ whole construction,
 evaluated in cancellation-free form (series / one-sided quadrature) where a
 direct float64 subtraction would lose all digits on the far tail.  The
 direct formulas and these forms are algebraically identical.
+
+PowerExpLog, PowerSumLog and Generic have no closed form for F.  A scalar
+argument is one adaptive quad of the tail; an array goes through
+``_special.tail_integrals``: Gauss-Legendre panels in log u between
+neighbouring points, summed cumulatively from the largest point down, and
+one adaptive tail quad above it.  A batched F differs from the scalar F
+only by rounding and by the scalar quad's own error (relative tolerance
+1e-12).
 """
 
 import math
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from ._special import upper_gamma
+from ._special import tail_integrals, upper_gamma
 from .errors import (
     DomainError,
     NoLimitError,
@@ -384,9 +392,14 @@ class PowerExpLog(Nonlinearity):
             * ((p + rt) * (p - 1.0 + rt) + r * (r - 1.0) * t ** (r - 2.0))
         )
 
-    def _F_scalar(self, s):
-        # F = exp(-(p-1)x - x^r) * int_0^inf exp(-(p-1)m - ((x+m)^r - x^r)) dm
-        # with x = log s; the prefactor keeps the integrand O(1).
+    def _psi(self, x):
+        # F = exp(-psi(x)) * int_x^inf exp(psi(x) - psi(y)) dy with x = log s;
+        # the prefactor keeps the integral O(1)
+        return (self.p - 1.0) * x + x ** self.r
+
+    def _tail(self, s):
+        """exp(psi(x)) F(s), x = log s, by one adaptive quad of
+        int_0^inf exp(-(p-1)m - ((x+m)^r - x^r)) dm."""
         p, r = self.p, self.r
         x = math.log(s)
         xr = x ** r
@@ -400,13 +413,12 @@ class PowerExpLog(Nonlinearity):
         )
         if len(rest) > 1 or abserr > 1e-8 * max(abs(val), 1e-300):
             raise QuadratureError("PowerExpLog F quadrature failed")
-        return math.exp(-(p - 1.0) * x - xr) * val
+        return val
 
     def F(self, s):
         s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self._F_scalar(float(s))
-        return np.array([self._F_scalar(v) for v in s.ravel()]).reshape(s.shape)
+        J = tail_integrals(s, self._tail, np.ones_like, self._psi, self.s_min)
+        return np.exp(-self._psi(np.log(s))) * J
 
     @property
     def F_sup(self):
@@ -492,11 +504,16 @@ class PowerSumLog(Nonlinearity):
 
         return _quad_01(integrand)
 
+    def _R1_weight(self, x):
+        # w/(1+w) at u = e^x
+        w = np.exp((self.r - self.p) * x) * x ** self.log_exp
+        return w / (1.0 + w)
+
     def _R1(self, s):
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self._R1_scalar(float(s))
-        return np.array([self._R1_scalar(v) for v in s.ravel()]).reshape(s.shape)
+        return tail_integrals(
+            s, self._R1_scalar, self._R1_weight,
+            lambda x: (self.p - 1.0) * x, self.s_min,
+        )
 
     def F(self, s):
         s = np.asarray(s, dtype=float)
@@ -544,11 +561,15 @@ class Generic(Nonlinearity):
     def _F_scalar(self, s):
         return _quad_F_tail(self._f, s)
 
+    def _weight(self, x):
+        # du/f(u) = e^x/f(e^x) dx
+        u = np.exp(x)
+        return u / self.f(u)
+
     def F(self, s):
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self._F_scalar(float(s))
-        return np.array([self._F_scalar(v) for v in s.ravel()]).reshape(s.shape)
+        return tail_integrals(
+            s, self._F_scalar, self._weight, None, self.s_min
+        )
 
     @property
     def F_sup(self):
@@ -625,7 +646,8 @@ def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
 
     for _ in range(max_iter):
         g = np.asarray(nl.F(x)) - sig
-        if np.all(np.abs(g) <= rtol * sig):
+        done = np.abs(g) <= rtol * sig
+        if np.all(done):
             break
         above = g > 0.0  # F(x) too large -> root lies to the right
         lo = np.where(above, x, lo)
@@ -634,7 +656,9 @@ def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
         xn = x + g * np.asarray(nl.f(x))
         outside = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
         xn = np.where(outside, 0.5 * (lo + hi), xn)
-        x = xn
+        # converged nodes stay put: their Newton step can round to x itself,
+        # which the bracket test would take for a step outside
+        x = np.where(done, x, xn)
     else:
         raise ConvergenceError("F inverse root finder exceeded iteration cap")
     return float(x[0]) if scalar else x

@@ -24,6 +24,7 @@ from .errors import (
     InconclusiveError,
     IterateOutOfDomainError,
     NoContractionError,
+    SingularForgeError,
 )
 from .kernels import (
     KernelSet,
@@ -237,7 +238,7 @@ def select_rho0(
         rho0 = rho0_initial + step * j
         try:
             ctx = build_context(nl, cls, rho0, rho0 + probe_span, probe_M)
-        except Exception as exc:  # e.g. GridError near s_min
+        except SingularForgeError as exc:  # e.g. GridError near s_min
             last_err = exc
             continue
         ks = KernelSet(cls)
@@ -288,7 +289,7 @@ def sweep(ctx, ks, pairs, tol=1e-10, max_iter=200, max_workers=None):
         for pair in pairs:
             try:
                 solutions[pair] = run(pair)
-            except (ConvergenceError, ValueError) as exc:
+            except (SingularForgeError, ValueError) as exc:
                 failures[pair] = str(exc)
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -296,7 +297,7 @@ def sweep(ctx, ks, pairs, tol=1e-10, max_iter=200, max_workers=None):
             for pair, fut in futs.items():
                 try:
                     solutions[pair] = fut.result()
-                except (ConvergenceError, ValueError) as exc:
+                except (SingularForgeError, ValueError) as exc:
                     failures[pair] = str(exc)
 
     sizes = [a + b for (a, b) in solutions]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classification import REGIME_COMPLEX
-from .errors import FitError
+from .errors import ConfigError, FitError, SingularForgeError
 from .kernels import KernelSet
 from .profile import build_context, nonlinear_term
 from .solver import picard_solve, select_rho0
@@ -383,10 +383,13 @@ def table_report(N, cells, family="power_sum", log_exp=0.0, alpha=1e-3,
     for (p, r) in cells:
         cell = {"p": p, "r": r}
         try:
-            if family == "power_sum":
-                nl = PowerSum(p, r)
-            else:
-                nl = PowerSumLog(p, r, log_exp)
+            try:
+                if family == "power_sum":
+                    nl = PowerSum(p, r)
+                else:
+                    nl = PowerSumLog(p, r, log_exp)
+            except ValueError as exc:  # parameters outside the family
+                raise ConfigError(str(exc)) from exc
             cls = classify(nl, N)
             if not cls.in_scope:
                 cell["error"] = f"out of scope: {cls.regime.reason}"
@@ -439,7 +442,7 @@ def table_report(N, cells, family="power_sum", log_exp=0.0, alpha=1e-3,
                 cell["label"] = "matches predicted rate"
             if keep_solutions:
                 cell["_solution"] = (ctx, sol)
-        except Exception as exc:  # per-cell isolation
+        except SingularForgeError as exc:  # per-cell isolation
             cell["error"] = f"{type(exc).__name__}: {exc}"
         reports.append(cell)
     return reports

@@ -4,10 +4,13 @@ from numpy.testing import assert_allclose
 
 from singular_forge import (
     ConvergenceError,
+    DomainError,
+    GridError,
     KernelSet,
     NoContractionError,
     PowerSum,
     PurePower,
+    QuadratureError,
     apply_T,
     build_context,
     case_classify,
@@ -19,6 +22,7 @@ from singular_forge import (
     sweep,
     weighted_norm,
 )
+from singular_forge import solver
 from singular_forge.solver import RemainderSolution
 
 
@@ -116,6 +120,18 @@ def test_select_rho0_rejects_huge_data():
         select_rho0(nl, cls, 5.0, 5.0, 3.0)
 
 
+def test_select_rho0_propagates_programming_errors(monkeypatch):
+    nl = PowerSum(2.0, 1.0)
+    cls = classify(nl, 5)
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(solver, "build_context", broken)
+    with pytest.raises(TypeError):
+        select_rho0(nl, cls, 1e-3, 1e-3, 3.0)
+
+
 def test_picard_failure_carries_diagnostics():
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
@@ -191,3 +207,27 @@ def test_alpha_beta_sign_rejected():
     cls, ctx, ks = _setup(PurePower(2.0))
     with pytest.raises(ValueError):
         picard_solve(ctx, ks, -1e-3, 0.0)
+
+
+@pytest.mark.parametrize("max_workers", [1, 2])
+@pytest.mark.parametrize("error", [GridError, DomainError, QuadratureError])
+def test_sweep_records_library_errors_per_pair(monkeypatch, error,
+                                               max_workers):
+    nl = PowerSum(2.0, 1.0)
+    cls = classify(nl, 5)
+    ctx = build_context(nl, cls, 3.0, 23.0, 257)
+    ks = KernelSet(cls)
+    pairs = [(1e-4, 2e-4), (5e-4, 1e-4), (2e-4, 2e-4)]
+    bad = pairs[1]
+    real = solver.picard_solve
+
+    def picard_failing_on_bad(ctx, ks, alpha, beta, **kwargs):
+        if (alpha, beta) == bad:
+            raise error("failure in one pair")
+        return real(ctx, ks, alpha, beta, **kwargs)
+
+    monkeypatch.setattr(solver, "picard_solve", picard_failing_on_bad)
+    result = sweep(ctx, ks, pairs, max_workers=max_workers)
+    assert result.failures == {bad: "failure in one pair"}
+    assert sorted(result.solutions) == sorted([pairs[0], pairs[2]])
+    assert all(sol.converged for sol in result.solutions.values())

@@ -214,6 +214,13 @@ def test_table_report_isolates_cell_failures():
     assert "error" in reports[0]
 
 
+def test_table_report_bad_parameters_become_cell_errors():
+    # p <= 1 is rejected by the family constructor: a configuration error
+    reports = table_report(5, [(0.5, 0.25), (1.75, 1.0)], M=257)
+    assert reports[0]["error"].startswith("ConfigError: p must exceed 1")
+    assert "error" not in reports[1]
+
+
 def test_radial_residual_refinement_on_fixed_point():
     # full fixed-point solution: residual decays at least quadratically
     # under refinement (the 5-point stencil component starts at O(h^4),
