@@ -1,77 +1,122 @@
-"""Fundamental pair, variation-of-parameters kernel, super-kernel, and the
-O(M) cumulative convolution.
+"""Kernel of the linearised equation y'' + a y' + b y = 0 in modal form.
 
-All kernel evaluations use the shifted difference d = rho - tau, so nothing
-here over- or underflows for large rho and the recurrence multipliers stay
-below one.  The cumulative convolution implements the trapezoid rule
-exactly: per exponential term
+In every in-scope regime the kernel is a short sum of exponential modes
+in the shifted difference d = rho - tau, with e = e^{-mu d}:
 
-    A_{i+1} = e^{-lam h} (A_i + g_i / 2) + g_{i+1} / 2
+    two real roots   mu = lam1, lam2           K = (e_1 - e_2) / (lam2 - lam1)
+    double root      mu = lam, plus d e        K = d e
+    complex pair     one mode mu = a/2 - i k   K = Im(e) / k
 
-reproduces h * sum w_j e^{-lam(rho_i - rho_j)} g_j with trapezoid weights,
-so the result agrees with the direct O(M^2) sum to rounding.  Polynomial
-and trigonometric factors get one auxiliary accumulator each.
+KernelSet is the only place that reads the regime.  It turns it into mode
+data: the exponents mu (real, or one complex), a confluent flag for the
+double root's d e^{-mu d} column, coefficient rows that map the mode
+columns to K and dK over a common denominator, and the constants a, b,
+Lambda and W(0).  Every public function is regime-free algebra on that
+data, and every evaluation uses d, so nothing over- or underflows for
+large rho.  The common denominator keeps the diagonal exact: at d = 0
+every column is 1 or 0, so the rows give exactly 0 for K and exactly
+the denominator for dK, and K(rho, rho) = 0, dK(rho, rho) = 1 hold
+bitwise.
+
+The cumulative convolution implements the trapezoid rule exactly: per
+mode, with q = e^{-mu h},
+
+    A_{i+1} = q A_i + (q g_i + g_{i+1}) / 2
+
+reproduces sum_j w_j e^{-mu(rho_i - rho_j)} g_j with trapezoid weights,
+and the confluent column B_i = sum_j w_j (rho_i - rho_j) e^{-mu(...)} g_j
+is the same recurrence driven by h q (A_i + g_i / 2).  The result agrees
+with the direct O(M^2) sum to rounding.
 """
-
-import math
 
 import numpy as np
 
-from .classification import (
-    REGIME_COMPLEX,
-    REGIME_DOUBLE,
-    REGIME_TWO_REAL,
-)
+from .classification import REGIME_DOUBLE, REGIME_TWO_REAL
 from .errors import OrderError
 
 
 class KernelSet:
-    """Precomputed regime constants for a Classification (immutable)."""
+    """Mode data of the kernel for a Classification (immutable).
+
+    mu: mode exponents of the K/dK columns; confluent: a d e^{-mu d}
+    column follows (double root); K_row, dK_row: column coefficients over
+    the common denominator denom; Q = (1 + c d) e^{-Lambda d} is the
+    super-kernel; a, b: the equation's coefficients as the roots give
+    them; W0: the Wronskian of fundamental_pair at 0.
+    """
 
     def __init__(self, cls):
         if not cls.in_scope:
             raise ValueError("kernels undefined out of scope")
         self.cls = cls
-        self.kind = cls.regime.kind
         reg = cls.regime
-        if self.kind == REGIME_TWO_REAL:
-            self.lam1, self.lam2 = reg.lam1, reg.lam2
-        elif self.kind == REGIME_DOUBLE:
-            self.lam_star = reg.lam_star
+        if reg.kind == REGIME_TWO_REAL:
+            l1, l2 = reg.lam1, reg.lam2
+            roots = (l1, l2)
+            self.mu = (l1, l2)
+            self.K_row, self.dK_row = (1.0, -1.0), (-l1, l2)
+            self.denom = l2 - l1
+            self.W0 = -(l2 - l1)
+        elif reg.kind == REGIME_DOUBLE:
+            lam = reg.lam_star
+            roots = (lam, lam)
+            self.mu = (lam,)
+            self.K_row, self.dK_row = (0.0, 1.0), (1.0, -lam)
+            self.denom = 1.0
+            self.W0 = 1.0
         else:
-            self.a_half, self.k = reg.a_half, reg.k
+            mu = complex(reg.a_half, -reg.k)
+            roots = (mu, mu.conjugate())
+            self.mu = (mu,)
+            self.K_row = (complex(0.0, -1.0),)
+            self.dK_row = (complex(reg.k, reg.a_half),)
+            self.denom = reg.k
+            self.W0 = reg.k
+        self.confluent = reg.kind == REGIME_DOUBLE
+        self.c = 1.0 if self.confluent else 0.0
+        self.Lambda = cls.Lambda
+        self.a = (roots[0] + roots[1]).real
+        self.b = (roots[0] * roots[1]).real
+
+
+def _columns(mu, confluent, d):
+    """Mode columns e^{-mu d} per exponent, then d e^{-mu d} if confluent."""
+    cols = [np.exp(-m * d) for m in mu]
+    if confluent:
+        cols.append(d * cols[-1])
+    return cols
+
+
+def _combine(row, cols, divisor):
+    """Re(sum row_j cols_j) / divisor; zip drops a coefficient that has no
+    column (the confluent one outside the double root)."""
+    acc = row[0] * cols[0]
+    for c, col in zip(row[1:], cols[1:]):
+        acc = acc + c * col
+    return np.real(acc) / divisor
+
+
+def _real_parts(col):
+    return (col.real, col.imag) if np.iscomplexobj(col) else (col,)
 
 
 def fundamental_pair(cls, rho):
-    """(Phi1, Phi2, Phi1', Phi2') at rho, per regime branch."""
-    reg = cls.regime
+    """(Phi1, Phi2, Phi1', Phi2') at rho: the real mode columns, a complex
+    column split into its real and imaginary parts."""
+    ks = KernelSet(cls)
     rho = np.asarray(rho, dtype=float)
-    if reg.kind == REGIME_TWO_REAL:
-        e1 = np.exp(-reg.lam1 * rho)
-        e2 = np.exp(-reg.lam2 * rho)
-        return e1, e2, -reg.lam1 * e1, -reg.lam2 * e2
-    if reg.kind == REGIME_DOUBLE:
-        lam = reg.lam_star
-        e = np.exp(-lam * rho)
-        return e, rho * e, -lam * e, (1.0 - lam * rho) * e
-    if reg.kind == REGIME_COMPLEX:
-        d, k = reg.a_half, reg.k
-        e = np.exp(-d * rho)
-        c, s = np.cos(k * rho), np.sin(k * rho)
-        return e * c, e * s, e * (-d * c - k * s), e * (-d * s + k * c)
-    raise ValueError("out of scope")
+    cols = _columns(ks.mu, ks.confluent, rho)
+    dcols = [-m * col for m, col in zip(ks.mu, cols)]
+    if ks.confluent:
+        dcols.append((1.0 - ks.mu[-1] * rho) * cols[0])
+    phi = [p for col in cols for p in _real_parts(col)]
+    dphi = [p for col in dcols for p in _real_parts(col)]
+    return phi[0], phi[1], dphi[0], dphi[1]
 
 
 def wronskian(cls, tau):
-    reg = cls.regime
-    tau = np.asarray(tau, dtype=float)
-    if reg.kind == REGIME_TWO_REAL:
-        return -(reg.lam2 - reg.lam1) * np.exp(-(reg.lam1 + reg.lam2) * tau)
-    if reg.kind == REGIME_DOUBLE:
-        return np.exp(-2.0 * reg.lam_star * tau)
-    if reg.kind == REGIME_COMPLEX:
-        return reg.k * np.exp(-2.0 * reg.a_half * tau)
-    raise ValueError("out of scope")
+    ks = KernelSet(cls)
+    return ks.W0 * np.exp(-ks.a * np.asarray(tau, dtype=float))
 
 
 def _check_order(rho, tau):
@@ -79,39 +124,25 @@ def _check_order(rho, tau):
         raise OrderError("kernel requires rho >= tau")
 
 
+def _kernel(ks, d):
+    cols = _columns(ks.mu, ks.confluent, d)
+    return (_combine(ks.K_row, cols, ks.denom),
+            _combine(ks.dK_row, cols, ks.denom))
+
+
 def kernel_values(cls, rho, tau):
     """(K, dK/drho) for rho >= tau; K(rho, rho) = 0, dK at tau = rho is 1."""
     _check_order(rho, tau)
     d = np.asarray(rho, dtype=float) - np.asarray(tau, dtype=float)
-    reg = cls.regime
-    if reg.kind == REGIME_TWO_REAL:
-        l1, l2 = reg.lam1, reg.lam2
-        e1, e2 = np.exp(-l1 * d), np.exp(-l2 * d)
-        return (e1 - e2) / (l2 - l1), (-l1 * e1 + l2 * e2) / (l2 - l1)
-    if reg.kind == REGIME_DOUBLE:
-        lam = reg.lam_star
-        e = np.exp(-lam * d)
-        return d * e, (1.0 - lam * d) * e
-    if reg.kind == REGIME_COMPLEX:
-        dh, k = reg.a_half, reg.k
-        e = np.exp(-dh * d)
-        s, c = np.sin(k * d), np.cos(k * d)
-        return s * e / k, (c - dh / k * s) * e
-    raise ValueError("out of scope")
+    return _kernel(KernelSet(cls), d)
 
 
 def super_kernel(cls, rho, tau):
     """Positive envelope Q dominating |K| + |dK| (Case A/B weight)."""
     _check_order(rho, tau)
     d = np.asarray(rho, dtype=float) - np.asarray(tau, dtype=float)
-    reg = cls.regime
-    if reg.kind == REGIME_TWO_REAL:
-        return np.exp(-reg.lam1 * d)
-    if reg.kind == REGIME_DOUBLE:
-        return (1.0 + d) * np.exp(-reg.lam_star * d)
-    if reg.kind == REGIME_COMPLEX:
-        return np.exp(-reg.a_half * d)
-    raise ValueError("out of scope")
+    ks = KernelSet(cls)
+    return (1.0 + ks.c * d) * np.exp(-ks.Lambda * d)
 
 
 def weight_P(cls, r, s):
@@ -136,87 +167,44 @@ def homogeneous_pair(cls, delta, alpha, beta):
     """(Phi, Phi') of the homogeneous part with data (alpha, beta) at rho0,
     evaluated at delta = rho - rho0 in shifted (overflow-free) form.
 
-    Identical to C1 Phi1 + C2 Phi2 with the coefficients of
-    homogeneous_coeffs; at delta = 0 returns exactly (alpha, beta).
+    Phi = alpha (K' + a K) + beta K, since K' + a K solves the equation with
+    data (1, 0) and K with data (0, 1).  Identical to C1 Phi1 + C2 Phi2 with
+    the coefficients of homogeneous_coeffs; at delta = 0 returns exactly
+    (alpha, beta).
     """
-    d = np.asarray(delta, dtype=float)
-    reg = cls.regime
-    if reg.kind == REGIME_TWO_REAL:
-        l1, l2 = reg.lam1, reg.lam2
-        dl = l2 - l1
-        e1, e2 = np.exp(-l1 * d), np.exp(-l2 * d)
-        psi = (l2 * e1 - l1 * e2) / dl
-        dpsi = -l1 * l2 * (e1 - e2) / dl
-        kk = (e1 - e2) / dl
-        dkk = (-l1 * e1 + l2 * e2) / dl
-    elif reg.kind == REGIME_DOUBLE:
-        lam = reg.lam_star
-        e = np.exp(-lam * d)
-        psi = (1.0 + lam * d) * e
-        dpsi = -lam * lam * d * e
-        kk = d * e
-        dkk = (1.0 - lam * d) * e
-    elif reg.kind == REGIME_COMPLEX:
-        dh, k = reg.a_half, reg.k
-        e = np.exp(-dh * d)
-        s, c = np.sin(k * d), np.cos(k * d)
-        psi = e * (c + dh / k * s)
-        dpsi = -(dh * dh + k * k) / k * e * s
-        kk = e * s / k
-        dkk = e * (c - dh / k * s)
-    else:
-        raise ValueError("out of scope")
-    return alpha * psi + beta * kk, alpha * dpsi + beta * dkk
+    ks = KernelSet(cls)
+    K, dK = _kernel(ks, np.asarray(delta, dtype=float))
+    return alpha * (dK + ks.a * K) + beta * K, alpha * (-ks.b * K) + beta * dK
 
 
-def _accumulate_exp(lam, h, g):
-    """Trapezoid accumulators A_i = sum w_j e^{-lam(rho_i-rho_j)} g_j."""
-    q = math.exp(-lam * h)
-    out = np.empty_like(g)
-    acc = 0.0
-    out[0] = 0.0
-    for i in range(len(g) - 1):
-        acc = q * (acc + 0.5 * g[i]) + 0.5 * g[i + 1]
-        out[i + 1] = acc
-    return out
+def _recurrence(q, u):
+    """s_0 = 0, s_{i+1} = q s_i + u_i, for a real or complex pole q.
+
+    The one per-node loop: Python scalars from a list, so the work stays
+    strictly per node and no numpy scalar is indexed.
+    """
+    s = 0.0
+    out = [s]
+    append = out.append
+    for x in u.tolist():
+        s = q * s + x
+        append(s)
+    return np.array(out)
 
 
-def _accumulate_exp_poly(lam, h, g):
-    """(A_i, B_i) with B_i = sum w_j (rho_i-rho_j) e^{-lam(rho_i-rho_j)} g_j."""
-    q = math.exp(-lam * h)
-    a_out = np.empty_like(g)
-    b_out = np.empty_like(g)
-    acc_a = 0.0
-    acc_b = 0.0
-    a_out[0] = 0.0
-    b_out[0] = 0.0
-    for i in range(len(g) - 1):
-        promoted = acc_a + 0.5 * g[i]
-        acc_b = q * (acc_b + h * promoted)
-        acc_a = q * promoted + 0.5 * g[i + 1]
-        a_out[i + 1] = acc_a
-        b_out[i + 1] = acc_b
-    return a_out, b_out
-
-
-def _accumulate_exp_trig(lam, k, h, g):
-    """(C_i, S_i) accumulators with cos/sin(k(rho_i-rho_j)) factors."""
-    q = math.exp(-lam * h)
-    ch, sh = math.cos(k * h), math.sin(k * h)
-    c_out = np.empty_like(g)
-    s_out = np.empty_like(g)
-    acc_c = 0.0
-    acc_s = 0.0
-    c_out[0] = 0.0
-    s_out[0] = 0.0
-    for i in range(len(g) - 1):
-        pc = acc_c + 0.5 * g[i]
-        ps = acc_s
-        acc_c = q * (ch * pc - sh * ps) + 0.5 * g[i + 1]
-        acc_s = q * (sh * pc + ch * ps)
-        c_out[i + 1] = acc_c
-        s_out[i + 1] = acc_s
-    return c_out, s_out
+def _trapezoid_sums(mu, confluent, rho, g):
+    """The mode columns convolved with g by the trapezoid rule, cumulatively:
+    A_i = sum_j w_j e^{-mu(rho_i - rho_j)} g_j per exponent, then the
+    confluent B_i of the last exponent.  Returns (h, sums)."""
+    h = float(rho[1] - rho[0])
+    half = 0.5 * np.asarray(g, dtype=float)
+    sums = []
+    for m in mu:
+        q = np.exp(-m * h).item()
+        sums.append(_recurrence(q, q * half[:-1] + half[1:]))
+    if confluent:
+        sums.append(_recurrence(q, (h * q) * (sums[-1][:-1] + half[:-1])))
+    return h, sums
 
 
 def convolve_cumulative(ks, rho, g):
@@ -225,25 +213,9 @@ def convolve_cumulative(ks, rho, g):
     Returns grid functions y1(rho_i) = int_{rho_0}^{rho_i} K(rho_i, tau) g
     and y2 with the dK kernel, in O(M) total work.
     """
-    rho = np.asarray(rho, dtype=float)
-    g = np.asarray(g, dtype=float)
-    h = rho[1] - rho[0]
-    if ks.kind == REGIME_TWO_REAL:
-        l1, l2 = ks.lam1, ks.lam2
-        a1 = _accumulate_exp(l1, h, g)
-        a2 = _accumulate_exp(l2, h, g)
-        ik = h * (a1 - a2) / (l2 - l1)
-        idk = h * (-l1 * a1 + l2 * a2) / (l2 - l1)
-        return ik, idk
-    if ks.kind == REGIME_DOUBLE:
-        lam = ks.lam_star
-        a, b = _accumulate_exp_poly(lam, h, g)
-        return h * b, h * (a - lam * b)
-    if ks.kind == REGIME_COMPLEX:
-        dh, k = ks.a_half, ks.k
-        c, s = _accumulate_exp_trig(dh, k, h, g)
-        return h * s / k, h * (c - dh / k * s)
-    raise ValueError("out of scope")
+    h, sums = _trapezoid_sums(ks.mu, ks.confluent, rho, g)
+    return (_combine(ks.K_row, sums, ks.denom / h),
+            _combine(ks.dK_row, sums, ks.denom / h))
 
 
 def convolve_cumulative_direct(ks, rho, g):
@@ -265,14 +237,5 @@ def convolve_cumulative_direct(ks, rho, g):
 
 def convolve_Q_cumulative(ks, rho, g):
     """Cumulative trapezoid of the super-kernel: int_{rho0}^rho Q(rho,tau) g."""
-    rho = np.asarray(rho, dtype=float)
-    g = np.asarray(g, dtype=float)
-    h = rho[1] - rho[0]
-    if ks.kind == REGIME_TWO_REAL:
-        return h * _accumulate_exp(ks.lam1, h, g)
-    if ks.kind == REGIME_DOUBLE:
-        a, b = _accumulate_exp_poly(ks.lam_star, h, g)
-        return h * (a + b)
-    if ks.kind == REGIME_COMPLEX:
-        return h * _accumulate_exp(ks.a_half, h, g)
-    raise ValueError("out of scope")
+    h, sums = _trapezoid_sums((ks.Lambda,), ks.confluent, rho, g)
+    return _combine((1.0, ks.c), sums, 1.0 / h)

@@ -106,37 +106,40 @@ def build_context(nl, cls, rho0, rho_max, M):
     return ProfileContext(nl, cls, grid, phi, dphi, sigma, I, L1, L2)
 
 
-def nonlinear_term(ctx, eta):
-    """N[eta] nodewise: b (F(phi)/phi) (f(phi(1+eta)) - f(phi) - f'(phi) phi eta).
+def _remainder(ctx, nodes, eta):
+    """N[eta] at the grid nodes selected by ``nodes`` (an index, an index
+    array or a slice), eta broadcasting against them.
 
-    eta may be a scalar with a node index baked in by the caller or a full
-    grid array.  Raises DomainError when phi(1+eta) leaves (s_min, inf).
+    Raises DomainError when phi(1+eta) leaves (s_min, inf).
     """
     eta = np.asarray(eta, dtype=float)
-    phi = ctx.phi
-    smin = ctx.nl.s_min
-    arg_min = (1.0 + eta) * phi
-    if np.any(arg_min <= smin):
-        bad = int(np.argmax(arg_min <= smin))
+    phi = ctx.phi[nodes]
+    outside = (1.0 + eta) * phi <= ctx.nl.s_min
+    if np.any(outside):
+        index = np.atleast_1d(np.arange(len(ctx.phi))[nodes])
+        bad = int(index[np.argmax(outside)])
         raise DomainError(
             f"iterate leaves domain at node {bad}: phi(1+eta) <= s_min"
         )
-    acc = np.zeros_like(phi)
+    acc = 0.0
     for t, w in zip(_GAUSS_T, _GAUSS_W):
-        acc += w * np.asarray(ctx.nl.f2(phi * (1.0 + t * eta)), dtype=float)
-    return ctx.cls.b * ctx.Fphi * phi * eta * eta * acc
+        f2 = np.asarray(ctx.nl.f2(phi * (1.0 + t * eta)), dtype=float)
+        acc = acc + w * f2
+    return ctx.cls.b * ctx.Fphi[nodes] * phi * eta * eta * acc
+
+
+def nonlinear_term(ctx, eta):
+    """N[eta] nodewise: b (F(phi)/phi) (f(phi(1+eta)) - f(phi) - f'(phi) phi eta).
+
+    eta is a full grid array or a scalar applied at every node.  Raises
+    DomainError when phi(1+eta) leaves (s_min, inf).
+    """
+    return _remainder(ctx, slice(None), eta)
 
 
 def nonlinear_term_at(ctx, node, eta_val):
-    """Scalar N[eta] at one grid node."""
-    phi = ctx.phi[node]
-    smin = ctx.nl.s_min
-    if (1.0 + eta_val) * phi <= smin:
-        raise DomainError("argument leaves the nonlinearity domain")
-    acc = 0.0
-    for t, w in zip(_GAUSS_T, _GAUSS_W):
-        acc += w * float(ctx.nl.f2(phi * (1.0 + t * eta_val)))
-    return ctx.cls.b * ctx.Fphi[node] * phi * eta_val * eta_val * acc
+    """N[eta] at one grid node, or at an index array of nodes."""
+    return _remainder(ctx, node, eta_val)
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,34 @@ class SolutionProfile:
     residual: np.ndarray = field(default=None)
 
 
+def radial_residual_grid(prof):
+    """Nodewise relative residual |-u'' - (N-1)/r u' - f(u)| / f(u).
+
+    Interior nodes use the 5-point second difference in rho; the two nodes
+    at each end copy the nearest interior value.
+    """
+    ctx = prof.ctx
+    rho = ctx.rho
+    h = ctx.grid.h
+    N = ctx.cls.N
+    u = prof.u
+    # analytic u_rho = phi'(1+eta) + phi eta'  ==  -r u'(r)
+    u_rho = -prof.r * prof.u_prime
+    u_rhorho = np.empty_like(u)
+    u_rhorho[2:-2] = (
+        -u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2] + 16.0 * u[1:-3] - u[:-4]
+    ) / (12.0 * h * h)
+    fu = np.asarray(ctx.nl.f(u), dtype=float)
+    res = np.empty_like(u)
+    core = np.exp(2.0 * rho[2:-2]) * (
+        (N - 2.0) * u_rho[2:-2] - u_rhorho[2:-2]
+    )
+    res[2:-2] = np.abs(core - fu[2:-2]) / fu[2:-2]
+    res[:2] = res[2]
+    res[-2:] = res[-3]
+    return res
+
+
 def to_radial(ctx, eta, deta):
     """Convert a remainder grid pair (eta, eta') to the radial profile.
 
@@ -160,8 +191,6 @@ def to_radial(ctx, eta, deta):
     u = tilde_u (1 + theta); u' is assembled analytically from
     tilde_u' = -(2/r) f F and the chain rule.
     """
-    from .verify import radial_residual_grid
-
     eta = np.asarray(eta, dtype=float)
     deta = np.asarray(deta, dtype=float)
     rho = ctx.rho

@@ -12,8 +12,6 @@ eta(rho0) = alpha and eta'(rho0) = beta hold bitwise for every iterate.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,36 +267,20 @@ class SweepResult:
     sup_separations: dict = field(default_factory=dict)
 
 
-def sweep(ctx, ks, pairs, tol=1e-10, max_iter=200, max_workers=None):
+def sweep(ctx, ks, pairs, tol=1e-10, max_iter=200):
     """Run picard_solve for each (alpha, beta) pair; failures are collected,
-    not raised.  Deterministic for any worker count (results keyed by pair).
+    not raised.  Results are keyed by pair.
     """
     if ks is None:
         ks = KernelSet(ctx.cls)
-    if max_workers is None:
-        env = os.environ.get("SINGULAR_FORGE_THREADS", "")
-        max_workers = int(env) if env.strip().isdigit() else 1
-    max_workers = max(1, int(max_workers))
-
-    def run(pair):
-        a, b = pair
-        return picard_solve(ctx, ks, a, b, tol=tol, max_iter=max_iter)
-
     solutions, failures = {}, {}
-    if max_workers == 1:
-        for pair in pairs:
-            try:
-                solutions[pair] = run(pair)
-            except (SingularForgeError, ValueError) as exc:
-                failures[pair] = str(exc)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futs = {pair: pool.submit(run, pair) for pair in pairs}
-            for pair, fut in futs.items():
-                try:
-                    solutions[pair] = fut.result()
-                except (SingularForgeError, ValueError) as exc:
-                    failures[pair] = str(exc)
+    for pair in pairs:
+        try:
+            solutions[pair] = picard_solve(
+                ctx, ks, *pair, tol=tol, max_iter=max_iter
+            )
+        except (SingularForgeError, ValueError) as exc:
+            failures[pair] = str(exc)
 
     sizes = [a + b for (a, b) in solutions]
     converged_pairs = [p for p in pairs if p in solutions]

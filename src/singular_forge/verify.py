@@ -17,36 +17,13 @@ import numpy as np
 from .classification import REGIME_COMPLEX
 from .errors import ConfigError, FitError, SingularForgeError
 from .kernels import KernelSet
-from .profile import build_context, nonlinear_term
+from .profile import (
+    build_context,
+    nonlinear_term,
+    nonlinear_term_at,
+    radial_residual_grid,
+)
 from .solver import picard_solve, select_rho0
-
-
-def radial_residual_grid(prof):
-    """Nodewise relative residual |-u'' - (N-1)/r u' - f(u)| / f(u).
-
-    Interior nodes use the 5-point second difference in rho; the two nodes
-    at each end copy the nearest interior value.
-    """
-    ctx = prof.ctx
-    rho = ctx.rho
-    h = ctx.grid.h
-    N = ctx.cls.N
-    u = prof.u
-    # analytic u_rho = phi'(1+eta) + phi eta'  ==  -r u'(r)
-    u_rho = -prof.r * prof.u_prime
-    u_rhorho = np.empty_like(u)
-    u_rhorho[2:-2] = (
-        -u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2] + 16.0 * u[1:-3] - u[:-4]
-    ) / (12.0 * h * h)
-    fu = np.asarray(ctx.nl.f(u), dtype=float)
-    res = np.empty_like(u)
-    core = np.exp(2.0 * rho[2:-2]) * (
-        (N - 2.0) * u_rho[2:-2] - u_rhorho[2:-2]
-    )
-    res[2:-2] = np.abs(core - fu[2:-2]) / fu[2:-2]
-    res[:2] = res[2]
-    res[-2:] = res[-3]
-    return res
 
 
 def ode_residual_radial(prof, nl=None):
@@ -148,22 +125,12 @@ def lipschitz_check(ctx, samples=10000, eta_cap=0.1, seed=7):
     for start in range(0, samples, 2000):
         sl = slice(start, min(start + 2000, samples))
         ii = idx[sl]
-        sub = _nonlinear_at_nodes(ctx, ii, e1[sl]) - _nonlinear_at_nodes(
+        sub = nonlinear_term_at(ctx, ii, e1[sl]) - nonlinear_term_at(
             ctx, ii, e2[sl]
         )
         denom = (np.abs(e1[sl]) + np.abs(e2[sl])) * np.abs(e1[sl] - e2[sl])
         worst = max(worst, float(np.max(np.abs(sub) / denom)))
     return {"max_ratio": worst, "heuristic_cap": cap, "bounded": worst <= cap}
-
-
-def _nonlinear_at_nodes(ctx, nodes, etas):
-    from ._special import GL01_NODES, GL01_WEIGHTS
-
-    phi = ctx.phi[nodes]
-    acc = np.zeros_like(phi)
-    for t, w in zip(GL01_NODES, GL01_WEIGHTS * (1.0 - GL01_NODES)):
-        acc += w * np.asarray(ctx.nl.f2(phi * (1.0 + t * etas)), dtype=float)
-    return ctx.cls.b * ctx.Fphi[nodes] * phi * etas * etas * acc
 
 
 @dataclass

@@ -191,8 +191,7 @@ def test_verify_subcommand_full_report(tmp_path):
     assert abs(rep["r_star"] - 1.75) < 1e-12
 
 
-def test_threads_env_is_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("SINGULAR_FORGE_THREADS", "2")
+def test_sweep_small_grid(tmp_path):
     code = main(["sweep", "--N", "5", "--family", "power_sum", "--p", "2",
                  "--r", "1", "--pairs", "1e-4:1e-4,2e-4:2e-4",
                  "--M", "129", "--rho-max", "16", "--out", str(tmp_path)])

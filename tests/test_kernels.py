@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from singular_forge import (
@@ -192,3 +194,73 @@ def test_convolve_Q_cumulative_basic():
         assert np.all(q >= 0.0)
         # exponential-forcing integral stays bounded
         assert np.max(q) < 10.0
+
+
+def test_diagonal_and_boundary_data_bitwise():
+    # a spread of roots: normalised residues -lam1/(lam2 - lam1) and
+    # lam2/(lam2 - lam1) sum to 1 only up to rounding for 10 of the 44
+    # two-real-root classes here
+    spread = [
+        classify(family(p), N)
+        for N in range(3, 10)
+        for p in np.linspace(N / (N - 2.0), (N + 2.0) / (N - 2.0), 17)[1:-1]
+        for family in (PurePower, lambda p: PowerSum(p, 1.0))
+    ]
+    assert {cls.regime.kind for cls in spread} == {
+        "two_real_roots", "complex_roots"}
+    alphas_betas = [(0.0, 0.0), (1e-3, 2e-3), (0.37, 0.81), (5.0, 1e-9),
+                    (1e-300, 3.0), (-2.5, 0.125)]
+    for cls in ALL_CLS + spread:
+        for rho in (0.0, 1.0, 3.0, 17.25, 40.0):
+            K, dK = kernel_values(cls, rho, rho)
+            assert (K, dK) == (0.0, 1.0)
+        for alpha, beta in alphas_betas:
+            phi, dphi = homogeneous_pair(cls, 0.0, alpha, beta)
+            assert (phi, dphi) == (alpha, beta)
+
+
+@st.composite
+def pure_power_cases(draw):
+    """(N, p) with p strictly between p_c = N/(N-2) and p_S = (N+2)/(N-2)."""
+    N = draw(st.integers(3, 9))
+    t = draw(st.floats(0.01, 0.99))
+    p_c, p_S = N / (N - 2.0), (N + 2.0) / (N - 2.0)
+    return N, p_c + t * (p_S - p_c)
+
+
+def _direct_Q_and_scale(cls, rho, g):
+    """Direct trapezoid sum of Q g, and per-node sums of (|K|+|dK|+Q)|g|
+    that bound the rounding of every convolution at that node."""
+    h = rho[1] - rho[0]
+    q = np.zeros(len(rho))
+    scale = np.zeros(len(rho))
+    for i in range(1, len(rho)):
+        w = np.ones(i + 1)
+        w[0] = w[-1] = 0.5
+        kv, dkv = kernel_values(cls, rho[i], rho[: i + 1])
+        Q = super_kernel(cls, rho[i], rho[: i + 1])
+        q[i] = h * np.sum(w * Q * g[: i + 1])
+        scale[i] = h * np.sum(w * (np.abs(kv) + np.abs(dkv) + Q)
+                              * np.abs(g[: i + 1]))
+    return q, max(float(np.max(scale)), 1e-300)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=pure_power_cases(), M=st.integers(3, 257),
+       rho0=st.floats(0.0, 20.0), span=st.floats(0.5, 40.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(case=(5, 1.8), M=257, rho0=3.0, span=20.0, seed=0)
+@example(case=(5, 1.8), M=3, rho0=0.0, span=0.5, seed=1)
+def test_recurrences_match_direct_sums(case, M, rho0, span, seed):
+    N, p = case
+    cls = classify(PurePower(p), N)
+    ks = KernelSet(cls)
+    rho = np.linspace(rho0, rho0 + span, M)
+    g = np.random.default_rng(seed).standard_normal(M)
+    i1, d1 = convolve_cumulative(ks, rho, g)
+    i2, d2 = convolve_cumulative_direct(ks, rho, g)
+    q1 = convolve_Q_cumulative(ks, rho, g)
+    q2, scale = _direct_Q_and_scale(cls, rho, g)
+    assert np.max(np.abs(i1 - i2)) <= 1e-12 * scale
+    assert np.max(np.abs(d1 - d2)) <= 1e-12 * scale
+    assert np.max(np.abs(q1 - q2)) <= 1e-12 * scale

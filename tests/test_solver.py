@@ -191,34 +191,22 @@ def test_sweep_distinctness_and_failures():
     assert result.max_converged_size == 2e-4
 
 
-def test_sweep_deterministic_across_worker_counts():
-    nl = PowerSum(2.0, 1.0)
-    cls = classify(nl, 5)
-    ctx = build_context(nl, cls, 3.0, 23.0, 257)
-    ks = KernelSet(cls)
-    pairs = [(1e-4, 2e-4), (5e-4, 1e-4), (2e-4, 2e-4)]
-    r1 = sweep(ctx, ks, pairs, max_workers=1)
-    r3 = sweep(ctx, ks, pairs, max_workers=3)
-    for pair in pairs:
-        assert np.array_equal(r1.solutions[pair].eta, r3.solutions[pair].eta)
-
-
 def test_alpha_beta_sign_rejected():
     cls, ctx, ks = _setup(PurePower(2.0))
     with pytest.raises(ValueError):
         picard_solve(ctx, ks, -1e-3, 0.0)
 
 
-@pytest.mark.parametrize("max_workers", [1, 2])
+@pytest.mark.parametrize("bad_index", [1, 2])
 @pytest.mark.parametrize("error", [GridError, DomainError, QuadratureError])
-def test_sweep_records_library_errors_per_pair(monkeypatch, error,
-                                               max_workers):
+def test_sweep_records_library_errors_per_pair(monkeypatch, error, bad_index):
+    # the failing pair sits in the middle (1) or last (2) of the sweep
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 23.0, 257)
     ks = KernelSet(cls)
     pairs = [(1e-4, 2e-4), (5e-4, 1e-4), (2e-4, 2e-4)]
-    bad = pairs[1]
+    bad = pairs[bad_index]
     real = solver.picard_solve
 
     def picard_failing_on_bad(ctx, ks, alpha, beta, **kwargs):
@@ -227,7 +215,7 @@ def test_sweep_records_library_errors_per_pair(monkeypatch, error,
         return real(ctx, ks, alpha, beta, **kwargs)
 
     monkeypatch.setattr(solver, "picard_solve", picard_failing_on_bad)
-    result = sweep(ctx, ks, pairs, max_workers=max_workers)
+    result = sweep(ctx, ks, pairs)
     assert result.failures == {bad: "failure in one pair"}
-    assert sorted(result.solutions) == sorted([pairs[0], pairs[2]])
+    assert sorted(result.solutions) == sorted(p for p in pairs if p != bad)
     assert all(sol.converged for sol in result.solutions.values())
