@@ -10,8 +10,9 @@ in the shifted difference d = rho - tau, with e = e^{-mu d}:
 KernelSet is the only place that reads the regime.  It turns it into mode
 data: the exponents mu (real, or one complex), a confluent flag for the
 double root's d e^{-mu d} column, coefficient rows that map the mode
-columns to K and dK over a common denominator, and the constants a, b,
-Lambda and W(0).  Every public function is regime-free algebra on that
+columns to K and dK over a common denominator, a row that maps the
+columns of Lambda to the super-kernel Q, and the constants a, b, Lambda
+and W(0).  Every public function is regime-free algebra on that
 data, and every evaluation uses d, so nothing over- or underflows for
 large rho.  The common denominator keeps the diagonal exact: at d = 0
 every column is 1 or 0, so the rows give exactly 0 for K and exactly
@@ -39,10 +40,12 @@ class KernelSet:
     """Mode data of the kernel for a Classification (immutable).
 
     mu: mode exponents of the K/dK columns; confluent: a d e^{-mu d}
-    column follows (double root); K_row, dK_row: column coefficients over
-    the common denominator denom; Q = (1 + c d) e^{-Lambda d} is the
-    super-kernel; a, b: the equation's coefficients as the roots give
-    them; W0: the Wronskian of fundamental_pair at 0.
+    column follows (double root); rows: the (K, dK) coefficients of the
+    columns over the common denominator denom; Q_row: the coefficients of
+    the super-kernel on the columns of Lambda, so Q = (1 + d) e^{-Lambda d}
+    for the double root and e^{-Lambda d} otherwise; a, b: the equation's
+    coefficients as the roots give them; W0: the Wronskian of
+    fundamental_pair at 0.
     """
 
     def __init__(self, cls):
@@ -54,26 +57,26 @@ class KernelSet:
             l1, l2 = reg.lam1, reg.lam2
             roots = (l1, l2)
             self.mu = (l1, l2)
-            self.K_row, self.dK_row = (1.0, -1.0), (-l1, l2)
+            rows = [(1.0, -1.0), (-l1, l2)]
             self.denom = l2 - l1
             self.W0 = -(l2 - l1)
         elif reg.kind == REGIME_DOUBLE:
             lam = reg.lam_star
             roots = (lam, lam)
             self.mu = (lam,)
-            self.K_row, self.dK_row = (0.0, 1.0), (1.0, -lam)
+            rows = [(0.0, 1.0), (1.0, -lam)]
             self.denom = 1.0
             self.W0 = 1.0
         else:
             mu = complex(reg.a_half, -reg.k)
             roots = (mu, mu.conjugate())
             self.mu = (mu,)
-            self.K_row = (complex(0.0, -1.0),)
-            self.dK_row = (complex(reg.k, reg.a_half),)
+            rows = [(complex(0.0, -1.0),), (complex(reg.k, reg.a_half),)]
             self.denom = reg.k
             self.W0 = reg.k
         self.confluent = reg.kind == REGIME_DOUBLE
-        self.c = 1.0 if self.confluent else 0.0
+        self.rows = np.array(rows)
+        self.Q_row = np.ones(2 if self.confluent else 1)
         self.Lambda = cls.Lambda
         self.a = (roots[0] + roots[1]).real
         self.b = (roots[0] * roots[1]).real
@@ -88,8 +91,7 @@ def _columns(mu, confluent, d):
 
 
 def _combine(row, cols, divisor):
-    """Re(sum row_j cols_j) / divisor; zip drops a coefficient that has no
-    column (the confluent one outside the double root)."""
+    """Re(sum_j row_j cols_j) / divisor, one coefficient per column."""
     acc = row[0] * cols[0]
     for c, col in zip(row[1:], cols[1:]):
         acc = acc + c * col
@@ -126,8 +128,8 @@ def _check_order(rho, tau):
 
 def _kernel(ks, d):
     cols = _columns(ks.mu, ks.confluent, d)
-    return (_combine(ks.K_row, cols, ks.denom),
-            _combine(ks.dK_row, cols, ks.denom))
+    return (_combine(ks.rows[0], cols, ks.denom),
+            _combine(ks.rows[1], cols, ks.denom))
 
 
 def kernel_values(cls, rho, tau):
@@ -142,7 +144,7 @@ def super_kernel(cls, rho, tau):
     _check_order(rho, tau)
     d = np.asarray(rho, dtype=float) - np.asarray(tau, dtype=float)
     ks = KernelSet(cls)
-    return (1.0 + ks.c * d) * np.exp(-ks.Lambda * d)
+    return _combine(ks.Q_row, _columns((ks.Lambda,), ks.confluent, d), 1.0)
 
 
 def weight_P(cls, r, s):
@@ -195,7 +197,7 @@ def _recurrence(q, u):
 def _trapezoid_sums(mu, confluent, rho, g):
     """The mode columns convolved with g by the trapezoid rule, cumulatively:
     A_i = sum_j w_j e^{-mu(rho_i - rho_j)} g_j per exponent, then the
-    confluent B_i of the last exponent.  Returns (h, sums)."""
+    confluent B_i of the last exponent, stacked as rows.  Returns (h, sums)."""
     h = float(rho[1] - rho[0])
     half = 0.5 * np.asarray(g, dtype=float)
     sums = []
@@ -204,7 +206,7 @@ def _trapezoid_sums(mu, confluent, rho, g):
         sums.append(_recurrence(q, q * half[:-1] + half[1:]))
     if confluent:
         sums.append(_recurrence(q, (h * q) * (sums[-1][:-1] + half[:-1])))
-    return h, sums
+    return h, np.array(sums)
 
 
 def convolve_cumulative(ks, rho, g):
@@ -214,8 +216,8 @@ def convolve_cumulative(ks, rho, g):
     and y2 with the dK kernel, in O(M) total work.
     """
     h, sums = _trapezoid_sums(ks.mu, ks.confluent, rho, g)
-    return (_combine(ks.K_row, sums, ks.denom / h),
-            _combine(ks.dK_row, sums, ks.denom / h))
+    ik, idk = (ks.rows @ sums).real * (h / ks.denom)
+    return ik, idk
 
 
 def convolve_cumulative_direct(ks, rho, g):
@@ -238,4 +240,4 @@ def convolve_cumulative_direct(ks, rho, g):
 def convolve_Q_cumulative(ks, rho, g):
     """Cumulative trapezoid of the super-kernel: int_{rho0}^rho Q(rho,tau) g."""
     h, sums = _trapezoid_sums((ks.Lambda,), ks.confluent, rho, g)
-    return _combine((1.0, ks.c), sums, 1.0 / h)
+    return (ks.Q_row @ sums) * h

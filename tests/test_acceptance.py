@@ -200,20 +200,19 @@ def test_criterion_8_kernel_suite():
             scale = max(np.max(np.abs(i2)), np.max(np.abs(d2)))
             match_ok &= np.max(np.abs(i1 - i2)) <= 1e-12 * scale
             match_ok &= np.max(np.abs(d1 - d2)) <= 1e-12 * scale
-    # O(M): log-log timing slope 1.0 +- 0.15.  Best of 9 rounds per size;
-    # each round times every size, largest first, so a slow spell of a
-    # shared machine slows all sizes alike instead of one size's whole
-    # window, and the smallest call never follows the largest.
+    # O(M): log-log timing slope 1.0 +- 0.15
     ks = KernelSet(all_cls[0])
-    sizes = [2 ** 14, 2 ** 13, 2 ** 12, 2 ** 11]
-    grids = [(rho, np.sin(rho))
-             for rho in (np.linspace(0.0, 40.0, M) for M in sizes)]
-    times = [np.inf] * len(sizes)
-    for _ in range(9):
-        for k, (rho, g) in enumerate(grids):
+    sizes = [2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14]
+    times = []
+    for M in sizes:
+        rho = np.linspace(0.0, 40.0, M)
+        g = np.sin(rho)
+        best = np.inf
+        for _ in range(9):
             t0 = time.perf_counter()
             convolve_cumulative(ks, rho, g)
-            times[k] = min(times[k], time.perf_counter() - t0)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
     slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
     ok = norm_ok and steady_ok and match_ok and 0.85 <= slope <= 1.15
     _report(8, ok, f"normalization<=1e-14 {bool(norm_ok)}, steady(1e-8) "
