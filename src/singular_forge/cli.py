@@ -2,10 +2,11 @@
 
 Subcommands: classify, construct, verify, sweep, tables, appendix.
 Exit codes: 0 success, 1 config/validation error, 2 convergence failure,
-3 out of regime.  All file output is deterministic: identical inputs give
-byte-identical CSV/JSON (17 significant digits, LF endings, sorted keys),
-and the summary JSON embeds the resolved config so it can be re-fed via
---config to reproduce the run.
+3 out of regime, 4 verification failed (``verify`` could not fit the decay
+rate; summary.json still records the fit error).  All file output is
+deterministic: identical inputs give byte-identical CSV/JSON (17
+significant digits, LF endings, sorted keys), and the summary JSON embeds
+the resolved config so it can be re-fed via --config to reproduce the run.
 """
 
 import argparse
@@ -247,12 +248,6 @@ def load_config(args):
     return cfg.validate()
 
 
-def _fmt(x):
-    if isinstance(x, float) and np.isnan(x):
-        return "nan"
-    return format(float(x) + 0.0, ".17g")  # +0.0 folds -0.0 into 0
-
-
 def _clean(obj):
     """Map non-finite floats to None so the JSON stays standard."""
     if isinstance(obj, dict):
@@ -272,17 +267,27 @@ def write_json(path, obj):
         fh.write(text + "\n")
 
 
+_CSV_COLUMNS = ["rho", "r", "phi", "I", "eta", "eta_prime", "theta", "u",
+                "tilde_u", "residual"]
+_CSV_ROW = ",".join(["%.17g"] * len(_CSV_COLUMNS)) + "\n"
+_CSV_BLOCK = 256
+
+
 def write_profile_csv(path, prof, ctx, eta, deta):
-    cols = ["rho", "r", "phi", "I", "eta", "eta_prime", "theta", "u",
-            "tilde_u", "residual"]
-    rho = ctx.rho
+    """Write one CSV row per grid node, 17 significant digits per value.
+
+    Rows are formatted a block at a time from slices of the columns, so the
+    whole table is never held as Python floats at once.  Adding 0.0 folds
+    -0.0 into 0; the row template prints nan, inf and -inf as such.
+    """
+    cols = [ctx.rho, prof.r, ctx.phi, ctx.I, eta, deta, prof.theta, prof.u,
+            prof.tilde_u, prof.residual]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(rho)):
-            row = [rho[i], prof.r[i], ctx.phi[i], ctx.I[i], eta[i], deta[i],
-                   prof.theta[i], prof.u[i], prof.tilde_u[i],
-                   prof.residual[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        for lo in range(0, len(ctx.rho), _CSV_BLOCK):
+            block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in cols])
+            block += 0.0
+            fh.writelines([_CSV_ROW % tuple(row) for row in block.tolist()])
 
 
 def _classification_payload(cfg):
@@ -386,6 +391,10 @@ def cmd_construct(cfg, full_verify=False):
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, "summary.json"), summary)
     print(json.dumps(_clean(summary["solver"]), sort_keys=True, indent=2))
+    if full_verify and "error" in summary["fit"]:
+        print(f"verification failed: {summary['fit']['error']}",
+              file=sys.stderr)
+        return 4
     return 0
 
 

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import os
+import shlex
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from singular_forge.cli import (
@@ -9,6 +13,7 @@ from singular_forge.cli import (
     build_parser,
     load_config,
     main,
+    write_profile_csv,
 )
 from singular_forge.errors import ConfigError
 
@@ -189,6 +194,61 @@ def test_verify_subcommand_full_report(tmp_path):
     assert rep["passes"]["boundary_data_exact"]
     assert rep["passes"]["weighted_norm_at_most_2"]
     assert abs(rep["r_star"] - 1.75) < 1e-12
+
+
+def test_verify_fit_failure_exits_4(tmp_path):
+    # the default span (rho0 + 40) leaves only six envelope maxima
+    code = main(["verify", "--N", "5", "--family", "power_sum", "--p", "2",
+                 "--r", "1", "--M", "1025", "--out", str(tmp_path)])
+    assert code == 4
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert "envelope maxima" in data["fit"]["error"]
+
+
+def test_readme_construct_example_fits_half(tmp_path):
+    # run the README's construct line as written, output redirected
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith("singular-forge construct "))
+    text = lines[i]
+    while text.endswith("\\"):
+        i += 1
+        text = text[:-1] + lines[i]
+    argv = shlex.split(text)[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path)
+    assert main(argv) == 0
+    fit = json.loads((tmp_path / "summary.json").read_text())["fit"]
+    assert "error" not in fit
+    assert abs(fit["lambda"] - 0.5) <= 0.05
+
+
+def test_write_profile_csv_golden_bytes(tmp_path):
+    n = 600  # more than two 256-row blocks, not a multiple of 256
+    rng = np.random.default_rng(7)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308,
+               -1e308, 3.0, -17.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0]
+    cols = []
+    for _ in range(10):
+        c = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        c[rng.permutation(n)[:len(special)]] = special
+        cols.append(c)
+    cols[6][n - 5:] = np.round(cols[6][n - 5:])  # integer-valued floats
+    ctx = SimpleNamespace(rho=cols[0], phi=cols[2], I=cols[3])
+    prof = SimpleNamespace(r=cols[1], theta=cols[6], u=cols[7],
+                           tilde_u=cols[8], residual=cols[9])
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, prof, ctx, cols[4], cols[5])
+    expected = ["rho,r,phi,I,eta,eta_prime,theta,u,tilde_u,residual\n"]
+    for i in range(n):
+        expected.append(",".join(format(float(c[i]) + 0.0, ".17g")
+                                 for c in cols) + "\n")
+    assert path.read_bytes() == "".join(expected).encode("ascii")
+    body = path.read_text()
+    for token in ("nan", "inf", "-inf", "4.9406564584124654e-324",
+                  "1e+308", ",0,"):
+        assert token in body
+    assert "-0," not in body and ",-0\n" not in body
 
 
 def test_sweep_small_grid(tmp_path):
