@@ -9,7 +9,8 @@ x >> |a|.
 
 ``tail_integrals`` evaluates tail integrals int_s^inf at many points s at
 once: Gauss-Legendre panels in log u between neighbouring points, summed
-cumulatively from the top, plus one adaptive quad above the largest point.
+cumulatively from the top, and more panels above the largest point until
+the rest of the tail is below rounding.
 """
 
 import math
@@ -35,9 +36,15 @@ _PANEL_RTOL = 1e-12
 _PANEL_ATOL = np.finfo(float).tiny / _PANEL_RTOL
 _PANEL_WIDTH = 1.0  # widest initial panel in x = log u
 _PANEL_DEPTH = 8  # bisections of a panel before QuadratureError
+# Panels above the largest point x_top run to x_top + R; R starts at
+# _CLOSE_SPAN and doubles at most _CLOSE_DOUBLINGS times, to 2048, more
+# than the span of log u over the positive floats.
+_CLOSE_SPAN = 64.0
+_CLOSE_DOUBLINGS = 5
+_CLOSE_RTOL = 2.0 ** -54
 
 
-def _upper_gamma_cf(a, x, max_iter=300, tol=1e-16):
+def _upper_gamma_cf(a, x, max_iter=300, tol=4 * np.finfo(float).eps):
     """Gamma(a, x) by modified Lentz continued fraction; x must be > 0."""
     x = np.asarray(x, dtype=float)
     tiny = 1e-300
@@ -57,7 +64,7 @@ def _upper_gamma_cf(a, x, max_iter=300, tol=1e-16):
         h = h * delta
         if np.all(np.abs(delta - 1.0) < tol):
             break
-    return np.exp(a * np.log(x) - x) * h
+    return x ** a * np.exp(-x) * h
 
 
 def upper_gamma(a, x):
@@ -130,32 +137,66 @@ def _panel_edges(x, x_min):
     return np.sort(np.concatenate([edges, cuts]))
 
 
-def tail_integrals(s, tail, weight, psi, s_min):
+def _panel_sums(edges, owner, size, weight, psi, psi_ref):
+    """Per-owner sums of 16-point Gauss-Legendre panels between consecutive
+    edges, scaled by exp(psi_ref[owner] - psi(y)); ``size`` owner slots.
+
+    A panel whose 8-point estimate misses _PANEL_RTOL is bisected, up to
+    _PANEL_DEPTH times, then QuadratureError is raised; at once when a
+    value is not finite (say u = e^y overflowed in ``weight``).
+    """
+    a, b = edges[:-1], edges[1:]
+
+    def rule(a, h, owner, nodes, weights):
+        y = a[:, None] + h[:, None] * nodes
+        vals = weight(y)
+        if psi is not None:
+            vals = vals * np.exp(psi_ref[owner][:, None] - psi(y))
+        return h * (vals @ weights)
+
+    seg = np.zeros(size)
+    for depth in range(_PANEL_DEPTH + 1):
+        q16 = rule(a, b - a, owner, GL01_NODES, GL01_WEIGHTS)
+        q8 = rule(a, b - a, owner, _GL8_01_NODES, _GL8_01_WEIGHTS)
+        ok = np.abs(q16 - q8) <= _PANEL_RTOL * np.abs(q16) + _PANEL_ATOL
+        seg += np.bincount(owner[ok], q16[ok], minlength=size)
+        if ok.all():
+            return seg
+        if depth == _PANEL_DEPTH or not np.isfinite(q16).all():
+            bad = np.flatnonzero(~ok)[0]
+            raise QuadratureError(
+                f"tail panel [{a[bad]:.17g}, {b[bad]:.17g}] in log u: value "
+                f"{q16[bad]:.3g} missed tolerance after {depth} bisections"
+            )
+        a, b, owner = a[~ok], b[~ok], owner[~ok]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        owner = np.concatenate([owner, owner])
+
+
+def tail_integrals(s, weight, psi, s_min):
     """J(s) = int_x^inf exp(psi(x) - psi(y)) weight(y) dy, x = log s, at
-    every point of ``s`` (any shape; the result has the same shape).
+    every point of ``s`` (any shape, 0-d being a batch of one; the result
+    has the same shape).
 
     ``weight`` and ``psi`` are vectorized functions of y = log u, and
     ``psi=None`` means psi = 0; s_min <= 0 means no grading (below).
-    ``tail(s)`` is the same integral at one point by adaptive quadrature,
-    raising QuadratureError when it fails.
 
-    A 0-d ``s`` is ``tail(s)`` alone.  Otherwise the points are sorted and
-    J is summed from the largest point down, J_i = seg_i +
-    exp(psi_i - psi_{i+1}) J_{i+1}: ``tail`` closes the sum at the top and
-    seg_i integrates the gap to the next point up with 16-point
-    Gauss-Legendre panels.  A panel whose 8-point estimate misses
-    _PANEL_RTOL is bisected, up to _PANEL_DEPTH times, then
-    QuadratureError is raised.  Every term is positive, so the sum neither
-    cancels nor (psi being F's log-prefactor) underflows.  Near s_min the
-    panels are graded geometrically in log s - log s_min.
+    The points are sorted and J is summed from the largest point x_top
+    down, J_i = seg_i + exp(psi_i - psi_{i+1}) J_{i+1}, where seg_i covers
+    the gap to the next point up with _panel_sums.  Every term is positive,
+    so the sum neither cancels nor (psi being F's log-prefactor)
+    underflows.  Panels are at most _PANEL_WIDTH wide and graded
+    geometrically in log s - log s_min near s_min (_panel_edges).
 
-    A batched value differs from ``tail`` at the same point by rounding plus
-    the adaptive quad's own error, which its 1e-12 tolerance bounds (the
-    worst seen is 1.7e-13, for PowerExpLog(2, 0.5) near s = 4.5e17).
+    Above x_top the panels run to a sentinel x_top + R.  The last one has
+    its own owner slot; while it adds more than _CLOSE_RTOL of the top
+    point's J, R doubles and the new stretch's panels are added; after
+    _CLOSE_DOUBLINGS doublings QuadratureError is raised (the tail decays
+    too slowly or diverges).  A lone point and the same point in a batch
+    differ only by rounding.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim == 0:
-        return tail(float(s))
     flat = s.ravel()
     out = np.empty(flat.shape)
     if flat.size == 0:
@@ -163,43 +204,33 @@ def tail_integrals(s, tail, weight, psi, s_min):
     order = np.argsort(flat, kind="stable")
     x = np.log(flat[order])
     x_min = math.log(s_min) if s_min > 0.0 else -math.inf
-
-    edges = _panel_edges(x, x_min)
-    a, b = edges[:-1], edges[1:]
-    owner = np.searchsorted(x, a, side="right") - 1
     psi_x = psi(x) if psi is not None else np.zeros_like(x)
+    # slot x.size: the last panel above x_top, scaled like x_top
+    psi_ref = np.append(psi_x, psi_x[-1])
 
-    def rule(a, h, owner, nodes, weights):
-        y = a[:, None] + h[:, None] * nodes
-        vals = weight(y)
-        if psi is not None:
-            vals = vals * np.exp(psi_x[owner][:, None] - psi(y))
-        return h * (vals @ weights)
-
-    seg = np.zeros_like(x)
-    for depth in range(_PANEL_DEPTH + 1):
-        q16 = rule(a, b - a, owner, GL01_NODES, GL01_WEIGHTS)
-        q8 = rule(a, b - a, owner, _GL8_01_NODES, _GL8_01_WEIGHTS)
-        ok = np.abs(q16 - q8) <= _PANEL_RTOL * np.abs(q16) + _PANEL_ATOL
-        seg += np.bincount(owner[ok], q16[ok], minlength=x.size)
-        if ok.all():
+    seg = np.zeros(x.size + 1)
+    lo, R = x, _CLOSE_SPAN
+    for doubling in range(_CLOSE_DOUBLINGS + 1):
+        hi = x[-1] + R
+        edges = _panel_edges(np.append(lo, hi), x_min)
+        owner = np.searchsorted(x, edges[:-1], side="right") - 1
+        owner[-1] = x.size
+        part = _panel_sums(edges, owner, x.size + 1, weight, psi, psi_ref)
+        seg += part
+        if part[-1] <= _CLOSE_RTOL * (seg[-2] + seg[-1]):
             break
-        if depth == _PANEL_DEPTH:
-            bad = np.flatnonzero(~ok)[0]
+        if doubling == _CLOSE_DOUBLINGS:
             raise QuadratureError(
-                f"tail panel [{a[bad]:.17g}, {b[bad]:.17g}] in log u missed "
-                f"tolerance after {_PANEL_DEPTH} bisections"
+                f"tail above log u = {x[-1]:.17g} still adds {part[-1]:.3g} "
+                f"of {seg[-2] + seg[-1]:.3g} at log u = {hi:.17g}"
             )
-        a, b, owner = a[~ok], b[~ok], owner[~ok]
-        mid = 0.5 * (a + b)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        owner = np.concatenate([owner, owner])
+        lo, R = hi, 2.0 * R
 
     decay = np.exp(psi_x[:-1] - psi_x[1:]).tolist()
     segs = seg.tolist()
     J = [0.0] * x.size
-    acc = J[-1] = tail(float(flat[order[-1]]))
+    acc = J[-1] = segs[-2] + segs[-1]
     for i in range(x.size - 2, -1, -1):
         acc = J[i] = segs[i] + decay[i] * acc
     out[order] = J
-    return out.reshape(s.shape)
+    return out.reshape(s.shape)[()]

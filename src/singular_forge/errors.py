@@ -10,7 +10,7 @@ class DomainError(SingularForgeError):
 
 
 class QuadratureError(SingularForgeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature panel missed its tolerance, or a tail did not close."""
 
 
 class ConvergenceError(SingularForgeError):

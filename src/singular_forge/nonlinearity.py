@@ -11,52 +11,30 @@ evaluated in cancellation-free form (series / one-sided quadrature) where a
 direct float64 subtraction would lose all digits on the far tail.  The
 direct formulas and these forms are algebraically identical.
 
-PowerExpLog, PowerSumLog and Generic have no closed form for F.  A scalar
-argument is one adaptive quad of the tail; an array goes through
-``_special.tail_integrals``: Gauss-Legendre panels in log u between
-neighbouring points, summed cumulatively from the largest point down, and
-one adaptive tail quad above it.  A batched F differs from the scalar F
-only by rounding and by the scalar quad's own error (relative tolerance
-1e-12).
+PowerExpLog, PowerSumLog and Generic have no closed form for F.  Their F
+goes through ``_special.tail_integrals``, a scalar being a batch of one:
+Gauss-Legendre panels in log u between neighbouring points, summed
+cumulatively from the largest point down, and panels above it until the
+rest of the tail is below rounding.  A lone point and the same point in a
+batch differ only by rounding.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from ._special import tail_integrals, upper_gamma
 from .errors import (
+    ConfigError,
+    ConvergenceError,
     DomainError,
     NoLimitError,
     QuadratureError,
     UnsupportedFamilyError,
 )
-
-_QUAD_EPSREL = 1e-12
-
-
-def _quad_01(func):
-    """Adaptive quadrature of func on (0, 1] with relative tolerance 1e-12."""
-    val, abserr, *rest = integrate.quad(
-        func, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200, full_output=1
-    )
-    if len(rest) > 1 or abserr > 1e-8 * max(abs(val), 1e-300):
-        raise QuadratureError(
-            f"quadrature tolerance not met (value {val!r}, abserr {abserr!r})"
-        )
-    return val
-
-
-def _quad_F_tail(f_callable, s):
-    """F(s) = int_s^inf du/f(u) via the substitution t = s/u onto (0, 1]."""
-
-    def integrand(t):
-        u = s / t
-        return s / (t * t * f_callable(u))
-
-    return _quad_01(integrand)
 
 
 class Nonlinearity:
@@ -83,9 +61,12 @@ class Nonlinearity:
     def F(self, s):
         raise NotImplementedError
 
-    @property
+    @cached_property
     def F_sup(self):
-        """Least upper bound of F on (s_min, inf), i.e. lim_{s->s_min+} F."""
+        """Least upper bound of F on (s_min, inf), i.e. lim_{s->s_min+} F,
+        taken as F(s_min (1 + 1e-13)) when s_min > 0."""
+        if self.s_min > 0.0:
+            return float(self.F(self.s_min * (1.0 + 1e-13)))
         return math.inf
 
     @property
@@ -348,10 +329,6 @@ class PowerLog(Nonlinearity):
         x = (self.p - 1.0) * np.log(s)
         return (self.p - 1.0) ** (self.r - 1.0) * upper_gamma(1.0 - self.r, x)
 
-    @property
-    def F_sup(self):
-        return float(self.F(self.s_min * (1.0 + 1e-13)))
-
 
 class PowerExpLog(Nonlinearity):
     """f(s) = s^p exp((log s)^r) for s > 1, p > 1, 0 < r < 1."""
@@ -397,40 +374,10 @@ class PowerExpLog(Nonlinearity):
         # the prefactor keeps the integral O(1)
         return (self.p - 1.0) * x + x ** self.r
 
-    def _tail(self, s):
-        """exp(psi(x)) F(s), x = log s, by one adaptive quad of
-        int_0^inf exp(-(p-1)m - ((x+m)^r - x^r)) dm."""
-        p, r = self.p, self.r
-        x = math.log(s)
-        xr = x ** r
-
-        def integrand(m):
-            return math.exp(-(p - 1.0) * m - ((x + m) ** r - xr))
-
-        val, abserr, *rest = integrate.quad(
-            integrand, 0.0, np.inf, epsabs=0.0, epsrel=_QUAD_EPSREL,
-            limit=200, full_output=1,
-        )
-        if len(rest) > 1 or abserr > 1e-8 * max(abs(val), 1e-300):
-            raise QuadratureError("PowerExpLog F quadrature failed")
-        return val
-
     def F(self, s):
         s = np.asarray(s, dtype=float)
-        J = tail_integrals(s, self._tail, np.ones_like, self._psi, self.s_min)
+        J = tail_integrals(s, np.ones_like, self._psi, self.s_min)
         return np.exp(-self._psi(np.log(s))) * J
-
-    @property
-    def F_sup(self):
-        # F(1+) = int_0^inf exp(-(p-1)t - t^r) dt
-        if not hasattr(self, "_F_sup"):
-            p, r = self.p, self.r
-            val, _ = integrate.quad(
-                lambda t: math.exp(-(p - 1.0) * t - t ** r), 0.0, np.inf,
-                epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200,
-            )
-            self._F_sup = val
-        return self._F_sup
 
 
 class PowerSumLog(Nonlinearity):
@@ -493,36 +440,21 @@ class PowerSumLog(Nonlinearity):
             r - 2.0
         ) * t ** (b - 2.0) * poly
 
-    def _R1_scalar(self, s):
-        """s^(p-1) * int_s^inf u^-p w/(1+w) du  (positive, O(w(s)))."""
-        p = self.p
-
-        def integrand(t):
-            u = s / t
-            w = self._w(u)
-            return t ** (p - 2.0) * w / (1.0 + w)
-
-        return _quad_01(integrand)
-
     def _R1_weight(self, x):
         # w/(1+w) at u = e^x
         w = np.exp((self.r - self.p) * x) * x ** self.log_exp
         return w / (1.0 + w)
 
     def _R1(self, s):
+        """s^(p-1) * int_s^inf u^-p w/(1+w) du  (positive, O(w(s)))."""
         return tail_integrals(
-            s, self._R1_scalar, self._R1_weight,
-            lambda x: (self.p - 1.0) * x, self.s_min,
+            s, self._R1_weight, lambda x: (self.p - 1.0) * x, self.s_min
         )
 
     def F(self, s):
         s = np.asarray(s, dtype=float)
         # F = s^(1-p) (1/(p-1) - R1), exact splitting of the pure-power tail
         return s ** (1.0 - self.p) * (1.0 / (self.p - 1.0) - self._R1(s))
-
-    @property
-    def F_sup(self):
-        return float(self.F(self.s_min * (1.0 + 1e-13)))
 
     def deficit_fpF(self, s):
         s = np.asarray(s, dtype=float)
@@ -540,7 +472,7 @@ class PowerSumLog(Nonlinearity):
 
 
 class Generic(Nonlinearity):
-    """Wraps user callables for f, f', f''; F by quadrature (t = s/u)."""
+    """Wraps user callables for f, f', f''; F by quadrature in log u."""
 
     name = "generic"
 
@@ -558,28 +490,23 @@ class Generic(Nonlinearity):
     def f2(self, s):
         return np.vectorize(self._f2, otypes=[float])(s)[()]
 
-    def _F_scalar(self, s):
-        return _quad_F_tail(self._f, s)
-
     def _weight(self, x):
-        # du/f(u) = e^x/f(e^x) dx
-        u = np.exp(x)
-        return u / self.f(u)
+        # du/f(u) = e^x/f(e^x) dx; where u overflows the value is not finite,
+        # which tail_integrals raises as QuadratureError
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.exp(x)
+            return u / self.f(u)
 
     def F(self, s):
-        return tail_integrals(
-            s, self._F_scalar, self._weight, None, self.s_min
-        )
+        return tail_integrals(s, self._weight, None, self.s_min)
 
-    @property
+    @cached_property
     def F_sup(self):
-        if not hasattr(self, "_F_sup"):
-            try:
-                self._F_sup = self._F_scalar(max(self.s_min * (1 + 1e-10),
-                                                 self.s_min + 1e-10))
-            except QuadratureError:
-                self._F_sup = math.inf
-        return self._F_sup
+        try:
+            return float(self.F(max(self.s_min * (1 + 1e-10),
+                                    self.s_min + 1e-10)))
+        except QuadratureError:
+            return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +569,6 @@ def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
         raise DomainError(f"{nl.name}: failed to bracket F inverse from above")
 
     x = np.clip(seed, lo, hi)
-    from .errors import ConvergenceError
-
     for _ in range(max_iter):
         g = np.asarray(nl.F(x)) - sig
         done = np.abs(g) <= rtol * sig
@@ -858,8 +783,6 @@ _FAMILIES = {
 def from_spec(spec):
     """Build a Nonlinearity from a config mapping like
     {"family": "power_sum", "p": 2.0, "r": 1.0}."""
-    from .errors import ConfigError
-
     kind = spec.get("family")
     if kind not in _FAMILIES:
         raise ConfigError(

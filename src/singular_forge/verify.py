@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classification import REGIME_COMPLEX
+from .classification import REGIME_COMPLEX, classify
 from .errors import ConfigError, FitError, SingularForgeError
 from .kernels import KernelSet
+from .nonlinearity import PowerSum, PowerSumLog
 from .profile import (
     build_context,
     nonlinear_term,
@@ -295,8 +296,6 @@ def truncation_effect(ctx, ks, sol, extend=10.0):
     """Quantify the domain-truncation error: re-run on a grid extended by
     ``extend`` (same step), and return the sup difference of (eta, eta')
     on the common nodes."""
-    from .solver import picard_solve
-
     grid = ctx.grid
     h = grid.h
     extra = int(round(extend / h))
@@ -343,9 +342,6 @@ def table_report(N, cells, family="power_sum", log_exp=0.0, alpha=1e-3,
     With keep_solutions the (ctx, sol) handles ride along under the
     non-serializable key "_solution" (for profile dumps).
     """
-    from .nonlinearity import PowerSum, PowerSumLog
-    from .classification import classify
-
     reports = []
     for (p, r) in cells:
         cell = {"p": p, "r": r}
@@ -424,8 +420,6 @@ def appendix_check(nl, sigmas):
 
     which must stay bounded as sigma decreases.
     """
-    from .nonlinearity import PowerSum
-
     if not isinstance(nl, PowerSum):
         raise ValueError("appendix expansion applies to the sum family only")
     p, r = nl.p, nl.r

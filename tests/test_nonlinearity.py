@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -85,6 +86,19 @@ F_ORACLES = [
 @pytest.mark.parametrize("nl,s,expected", F_ORACLES)
 def test_eval_F_against_quadrature_oracle(nl, s, expected):
     assert_allclose(eval_F(nl, s), expected, rtol=1e-11)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.3])
+def test_power_log_F_against_40_digit_reference(r):
+    # F = Gamma(1 - r, log s) for p = 2; log s in [21, 600] is the continued
+    # fraction's range.  s = e^L keeps log s exact to rounding, so the
+    # check measures the incomplete gamma itself.
+    nl = PowerLog(2.0, r)
+    s = np.exp(np.linspace(21.0, 600.0, 60))
+    with mp.workdps(40):
+        expected = [float(mp.gammainc(1.0 - r, mp.log(mp.mpf(v))))
+                    for v in s]
+    assert_allclose(nl.F(s), expected, rtol=4e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("nl", ALL_FAMILIES)

@@ -3,6 +3,9 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -130,30 +133,33 @@ def test_shape_order_and_duplicates(nl, ref, bottom):
     assert nl.F(np.array([])).shape == (0,)
 
 
-def test_helper_scalar_is_the_tail_quad_alone():
-    calls = []
-
-    def tail(s):
-        calls.append(s)
-        return 0.5
-
-    out = tail_integrals(np.float64(3.0), tail, np.ones_like,
-                         lambda y: 2.0 * y, 0.0)
-    assert out == 0.5 and calls == [3.0]
+def test_helper_scalar_is_a_batch_of_one():
+    weight, psi = np.ones_like, lambda y: 2.0 * y
+    out = tail_integrals(np.float64(3.0), weight, psi, 0.0)
+    assert np.ndim(out) == 0
+    assert out == tail_integrals(np.array([3.0]), weight, psi, 0.0)[0]
+    assert_allclose(out, 0.5, rtol=1e-15, atol=0.0)
 
 
-def test_helper_closed_form_and_single_tail_quad():
+def test_helper_closed_form():
     # J(x) = int_x^inf e^{x-y} e^{-y} dy = e^{-x}/2: a weight e^{-y}, psi = y
-    calls = []
-
-    def tail(s):
-        calls.append(s)
-        return 0.5 / s
-
     s = np.geomspace(1e-3, 1e5, 200)
-    out = tail_integrals(s, tail, lambda y: np.exp(-y), lambda y: y, 0.0)
+    out = tail_integrals(s, lambda y: np.exp(-y), lambda y: y, 0.0)
     assert_allclose(out, 0.5 / s, rtol=1e-14, atol=0.0)
-    assert calls == [s[-1]]
+
+
+def test_helper_closes_a_slow_tail_by_doubling():
+    # J(x) = int_x^inf e^{-0.2 y} dy = 5 e^{-0.2 x}: the first closing
+    # stretch leaves e^{-0.2 * 64} of the tail, so the sentinel doubles
+    s = np.array([0.5, 3.0, 1e10])
+    out = tail_integrals(s, lambda y: np.exp(-0.2 * y), None, 0.0)
+    assert_allclose(out, 5.0 * s ** -0.2, rtol=1e-14, atol=0.0)
+
+
+def test_helper_raises_on_a_tail_that_never_closes():
+    # weight 1: the last panel stays 1/R of the tail however far R doubles
+    with pytest.raises(QuadratureError):
+        tail_integrals(np.array([1.0, 10.0]), np.ones_like, None, 0.0)
 
 
 def test_helper_raises_when_a_panel_never_converges():
@@ -163,8 +169,7 @@ def test_helper_raises_when_a_panel_never_converges():
         return 1.0 / np.sqrt(np.abs(y - 1.3))
 
     with pytest.raises(QuadratureError):
-        tail_integrals(np.array([1.0, 10.0]), lambda s: 1.0, weight, None,
-                       0.0)
+        tail_integrals(np.array([1.0, 10.0]), weight, None, 0.0)
 
 
 def test_divergent_generic_still_raises():
@@ -184,3 +189,43 @@ def test_F_inverse_converges_on_fine_grid():
     assert np.all(np.diff(phi) > 0.0)
     assert np.all(np.abs(nl.F(phi) - sigma) <= 1e-10 * sigma)
     assert math.isclose(float(nl.F(phi[-1])), sigma[-1], rel_tol=1e-12)
+
+
+def test_scalar_power_exp_log_near_4p5e17_matches_40_digit_reference():
+    # the band where an adaptive quad of the tail was off by 1.7e-13
+    nl = PowerExpLog(2.0, 0.5)
+    s = np.exp(np.linspace(40.0, 41.5, 31))
+    with mp.workdps(40):
+        expected = np.array([float(_F_power_exp_log(v)) for v in s])
+    alone = np.array([nl.F(v) for v in s])
+    assert_allclose(alone, expected, rtol=1e-14, atol=0.0)
+    assert_allclose(alone, nl.F(s), rtol=1e-14, atol=0.0)
+
+
+def test_generic_matches_closed_form():
+    # int_s^inf du/(u^1.3 + u) = log1p(s^-0.3)/0.3
+    nl = Generic(lambda u: u ** 1.3 + u, lambda u: 1.3 * u ** 0.3 + 1.0,
+                 lambda u: 0.39 * u ** -0.7, qf=1.3 / 0.3)
+    s = np.geomspace(2.0, 1e60, 41)
+    expected = np.log1p(s ** -0.3) / 0.3
+    assert_allclose(nl.F(s), expected, rtol=1e-14, atol=0.0)
+    for v, e in zip(s[::10], expected[::10]):
+        assert_allclose(nl.F(v), e, rtol=1e-14, atol=0.0)
+
+
+def test_F_sup_power_exp_log_matches_F_at_s_min():
+    # F(1+) = int_0^inf exp(-y - sqrt(y)) dy
+    nl = PowerExpLog(2.0, 0.5)
+    with mp.workdps(40):
+        expected = float(_F_power_exp_log(1.0))
+    assert_allclose(nl.F_sup, expected, rtol=1e-12, atol=0.0)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, singular_forge.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
