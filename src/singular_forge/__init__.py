@@ -69,6 +69,7 @@ from .verify import (
     VerificationReport,
     appendix_check,
     decay_fit,
+    grid_span,
     limit_diagnostics,
     lipschitz_check,
     ode_residual_eta,

@@ -2,10 +2,10 @@
 
 scipy's regularized gammaincc requires a positive order; the log-weighted
 nonlinearity families need Gamma(a, x) for arbitrary real a (including
-a <= 0).  For large x a Lentz continued fraction is used (stable for any a);
-for small x the order is lifted to the positive range and recursed back down,
-which is safe there because the recurrence subtraction only cancels when
-x >> |a|.
+a <= 0).  Gamma(0, x) is E1(x).  For a < 0 and x >= 1 a Lentz continued
+fraction is used (stable for any a); below 1 the order is lifted to the
+positive range and recursed back down, whose subtraction cancels once x is
+of order 1 or more.
 
 ``tail_integrals`` evaluates tail integrals int_s^inf at many points s at
 once: Gauss-Legendre panels in log u between neighbouring points, summed
@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Gauss-Legendre rule mapped onto [0, 1]
@@ -82,8 +82,10 @@ def upper_gamma(a, x):
 
     if a > 0.0:
         out[:] = special.gammaincc(a, x) * np.exp(special.gammaln(a))
+    elif a == 0.0:
+        out[:] = special.exp1(x)
     else:
-        big = x >= max(1.5 * abs(a) + 10.0, 20.0)
+        big = x >= 1.0
         if np.any(big):
             out[big] = _upper_gamma_cf(a, x[big])
         small = ~big
@@ -177,7 +179,8 @@ def _panel_sums(edges, owner, size, weight, psi, psi_ref):
 def tail_integrals(s, weight, psi, s_min):
     """J(s) = int_x^inf exp(psi(x) - psi(y)) weight(y) dy, x = log s, at
     every point of ``s`` (any shape, 0-d being a batch of one; the result
-    has the same shape).
+    has the same shape); DomainError for a point not finite or not above
+    s_min and 0.
 
     ``weight`` and ``psi`` are vectorized functions of y = log u, and
     ``psi=None`` means psi = 0; s_min <= 0 means no grading (below).
@@ -201,6 +204,8 @@ def tail_integrals(s, weight, psi, s_min):
     out = np.empty(flat.shape)
     if flat.size == 0:
         return out.reshape(s.shape)
+    if not np.all(np.isfinite(flat) & (flat > max(s_min, 0.0))):
+        raise DomainError(f"points must be finite and exceed s_min = {s_min}")
     order = np.argsort(flat, kind="stable")
     x = np.log(flat[order])
     x_min = math.log(s_min) if s_min > 0.0 else -math.inf

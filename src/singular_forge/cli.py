@@ -27,7 +27,7 @@ from .errors import (
 )
 from .kernels import KernelSet
 from .profile import build_context, to_radial
-from .solver import picard_solve, select_rho0, sweep
+from .solver import picard_solve, sweep
 from .verify import (
     appendix_check,
     build_report,
@@ -37,6 +37,7 @@ from .verify import (
     ode_residual_eta,
     ode_residual_radial,
     predicted_decay,
+    resolve_grid,
     table_report,
     truncation_effect,
 )
@@ -168,7 +169,9 @@ def build_parser():
         sp.add_argument("--r", type=str, default=None)
         sp.add_argument("--log-exp", dest="log_exp", type=float, default=None)
         sp.add_argument("--rho0", type=float, default=None)
-        sp.add_argument("--rho-max", dest="rho_max", type=float, default=None)
+        sp.add_argument("--rho-max", dest="rho_max", type=float, default=None,
+                        help="end of the grid (default rho0 + grid_span: the "
+                        "span the decay fit needs)")
         sp.add_argument("--M", type=int, default=None)
         sp.add_argument("--alpha", type=float, default=None)
         sp.add_argument("--beta", type=float, default=None)
@@ -307,11 +310,8 @@ def cmd_classify(cfg):
 
 
 def _solve_from_config(cfg, nl, cls):
-    if cfg.auto_rho0:
-        rho0 = select_rho0(nl, cls, cfg.alpha, cfg.beta, cfg.rho0)
-    else:
-        rho0 = cfg.rho0
-    rho_max = cfg.rho_max if cfg.rho_max is not None else rho0 + 40.0
+    rho0, rho_max = resolve_grid(nl, cls, cfg.alpha, cfg.beta, cfg.rho0,
+                                 cfg.rho_max, cfg.auto_rho0)
     ctx = build_context(nl, cls, rho0, rho_max, cfg.M)
     ks = KernelSet(cls)
     sol = picard_solve(ctx, ks, cfg.alpha, cfg.beta, tol=cfg.tol,
@@ -408,13 +408,10 @@ def cmd_sweep(cfg):
         for a in (1e-4, 3e-4, 1e-3)
         for b in (1e-4, 3e-4, 1e-3)
     ][:10]
-    if cfg.auto_rho0:
-        amax = max(a for a, _ in pairs)
-        bmax = max(b for _, b in pairs)
-        rho0 = select_rho0(nl, cls, amax, bmax, cfg.rho0)
-    else:
-        rho0 = cfg.rho0
-    rho_max = cfg.rho_max if cfg.rho_max is not None else rho0 + 40.0
+    rho0, rho_max = resolve_grid(
+        nl, cls, max(a for a, _ in pairs), max(b for _, b in pairs),
+        cfg.rho0, cfg.rho_max, cfg.auto_rho0,
+    )
     ctx = build_context(nl, cls, rho0, rho_max, cfg.M)
     ks = KernelSet(cls)
     result = sweep(ctx, ks, pairs, tol=cfg.tol, max_iter=cfg.max_iter)

@@ -100,9 +100,10 @@ class Nonlinearity:
 
     def _check_domain(self, s):
         s = np.asarray(s, dtype=float)
-        if np.any(s <= self.s_min):
+        if not np.all(np.isfinite(s) & (s > self.s_min)):
             raise DomainError(
-                f"{self.name}: argument must exceed s_min = {self.s_min}"
+                f"{self.name}: argument must be finite and exceed "
+                f"s_min = {self.s_min}"
             )
         return s
 
@@ -453,8 +454,9 @@ class PowerSumLog(Nonlinearity):
 
     def F(self, s):
         s = np.asarray(s, dtype=float)
+        R1 = self._R1(s)  # first: it rejects points outside the domain
         # F = s^(1-p) (1/(p-1) - R1), exact splitting of the pure-power tail
-        return s ** (1.0 - self.p) * (1.0 / (self.p - 1.0) - self._R1(s))
+        return s ** (1.0 - self.p) * (1.0 / (self.p - 1.0) - R1)
 
     def deficit_fpF(self, s):
         s = np.asarray(s, dtype=float)
@@ -532,7 +534,7 @@ def eval_F_inverse(nl, sigma):
 
 def _check_sigma(nl, sigma):
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0.0) or np.any(sigma >= nl.F_sup):
+    if not np.all((sigma > 0.0) & (sigma < nl.F_sup)):
         raise DomainError(
             f"{nl.name}: sigma must lie in (0, F_sup = {nl.F_sup})"
         )
@@ -546,7 +548,10 @@ def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
     sig = np.atleast_1d(sigma).astype(float)
 
     pf = nl.pf
-    seed = ((pf - 1.0) * sig) ** (-1.0 / (pf - 1.0))
+    with np.errstate(over="ignore"):
+        seed = ((pf - 1.0) * sig) ** (-1.0 / (pf - 1.0))
+    if not np.all(np.isfinite(seed)):
+        raise DomainError(f"{nl.name}: sigma too small, F inverse overflows")
     smin = nl.s_min
     seed = np.maximum(seed, smin + np.maximum(1e-8 * max(smin, 1.0), 1e-12))
 
@@ -577,8 +582,10 @@ def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
         above = g > 0.0  # F(x) too large -> root lies to the right
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
-        # Newton step: dF/ds = -1/f
-        xn = x + g * np.asarray(nl.f(x))
+        # Newton step: dF/ds = -1/f; a step that overflows is not finite
+        # and falls back to bisection
+        with np.errstate(over="ignore", invalid="ignore"):
+            xn = x + g * np.asarray(nl.f(x))
         outside = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
         xn = np.where(outside, 0.5 * (lo + hi), xn)
         # converged nodes stay put: their Newton step can round to x itself,

@@ -311,21 +311,41 @@ def truncation_effect(ctx, ks, sol, extend=10.0):
     )
 
 
-def _cell_span(cls):
-    kind = cls.regime.kind
-    if kind == "double_root":
-        return 28.0
-    if kind == "complex_roots":
-        return 55.0
-    return 45.0
+def grid_span(nl, cls):
+    """Length S of the default grid [rho0, rho0 + S]: the largest of a
+    per-regime floor; 22 pi/k for the complex pair, so decay_fit's window,
+    0.4 S wide, holds eight maxima pi/k apart; and 14/lambda, enough
+    e-foldings of the rate (predicted_decay's for the sum families, Lambda
+    otherwise) to separate it from the log-power."""
+    reg = cls.regime
+    if reg.kind == "double_root":
+        floor = 28.0
+    elif reg.kind == REGIME_COMPLEX:
+        floor = max(55.0, 22.0 * math.pi / reg.k)
+    else:
+        floor = 45.0
+    if isinstance(nl, (PowerSum, PowerSumLog)):
+        lam = predicted_decay(cls, nl.p, nl.r)[0]
+    else:
+        lam = cls.Lambda
+    return max(floor, 14.0 / lam)
+
+
+def resolve_grid(nl, cls, alpha, beta, rho0, rho_max=None, auto_rho0=True):
+    """(rho0, rho_max) of a run: rho0 from select_rho0 starting at the given
+    one when auto_rho0, and rho_max as given or else rho0 + grid_span."""
+    if auto_rho0:
+        rho0 = select_rho0(nl, cls, alpha, beta, rho0)
+    if rho_max is None:
+        rho_max = rho0 + grid_span(nl, cls)
+    return rho0, rho_max
 
 
 def run_cell(nl, cls, alpha=1e-3, beta=2e-3, rho0_initial=3.0, M=4096,
-             span=None, tol=1e-10):
-    """Full pipeline for one table cell: choose rho0, solve, fit, compare."""
-    rho0 = select_rho0(nl, cls, alpha, beta, rho0_initial)
-    span = _cell_span(cls) if span is None else span
-    ctx = build_context(nl, cls, rho0, rho0 + span, M)
+             tol=1e-10):
+    """Full pipeline for one table cell: choose the grid, solve, fit."""
+    rho0, rho_max = resolve_grid(nl, cls, alpha, beta, rho0_initial)
+    ctx = build_context(nl, cls, rho0, rho_max, M)
     ks = KernelSet(cls)
     sol = picard_solve(ctx, ks, alpha, beta, tol=tol)
     fit = decay_fit(sol, ctx)
@@ -361,12 +381,7 @@ def table_report(N, cells, family="power_sum", log_exp=0.0, alpha=1e-3,
             lam_pred, w_pred = predicted_decay(
                 cls, p, r, log_exp if family == "power_sum_log" else 0.0
             )
-            # slow rates need a longer grid or the fit window sees too few
-            # e-foldings to separate the exponent from the log-power
-            span = max(_cell_span(cls), 14.0 / lam_pred)
-            ctx, sol, fit = run_cell(
-                nl, cls, alpha=alpha, beta=beta, M=M, span=span
-            )
+            ctx, sol, fit = run_cell(nl, cls, alpha=alpha, beta=beta, M=M)
             rstar = cls.r_star(p)
             rstar_lit = cls.r_star_literal(p)
             # prediction that the literal threshold would have made

@@ -178,11 +178,8 @@ def test_convergence_failure_exit2(tmp_path):
 
 
 def test_verify_subcommand_full_report(tmp_path):
-    # the complex regime needs >= 8 envelope maxima in the fit window,
-    # hence the longer grid here
     code = main(["verify", "--N", "5", "--family", "power_sum", "--p", "2",
-                 "--r", "1", "--M", "1025", "--rho-max", "58",
-                 "--out", str(tmp_path)])
+                 "--r", "1", "--M", "1025", "--out", str(tmp_path)])
     assert code == 0
     data = json.loads((tmp_path / "summary.json").read_text())
     assert "limit_diagnostics" in data and "lipschitz" in data
@@ -197,12 +194,27 @@ def test_verify_subcommand_full_report(tmp_path):
 
 
 def test_verify_fit_failure_exits_4(tmp_path):
-    # the default span (rho0 + 40) leaves only six envelope maxima
+    # a grid ending at rho0 + 40 leaves only six envelope maxima
     code = main(["verify", "--N", "5", "--family", "power_sum", "--p", "2",
-                 "--r", "1", "--M", "1025", "--out", str(tmp_path)])
+                 "--r", "1", "--M", "1025", "--rho-max", "43",
+                 "--out", str(tmp_path)])
     assert code == 4
     data = json.loads((tmp_path / "summary.json").read_text())
     assert "envelope maxima" in data["fit"]["error"]
+
+
+@pytest.mark.parametrize("family", [
+    ["--family", "power", "--p", "2"],
+    ["--family", "power_sum", "--p", "2", "--r", "1"],
+    ["--family", "power_sum_log", "--p", "2", "--r", "1", "--log-exp", "1"],
+])
+def test_verify_default_grid_fits_half(tmp_path, family):
+    code = main(["verify", "--N", "5", *family, "--M", "1025",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["config"]["rho_max"] is None
+    assert abs(data["fit"]["lambda"] - 0.5) <= 0.05
 
 
 def test_readme_construct_example_fits_half(tmp_path):

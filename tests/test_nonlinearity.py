@@ -13,6 +13,8 @@ from singular_forge import (
     PowerSumLog,
     PurePower,
     UnsupportedFamilyError,
+    build_context,
+    classify,
     estimate_qf,
     eval_F,
     eval_F_inverse,
@@ -20,6 +22,7 @@ from singular_forge import (
     from_spec,
     series_diagnostics,
 )
+from singular_forge._special import upper_gamma
 
 ALL_FAMILIES = [
     PurePower(2.0),
@@ -99,6 +102,43 @@ def test_power_log_F_against_40_digit_reference(r):
         expected = [float(mp.gammainc(1.0 - r, mp.log(mp.mpf(v))))
                     for v in s]
     assert_allclose(nl.F(s), expected, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [0.0, -0.5, -1.0, -1.3, -2.3, -3.7])
+def test_upper_gamma_against_40_digit_reference(a):
+    # x in [1, 21] is where lifting the order and recursing down cancels
+    x = np.linspace(1.0, 21.0, 81)
+    with mp.workdps(40):
+        expected = [float(mp.gammainc(a, mp.mpf(v))) for v in x]
+    assert_allclose(upper_gamma(a, x), expected, rtol=2e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.3])
+def test_power_log_context_builds_from_rho0_3(r):
+    # an inaccurate F kept Newton in F^{-1} from its 1e-13 stop here
+    nl = PowerLog(2.0, r)
+    ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, 257)
+    assert np.all(np.isfinite(ctx.phi))
+
+
+GENERIC_SUM = Generic(lambda u: u * u + u, lambda u: 2.0 * u + 1.0,
+                      lambda u: 2.0, qf=2.0)
+
+
+@pytest.mark.parametrize(
+    "nl", [PowerExpLog(2.0, 0.5), PowerSumLog(2.0, 1.0, 1.0), GENERIC_SUM],
+    ids=["power_exp_log", "power_sum_log", "generic"],
+)
+@pytest.mark.parametrize("call", [
+    lambda nl: eval_F(nl, np.inf),
+    lambda nl: eval_F(nl, np.nan),
+    lambda nl: nl.F(np.array([0.0, 2.0])),
+    lambda nl: nl.F_inv(np.nan),
+    lambda nl: nl.F_inv(1e-320),
+], ids=["F_inf", "F_nan", "F_zero", "F_inv_nan", "F_inv_1e-320"])
+def test_quadrature_families_raise_domain_error(nl, call):
+    with pytest.raises(DomainError):
+        call(nl)
 
 
 @pytest.mark.parametrize("nl", ALL_FAMILIES)

@@ -14,6 +14,7 @@ from singular_forge import (
     build_context,
     classify,
     decay_fit,
+    grid_span,
     limit_diagnostics,
     lipschitz_check,
     ode_residual_eta,
@@ -23,6 +24,7 @@ from singular_forge import (
     table_report,
     to_radial,
 )
+from singular_forge.cli import DEFAULT_CELLS
 from singular_forge.solver import RemainderSolution
 
 
@@ -207,6 +209,37 @@ def test_table_report_single_cell():
     assert cell["case"] == "A"
     assert cell["supports"] == "corrected"
     assert abs(cell["lambda_fit"] - 1.0 / 3.0) <= 0.0334
+
+
+def test_table_report_slow_forced_cells_fit_on_the_default_grid():
+    # 22 pi / k and 14 / lambda lengthen these grids past the complex floor
+    reports = table_report(5, [(1.9, 1.0), (1.85, 1.0), (1.81, 1.0)], M=4096)
+    for cell in reports:
+        assert "error" not in cell, cell
+        assert cell["within_tolerance"], cell
+        assert cell["supports"] == "corrected", cell
+
+
+def test_default_table_cells_keep_their_grid_ends():
+    # the ends tables --N 5 has always written; M does not move them
+    ends = [cell["rho_max"] for cell in table_report(5, DEFAULT_CELLS, M=257)]
+    assert ends == [48.0, 107.99999999999991, 31.0, 58.0, 72.99999999999994]
+
+
+def test_grid_span_takes_the_largest_of_its_three_rules():
+    # floor: the complex pair of p = 2 has 22 pi / k = 52.25 and 14 / 0.5
+    cls = classify(PurePower(2.0), 5)
+    assert grid_span(PurePower(2.0), cls) == 55.0
+    # eight maxima pi / k apart in the fit window, 0.4 S wide
+    nl = PowerSum(1.81, 1.0)
+    cls = classify(nl, 5)
+    span = grid_span(nl, cls)
+    assert span == 22.0 * np.pi / cls.regime.k
+    assert 0.4 * span >= 8.0 * np.pi / cls.regime.k
+    # fourteen e-foldings of the forced rate 0.2
+    nl = PowerSum(2.0, 1.9)
+    cls = classify(nl, 5)
+    assert grid_span(nl, cls) == 14.0 / predicted_decay(cls, 2.0, 1.9)[0]
 
 
 def test_table_report_isolates_cell_failures():
