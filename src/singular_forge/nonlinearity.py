@@ -16,7 +16,8 @@ goes through ``_special.tail_integrals``, a scalar being a batch of one:
 Gauss-Legendre panels in log u between neighbouring points, summed
 cumulatively from the largest point down, and panels above it until the
 rest of the tail is below rounding.  A lone point and the same point in a
-batch differ only by rounding.
+batch differ only by rounding.  F^{-1} is Newton on log F against
+log(s - s_min), nearly linear for every family here, in a per-node bracket.
 """
 
 import math
@@ -484,7 +485,12 @@ class Generic(Nonlinearity):
         self.qf_exact = qf
 
     def f(self, s):
-        return np.vectorize(self._f, otypes=[float])(s)[()]
+        def f_or_inf(u):  # f > 0, so a Python OverflowError means +inf
+            try:
+                return self._f(u)
+            except OverflowError:
+                return math.inf
+        return np.vectorize(f_or_inf, otypes=[float])(s)[()]
 
     def f1(self, s):
         return np.vectorize(self._f1, otypes=[float])(s)[()]
@@ -493,11 +499,12 @@ class Generic(Nonlinearity):
         return np.vectorize(self._f2, otypes=[float])(s)[()]
 
     def _weight(self, x):
-        # du/f(u) = e^x/f(e^x) dx; where u overflows the value is not finite,
-        # which tail_integrals raises as QuadratureError
+        # du/f(u) = e^x/f(e^x) dx; where u or f(u) overflows the value is
+        # nan, which tail_integrals raises as QuadratureError
         with np.errstate(over="ignore", invalid="ignore"):
             u = np.exp(x)
-            return u / self.f(u)
+            fu = self.f(u)
+            return np.where(np.isfinite(fu), u / fu, np.nan)
 
     def F(self, s):
         return tail_integrals(s, self._weight, None, self.s_min)
@@ -542,7 +549,11 @@ def _check_sigma(nl, sigma):
 
 
 def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
-    """Safeguarded (bracketed) Newton for F(s) = sigma, vectorized in sigma."""
+    """F(s) = sigma, vectorized in sigma, by Newton on log F against log d,
+    d = s - s_min: d <- d exp(log(F/sigma) f F/d), exact for a pure power.
+    Where f F/d is not finite or positive, the seed's 1/(p_f - 1) stands in.
+    Each F pass narrows a per-node bracket, first (s_min, inf); a step out
+    of it bisects geometrically in d, or moves 16x toward an open side."""
     sigma = _check_sigma(nl, sigma)
     scalar = sigma.ndim == 0
     sig = np.atleast_1d(sigma).astype(float)
@@ -553,43 +564,30 @@ def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
     if not np.all(np.isfinite(seed)):
         raise DomainError(f"{nl.name}: sigma too small, F inverse overflows")
     smin = nl.s_min
-    seed = np.maximum(seed, smin + np.maximum(1e-8 * max(smin, 1.0), 1e-12))
-
-    lo = smin + (seed - smin) / 4.0
-    hi = smin + (seed - smin) * 4.0
-    # expand until F(lo) >= sigma >= F(hi) (F is decreasing)
-    for _ in range(200):
-        bad = np.asarray(nl.F(lo)) < sig
-        if not np.any(bad):
-            break
-        lo[bad] = smin + (lo[bad] - smin) / 4.0
-    else:
-        raise DomainError(f"{nl.name}: failed to bracket F inverse from below")
-    for _ in range(200):
-        bad = np.asarray(nl.F(hi)) > sig
-        if not np.any(bad):
-            break
-        hi[bad] = smin + (hi[bad] - smin) * 4.0
-    else:
-        raise DomainError(f"{nl.name}: failed to bracket F inverse from above")
-
-    x = np.clip(seed, lo, hi)
+    x = np.maximum(seed, smin + np.maximum(1e-8 * max(smin, 1.0), 1e-12))
+    lo, hi = np.full_like(x, smin), np.full_like(x, math.inf)
     for _ in range(max_iter):
-        g = np.asarray(nl.F(x)) - sig
+        F = np.asarray(nl.F(x))
+        g = F - sig
         done = np.abs(g) <= rtol * sig
         if np.all(done):
             break
         above = g > 0.0  # F(x) too large -> root lies to the right
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
-        # Newton step: dF/ds = -1/f; a step that overflows is not finite
-        # and falls back to bisection
-        with np.errstate(over="ignore", invalid="ignore"):
-            xn = x + g * np.asarray(nl.f(x))
-        outside = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-        xn = np.where(outside, 0.5 * (lo + hi), xn)
-        # converged nodes stay put: their Newton step can round to x itself,
-        # which the bracket test would take for a step outside
+        d, dlo, dhi = x - smin, lo - smin, hi - smin
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slope = np.asarray(nl.f(x)) * F / d
+            slope = np.where(np.isfinite(slope) & (slope > 0.0), slope,
+                             1.0 / (pf - 1.0))
+            xn = smin + d * np.exp(np.log1p(g / sig) * slope)
+            # sqrt(dlo) sqrt(dhi): the product itself can overflow
+            mid = np.where(dlo == 0.0, dhi / 16.0,
+                           np.where(np.isinf(dhi), 16.0 * dlo,
+                                    np.sqrt(dlo) * np.sqrt(dhi)))
+        xn = np.where((xn > lo) & (xn < hi), xn, smin + mid)  # nan: bisect
+        # converged nodes stay put: their step can round to x itself, which
+        # the bracket test would take for a step outside
         x = np.where(done, x, xn)
     else:
         raise ConvergenceError("F inverse root finder exceeded iteration cap")

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -268,3 +270,15 @@ def test_sweep_small_grid(tmp_path):
                  "--r", "1", "--pairs", "1e-4:1e-4,2e-4:2e-4",
                  "--M", "129", "--rho-max", "16", "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # start-up cost: the CLI needs scipy.special only
+    heavy = ["integrate", "linalg", "optimize", "sparse", "signal", "fft"]
+    code = ("import sys, singular_forge.cli; print(' '.join(m for m in "
+            f"{heavy!r} if 'scipy.' + m in sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""

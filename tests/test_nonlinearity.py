@@ -1,3 +1,5 @@
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from singular_forge import (
     series_diagnostics,
 )
 from singular_forge._special import upper_gamma
+from singular_forge.nonlinearity import _invert_F
 
 ALL_FAMILIES = [
     PurePower(2.0),
@@ -157,6 +160,105 @@ def test_roundtrip_invariant(nl):
     for sig in sigmas:
         s = eval_F_inverse(nl, sig)
         assert abs(float(nl.F(s)) - sig) <= 1e-10 * sig
+
+
+def _count_F_passes(monkeypatch, nl):
+    """A list whose length grows by one per call of type(nl).F."""
+    nl.F_sup  # cached on first use; not part of any inversion
+    calls, F = [], type(nl).F
+
+    def counting(self, s):
+        calls.append(None)
+        return F(self, s)
+
+    monkeypatch.setattr(type(nl), "F", counting)
+    return calls
+
+
+# F passes per inversion, measured: 3 (power_sum 1.8,1 and 1.75,1), 4
+# (power_sum 1.75,1.7 and power_exp_log), 5 (power_log r = 1 and 2.3) and 3
+# (power_sum_log) on the M = 4096 grids; 5-6 at worst on the roundtrip
+# sigmas.  Each budget is the largest of these plus 2.
+GRID_PASS_BUDGET = 7
+ROUNDTRIP_PASS_BUDGET = 8
+
+
+@pytest.mark.parametrize("nl", [
+    PowerSum(1.8, 1.0), PowerSum(1.75, 1.0), PowerSum(1.75, 1.7),
+    PowerLog(2.0, 1.0), PowerLog(2.0, 2.3), PowerExpLog(2.0, 0.5),
+    PowerSumLog(2.0, 1.0, 1.0),
+], ids=repr)
+def test_F_inverse_pass_budget_on_a_4096_grid(monkeypatch, nl):
+    # the sigmas build_context inverts at rho0 = 3, rho_max = 43, M = 4096
+    sigma = np.exp(-2.0 * np.linspace(3.0, 43.0, 4096)) / classify(nl, 5).b
+    calls = _count_F_passes(monkeypatch, nl)
+    phi = nl.F_inv(sigma)
+    assert len(calls) <= GRID_PASS_BUDGET
+    assert np.all(np.abs(nl.F(phi) - sigma) <= 1e-10 * sigma)
+
+
+@pytest.mark.parametrize("nl", ALL_FAMILIES[2:], ids=repr)  # no closed form
+def test_F_inverse_pass_budget_on_roundtrip_sigmas(monkeypatch, nl):
+    hi = float(nl.F(max(2.0 * nl.s_min, nl.s_min + 0.5)))
+    calls = _count_F_passes(monkeypatch, nl)
+    for sig in np.logspace(-8, np.log10(hi), 25):
+        del calls[:]
+        nl.F_inv(sig)
+        assert len(calls) <= ROUNDTRIP_PASS_BUDGET, sig
+
+
+def test_F_inverse_roundtrip_where_f_overflows():
+    # the root is near 4e214, where f = s^1.81 + s overflows
+    nl = PowerSum(1.81, 1.0)
+    sigma = np.exp(-400.0) / classify(nl, 5).b
+    s = nl.F_inv(sigma)
+    with np.errstate(over="ignore"):
+        assert np.isinf(nl.f(s))
+    assert abs(float(nl.F(s)) - sigma) <= 1e-10 * sigma
+
+
+def test_F_inverse_bisects_where_newton_misleads():
+    # F is 3x that of s^1.5, so f F/s is 3x its log slope and Newton
+    # overshoots; the bracket's geometric bisection carries the root.  Near
+    # 1e200 the product of the bracket's ends overflows.
+    class Misled(PurePower):
+        def F(self, s):
+            return 3.0 * super().F(s)
+
+    nl = Misled(1.5)
+    for root in (1e100, 1e200):
+        assert_allclose(_invert_F(nl, nl.F(root)), root, rtol=1e-12)
+
+
+def _mp_F(f, s):
+    """int_s^inf du/f(u), in y = log(u/s)."""
+    return s * mp.quad(lambda y: mp.exp(y) / f(s * mp.exp(y)), [0, mp.inf])
+
+
+@pytest.mark.parametrize("nl,f", [
+    (PowerSum(1.75, 1.0), lambda u: u ** 1.75 + u),
+    (PowerSum(1.75, 1.7), lambda u: u ** 1.75 + u ** 1.7),
+    (PowerLog(2.0, 1.0), lambda u: u ** 2 * mp.log(u)),
+    (PowerLog(2.0, 2.3), lambda u: u ** 2 * mp.log(u) ** 2.3),
+], ids=["power_sum_1.75_1", "power_sum_1.75_1.7", "power_log_2_1",
+        "power_log_2_2.3"])
+def test_F_inverse_against_50_digit_reference(nl, f):
+    # sigma = F(s) rounded to a float; the reference is the root of
+    # F = sigma at 50 digits, by Newton (F' = -1/f) from s, where F is known
+    bottom = max(nl.s_min, 1e-3)
+    s = np.concatenate([bottom * (1.0 + np.array([1e-9, 1e-3])),
+                        np.geomspace(1.01 * bottom, 1e12, 4)])
+    sigma, expected = [], []
+    with mp.workdps(50):
+        F = functools.lru_cache(maxsize=None)(lambda u: _mp_F(f, u))
+        for v in map(mp.mpf, s):
+            sig = float(F(v))
+            root = mp.findroot(lambda u: F(u) - sig, v, solver="newton",
+                               df=lambda u: -1 / f(u), tol=1e-30,
+                               verify=False)
+            sigma.append(sig)
+            expected.append(float(root))
+    assert_allclose(nl.F_inv(np.array(sigma)), expected, rtol=1e-12, atol=0.0)
 
 
 def test_F_inverse_closed_forms():
