@@ -10,6 +10,7 @@ the resolved config so it can be re-fed via --config to reproduce the run.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -514,9 +515,15 @@ def run(cfg):
     raise ConfigError(f"command: unknown subcommand {cfg.command!r}")
 
 
+@functools.cache
+def _parser():
+    """The parser main() reuses: every default is None or immutable, so
+    parsing leaves no state behind between calls in one process."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
         return run(cfg)

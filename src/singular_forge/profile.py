@@ -16,7 +16,10 @@ remainder N[eta] uses the exact integral form of the Taylor remainder
 
 (16-point Gauss-Legendre; exact to rounding for |eta| <= 0.5 since the
 integrand is analytic), which keeps N[eta] relatively accurate where the
-direct difference of near-equal f values would drown in rounding.
+direct difference of near-equal f values would drown in rounding.  f'' is
+evaluated for several Gauss nodes in one call, as many as keep a call near
+_GROUP_POINTS points: all 16 on a grid of up to 256 nodes, one at a time on
+a 4096-node grid.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +31,9 @@ from .errors import DomainError, GridError
 
 _GAUSS_T = GL01_NODES
 _GAUSS_W = GL01_WEIGHTS * (1.0 - GL01_NODES)  # weights folded with (1-t)
+# points per f2 call: one (nodes, points) batch near this size stays in
+# cache; a full 16-row batch at M=4096 is slower than one call per node
+_GROUP_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,9 @@ def _remainder(ctx, nodes, eta):
     """N[eta] at the grid nodes selected by ``nodes`` (an index, an index
     array or a slice), eta broadcasting against them.
 
-    Raises DomainError when phi(1+eta) leaves (s_min, inf).
+    One f2 call takes a group of Gauss nodes, a (group, points) array; the
+    rows are summed in node order, so the value does not depend on the
+    grouping.  Raises DomainError when phi(1+eta) leaves (s_min, inf).
     """
     eta = np.asarray(eta, dtype=float)
     phi = ctx.phi[nodes]
@@ -121,10 +129,19 @@ def _remainder(ctx, nodes, eta):
         raise DomainError(
             f"iterate leaves domain at node {bad}: phi(1+eta) <= s_min"
         )
+    phi_b, eta_b = np.broadcast_arrays(phi, eta)
+    shape = phi_b.shape
+    phi_b, eta_b = phi_b.reshape(-1), eta_b.reshape(-1)
+    group = max(1, _GROUP_POINTS // max(phi_b.size, 1))
     acc = 0.0
-    for t, w in zip(_GAUSS_T, _GAUSS_W):
-        f2 = np.asarray(ctx.nl.f2(phi * (1.0 + t * eta)), dtype=float)
-        acc = acc + w * f2
+    for start in range(0, len(_GAUSS_T), group):
+        t = _GAUSS_T[start:start + group]
+        rows = np.asarray(
+            ctx.nl.f2(phi_b * (1.0 + t[:, None] * eta_b)), dtype=float
+        )
+        for w, f2 in zip(_GAUSS_W[start:start + group], rows):
+            acc = acc + w * f2
+    acc = np.reshape(acc, shape)
     return ctx.cls.b * ctx.Fphi[nodes] * phi * eta * eta * acc
 
 

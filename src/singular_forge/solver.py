@@ -50,8 +50,15 @@ class RemainderSolution:
     converged: bool = False
 
 
-def apply_T(ctx, ks, alpha, beta, eta, deta, linear_only=False):
-    """One application of the fixed-point map; returns (T eta, (T eta)')."""
+def apply_T(
+    ctx, ks, alpha, beta, eta, deta, linear_only=False, *, homogeneous=None
+):
+    """One application of the fixed-point map; returns (T eta, (T eta)').
+
+    ``homogeneous`` is the pair (Phi, Phi') for (alpha, beta) on this grid,
+    which is the same at every step; picard_solve passes the pair it starts
+    from, and without it the pair is recomputed.
+    """
     g = ctx.I + ctx.L1 * eta + ctx.L2 * deta
     if not linear_only:
         try:
@@ -59,8 +66,10 @@ def apply_T(ctx, ks, alpha, beta, eta, deta, linear_only=False):
         except DomainError as exc:
             raise IterateOutOfDomainError(str(exc)) from exc
     ik, idk = convolve_cumulative(ks, ctx.rho, g)
-    delta_rho = ctx.rho - ctx.grid.rho0
-    phi_h, dphi_h = homogeneous_pair(ctx.cls, delta_rho, alpha, beta)
+    if homogeneous is None:
+        delta_rho = ctx.rho - ctx.grid.rho0
+        homogeneous = homogeneous_pair(ctx.cls, delta_rho, alpha, beta)
+    phi_h, dphi_h = homogeneous
     return phi_h - ik, dphi_h - idk
 
 
@@ -96,6 +105,7 @@ def picard_solve(
     eta, deta = homogeneous_pair(ctx.cls, delta_rho, alpha, beta)
     eta = np.asarray(eta, dtype=float)
     deta = np.asarray(deta, dtype=float)
+    homogeneous = (eta, deta)
 
     ratios = []
     prev_change = None
@@ -105,7 +115,8 @@ def picard_solve(
     for it in range(1, max_iter + 1):
         try:
             new_eta, new_deta = apply_T(
-                ctx, ks, alpha, beta, eta, deta, linear_only=linear_only
+                ctx, ks, alpha, beta, eta, deta, linear_only=linear_only,
+                homogeneous=homogeneous,
             )
         except IterateOutOfDomainError as exc:
             sol.eta, sol.deta, sol.iterations = eta, deta, it

@@ -282,3 +282,38 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def test_consecutive_main_calls_match_fresh_processes(tmp_path, monkeypatch):
+    # main() reuses one parser; a call must not see state a previous
+    # subcommand left behind
+    runs = [
+        ("classify", ["classify", "--N", "5", "--family", "power", "--p",
+                      "3"]),
+        ("verify", ["verify", "--N", "5", "--family", "power_sum", "--p",
+                    "2", "--r", "1", "--M", "1025"]),
+        ("sweep", ["sweep", "--N", "5", "--family", "power_sum", "--p", "2",
+                   "--r", "1", "--pairs", "1e-4:1e-4,2e-4:1e-4", "--M",
+                   "257", "--rho-max", "18"]),
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    fresh_codes = [
+        subprocess.run([sys.executable, "-m", "singular_forge.cli", *argv,
+                        "--out", name], cwd=fresh, env=env,
+                       capture_output=True).returncode
+        for name, argv in runs
+    ]
+    monkeypatch.chdir(reused)
+    reused_codes = [main(argv + ["--out", name]) for name, argv in runs]
+    assert reused_codes == fresh_codes == [3, 0, 0]
+    files = sorted(p.relative_to(fresh) for p in fresh.rglob("*")
+                   if p.is_file())
+    assert len(files) == 6
+    assert files == sorted(p.relative_to(reused) for p in reused.rglob("*")
+                           if p.is_file())
+    for rel in files:
+        assert (fresh / rel).read_bytes() == (reused / rel).read_bytes(), rel

@@ -4,9 +4,12 @@ from numpy.testing import assert_allclose
 
 from singular_forge import (
     DomainError,
+    Generic,
     GridError,
+    PowerExpLog,
     PowerLog,
     PowerSum,
+    PowerSumLog,
     PurePower,
     build_context,
     classify,
@@ -15,6 +18,7 @@ from singular_forge import (
     tilde_u,
     to_radial,
 )
+from singular_forge.profile import _GAUSS_T, _GAUSS_W, _remainder
 
 
 def test_tilde_u_pure_power_closed_form():
@@ -177,3 +181,73 @@ def test_to_radial_boundary_data():
     assert prof.theta[0] == eta[0]
     assert prof.rtheta_prime[0] == -deta[0]
     assert_allclose(prof.u, prof.tilde_u * (1.0 + eta), rtol=1e-14)
+
+
+GENERIC_POWER_SUM = Generic(
+    lambda u: u * u + u ** 1.5,
+    lambda u: 2.0 * u + 1.5 * u ** 0.5,
+    lambda u: 2.0 + 0.75 * u ** -0.5,
+    qf=2.0,
+)
+REMAINDER_FAMILIES = [
+    PurePower(2.0),
+    PowerSum(1.75, 1.7),
+    PowerLog(2.0, 1.0),
+    PowerExpLog(2.0, 0.5),
+    PowerSumLog(2.0, 1.0, 1.0),
+    GENERIC_POWER_SUM,
+]
+
+
+def _per_node_remainder(ctx, nodes, eta):
+    # one f2 call per Gauss node, accumulated in node order
+    eta = np.asarray(eta, dtype=float)
+    phi = ctx.phi[nodes]
+    acc = 0.0
+    for t, w in zip(_GAUSS_T, _GAUSS_W):
+        acc = acc + w * np.asarray(ctx.nl.f2(phi * (1.0 + t * eta)),
+                                   dtype=float)
+    return ctx.cls.b * ctx.Fphi[nodes] * phi * eta * eta * acc
+
+
+@pytest.mark.parametrize("nl", REMAINDER_FAMILIES,
+                         ids=lambda nl: nl.name)
+def test_grouped_remainder_equals_per_node_loop_bitwise(nl):
+    cls = classify(nl, 5)
+    for M in (9, 192, 256, 257, 801, 4096):
+        ctx = build_context(nl, cls, 3.0, 43.0, M)
+        rng = np.random.default_rng(M)
+        # the index-array and eta-array shapes lipschitz_check passes
+        tail = rng.integers(M // 2, M, size=2000)
+        cases = [
+            (slice(None), rng.uniform(-0.1, 0.1, M)),
+            (slice(None), 0.05),
+            (M // 2, 0.03),
+            (M // 2, np.array(-0.02)),
+            (tail, rng.uniform(-0.1, 0.1, tail.size)),
+            (tail, -0.07),
+        ]
+        for nodes, eta in cases:
+            got = _remainder(ctx, nodes, eta)
+            want = _per_node_remainder(ctx, nodes, eta)
+            assert np.shape(got) == np.shape(want), (M, nodes)
+            assert (np.asarray(got).tobytes()
+                    == np.asarray(want).tobytes()), (M, nodes)
+
+
+@pytest.mark.parametrize("M, calls", [(192, 1), (801, 4), (4096, 16)])
+def test_nonlinear_term_groups_f2_calls(M, calls):
+    # 16 Gauss nodes in groups of about 4096 points: one call at M <= 256,
+    # one call per node at M=4096, where a 16-row batch falls out of cache
+    nl = PowerSum(1.75, 1.7)
+    ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, M)
+    seen = []
+
+    def f2(s):
+        seen.append(np.size(s))
+        return PowerSum.f2(nl, s)
+
+    nl.f2 = f2
+    nonlinear_term(ctx, np.full(M, 1e-3))
+    assert len(seen) == calls
+    assert sum(seen) == 16 * M

@@ -17,6 +17,7 @@ from singular_forge import (
     classify,
     fundamental_pair,
     homogeneous_coeffs,
+    homogeneous_pair,
     picard_solve,
     select_rho0,
     sweep,
@@ -53,6 +54,35 @@ def test_apply_T_preserves_boundary_for_any_input():
     deta = 1e-3 * rng.standard_normal(ctx.grid.M)
     Te, Td = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta)
     assert Te[0] == 5e-4 and Td[0] == 8e-4
+
+
+def test_picard_computes_the_homogeneous_part_once(monkeypatch):
+    cls, ctx, ks = _setup(PowerSum(2.0, 1.0))
+    calls = []
+    original = solver.homogeneous_pair
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "homogeneous_pair", counted)
+    sol = picard_solve(ctx, ks, 1e-3, 2e-3)
+    assert sol.iterations > 1
+    assert len(calls) == 1
+
+
+def test_apply_T_with_given_homogeneous_part_is_bitwise_equal():
+    cls, ctx, ks = _setup(PowerSum(2.0, 1.0))
+    rng = np.random.default_rng(4)
+    eta = 1e-3 * rng.standard_normal(ctx.grid.M)
+    deta = 1e-3 * rng.standard_normal(ctx.grid.M)
+    pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 5e-4, 8e-4)
+    for linear_only in (False, True):
+        plain = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta, linear_only)
+        given = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta, linear_only,
+                        homogeneous=pair)
+        for a, b in zip(plain, given):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_power_sum_contraction_metadata():
