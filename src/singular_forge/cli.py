@@ -20,6 +20,7 @@ import numpy as np
 
 from . import classification as cls_mod
 from . import nonlinearity as nl_mod
+from ._csvfmt import format_rows
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -40,7 +41,6 @@ from .verify import (
     predicted_decay,
     resolve_grid,
     table_report,
-    truncation_effect,
 )
 
 DEFAULT_CELLS = [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0), (2.0, 1.0), (2.0, 1.9)]
@@ -273,25 +273,25 @@ def write_json(path, obj):
 
 _CSV_COLUMNS = ["rho", "r", "phi", "I", "eta", "eta_prime", "theta", "u",
                 "tilde_u", "residual"]
-_CSV_ROW = ",".join(["%.17g"] * len(_CSV_COLUMNS)) + "\n"
 _CSV_BLOCK = 256
 
 
 def write_profile_csv(path, prof, ctx, eta, deta):
-    """Write one CSV row per grid node, 17 significant digits per value.
+    """Write one CSV row per grid node, each value exactly as
+    ``'%.17g' % v`` prints it.
 
-    Rows are formatted a block at a time from slices of the columns, so the
-    whole table is never held as Python floats at once.  Adding 0.0 folds
-    -0.0 into 0; the row template prints nan, inf and -inf as such.
+    ``_csvfmt.format_rows`` formats the rows a block at a time from slices
+    of the columns, in numpy, so the whole table is never held as text at
+    once.  Adding 0.0 folds -0.0 into 0.
     """
     cols = [ctx.rho, prof.r, ctx.phi, ctx.I, eta, deta, prof.theta, prof.u,
             prof.tilde_u, prof.residual]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(_CSV_COLUMNS) + "\n").encode("ascii"))
         for lo in range(0, len(ctx.rho), _CSV_BLOCK):
             block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in cols])
             block += 0.0
-            fh.writelines([_CSV_ROW % tuple(row) for row in block.tolist()])
+            fh.write(format_rows(block))
 
 
 def _classification_payload(cfg):
@@ -317,7 +317,7 @@ def _solve_from_config(cfg, nl, cls):
     ks = KernelSet(cls)
     sol = picard_solve(ctx, ks, cfg.alpha, cfg.beta, tol=cfg.tol,
                        max_iter=cfg.max_iter)
-    return ctx, ks, sol
+    return ctx, sol
 
 
 def _solver_payload(sol):
@@ -343,7 +343,7 @@ def cmd_construct(cfg, full_verify=False):
             write_json(os.path.join(cfg.out, "summary.json"), summary)
         print(f"out of regime: {cls.regime.reason}", file=sys.stderr)
         return 3
-    ctx, ks, sol = _solve_from_config(cfg, nl, cls)
+    ctx, sol = _solve_from_config(cfg, nl, cls)
     prof = to_radial(ctx, sol.eta, sol.deta)
     summary = {
         "config": cfg.as_dict(),
@@ -370,7 +370,6 @@ def cmd_construct(cfg, full_verify=False):
     if full_verify:
         summary["limit_diagnostics"] = limit_diagnostics(nl, cls, ctx)
         summary["lipschitz"] = lipschitz_check(ctx, samples=2000)
-        summary["truncation_effect"] = truncation_effect(ctx, ks, sol)
         if cfg.family in ("power_sum", "power_sum_log") and "fit" in summary \
                 and "error" not in summary["fit"]:
             lam_pred, w_pred = predicted_decay(

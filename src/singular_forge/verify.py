@@ -292,25 +292,6 @@ def compute_passes(rep, sol):
     }
 
 
-def truncation_effect(ctx, ks, sol, extend=10.0):
-    """Quantify the domain-truncation error: re-run on a grid extended by
-    ``extend`` (same step), and return the sup difference of (eta, eta')
-    on the common nodes."""
-    grid = ctx.grid
-    h = grid.h
-    extra = int(round(extend / h))
-    ctx2 = build_context(
-        ctx.nl, ctx.cls, grid.rho0, grid.rho0 + h * (grid.M - 1 + extra),
-        grid.M + extra,
-    )
-    sol2 = picard_solve(ctx2, ks, sol.alpha, sol.beta, delta=sol.delta)
-    n = grid.M
-    return float(
-        np.max(np.abs(sol2.eta[:n] - sol.eta))
-        + np.max(np.abs(sol2.deta[:n] - sol.deta))
-    )
-
-
 def grid_span(nl, cls):
     """Length S of the default grid [rho0, rho0 + S]: the largest of a
     per-regime floor; 22 pi/k for the complex pair, so decay_fit's window,
