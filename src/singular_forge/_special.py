@@ -1,11 +1,11 @@
-"""Small numerical helpers: incomplete gamma for arbitrary order, quadrature.
+"""Special functions of the nonlinearity families, and tail quadrature.
 
-scipy's regularized gammaincc requires a positive order; the log-weighted
-nonlinearity families need Gamma(a, x) for arbitrary real a (including
-a <= 0).  Gamma(0, x) is E1(x).  For a < 0 and x >= 1 a Lentz continued
-fraction is used (stable for any a); below 1 the order is lifted to the
-positive range and recursed back down, whose subtraction cancels once x is
-of order 1 or more.
+``hyp2f1_1c(c, x)`` is the Gauss function 2F1(1, c; c+1; -x), which gives
+PowerSum's F in closed form.  ``upper_gamma(a, x)`` is Gamma(a, x) for any
+real order a, which gives PowerLog's F; Gamma(0, x) is E1(x).  Both are
+built from series, a continued fraction and Gauss-Legendre panels, with the
+choice of method made per point from x (DLMF 15.8, 8.7, 8.9; Numerical
+Recipes 6.2).
 
 ``tail_integrals`` evaluates tail integrals int_s^inf at many points s at
 once: Gauss-Legendre panels in log u between neighbouring points, summed
@@ -16,14 +16,26 @@ the rest of the tail is below rounding.
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, QuadratureError
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# Gauss-Legendre rule mapped onto [0, 1]
-GL01_NODES = 0.5 * (_GL_NODES + 1.0)
-GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
+# The 16-point Gauss-Legendre rule on [0, 1], nodes and weights correctly
+# rounded (from 50-digit values).  numpy's leggauss weights are off by up to
+# 3e-14 relative, a bias that shows in any integrand peaked in one panel.
+GL01_NODES = np.array([
+    0.005299532504175033, 0.02771248846338371, 0.06718439880608412,
+    0.12229779582249849, 0.19106187779867811, 0.2709916111713863,
+    0.35919822461037054, 0.4524937450811813, 0.5475062549188188,
+    0.6408017753896295, 0.7290083888286137, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939158, 0.9722875115366163,
+    0.994700467495825,
+])
+_GL01_HALF_WEIGHTS = [
+    0.013576229705877048, 0.031126761969323947, 0.04757925584124639,
+    0.06231448562776694, 0.07479799440828837, 0.08457825969750127,
+    0.09130170752246179, 0.09472530522753425,
+]
+GL01_WEIGHTS = np.array(_GL01_HALF_WEIGHTS + _GL01_HALF_WEIGHTS[::-1])
 # the 8-point rule on [0, 1], the error estimate of every 16-point panel
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL8_01_NODES = 0.5 * (_GL8_NODES + 1.0)
@@ -43,34 +55,216 @@ _CLOSE_SPAN = 64.0
 _CLOSE_DOUBLINGS = 5
 _CLOSE_RTOL = 2.0 ** -54
 
+# Series are cut where the rest is below _SERIES_TOL of a sum >= 1.
+_SERIES_TOL = np.finfo(float).eps / 4
+# 2F1(1, c; c+1; -x) takes the Pfaff series up to _PFAFF_X, where its
+# variable w = x/(1+x) reaches 1/2: at most ~55 terms.
+_PFAFF_X = 1.0
+# Above _PFAFF_X the reflection formula serves c < _REFLECT_C only.  Each
+# of its two terms has a pole at every integer c = m >= 1, which cancel
+# (4 ulp lost at c = 0.74), and for c > 1 its own series alternates.
+# Gauss-Legendre panels in log t, within about an ulp for every c, take the
+# rest; for small c they would need a panel per unit of log x.
+_REFLECT_C = 0.5
+# In the panels the integrand of c > 1 falls like e^((c-1) tau) away from
+# tau = 0; below tau = -_TAU_CUT/(c-1) it adds less than e^-40 relative.
+_TAU_CUT = 40.0
+# Panels are at most _PANEL_RATE/(c-1) wide: across one, e^((c-1) tau)
+# changes by e^8, which the 16-point rule integrates to below 1e-20.
+_PANEL_RATE = 8.0
+# log of the largest float, rounded up: no finite x needs more unit panels
+_LOG_MAX = math.ceil(math.log(np.finfo(float).max))
 
-def _upper_gamma_cf(a, x, max_iter=300, tol=4 * np.finfo(float).eps):
-    """Gamma(a, x) by modified Lentz continued fraction; x must be > 0."""
+
+def _pfaff_sum(c, w):
+    """sum_n n!/(c+1)_n w^n for 0 <= w < 1 (nonempty, 1-d), c + 1 not zero
+    or a negative integer.
+
+    Horner to the degree the largest w needs: from the first degree n with
+    c + n + 1 > 0, term ratios are at most q = w max(1, (n+1)/(c+n+1)), so
+    the rest is below the last term times q/(1-q).
+    """
+    wmax = float(np.max(w))
+    b = [1.0]
+    n = 0
+    while True:
+        n += 1
+        b.append(b[-1] * n / (c + n))
+        if c + n + 1.0 > 0.0:
+            q = wmax * max(1.0, (n + 1.0) / (c + n + 1.0))
+            rest = abs(b[-1]) * wmax ** n * q
+            if q < 1.0 and rest <= _SERIES_TOL * (1.0 - q):
+                break
+    acc = np.full_like(w, b[-1])
+    for bn in reversed(b[:-1]):
+        acc *= w
+        acc += bn
+    return acc
+
+
+def _hyp2f1_1c_pfaff(c, x):
+    """2F1(1, c; c+1; -x) = (1+x)^-1 2F1(1, 1; c+1; w), w = x/(1+x)
+    (DLMF 15.8.1), for 0 <= x <= 2."""
+    return _pfaff_sum(c, x / (1.0 + x)) / (1.0 + x)
+
+
+def _hyp2f1_1c_panels(c, x, x_pow_c):
+    """2F1(1, c; c+1; -x) = c int_0^1 t^(c-1)/(1 + x t) dt for x > 1 and
+    c >= _REFLECT_C; ``x_pow_c`` is x^-c or None (hyp2f1_1c).
+
+    Split at t0 = e^(-n h), n h >= log x: below t0 the integral is
+    t0^c 2F1(1, c; c+1; -x t0) with x t0 <= 1 (Pfaff); above it, n panels
+    of width h in tau = log t.  The panels are anchored at the end where the
+    integrand peaks, tau = 0 for c > 1 and tau = log t0 for c <= 1, so the
+    nodes that matter carry no rounding of n h.  For c > 1 the integrand
+    falls like e^((c-1) tau) from tau = 0: the panels are at most
+    _PANEL_RATE/(c-1) wide, and stop at tau = -_TAU_CUT/(c-1), below which
+    the integral is dropped.  t0^c, the factor that varies like x^-c, is
+    (x t0)^c x^-c when x^-c is given.
+    """
+    h = min(1.0, _PANEL_RATE / (c - 1.0)) if c > 1.0 else 1.0
+    n = np.minimum(np.ceil(np.log(x) / h), _LOG_MAX)
+    if c > 1.0:
+        n = np.minimum(n, math.ceil(_TAU_CUT / ((c - 1.0) * h)))
+    t0 = np.exp(-n * h)
+    xt = x * t0
+    tc = t0 ** c if x_pow_c is None else xt ** c * x_pow_c
+    below = np.zeros_like(x)
+    # x t0 exceeds 1 by rounding only, unless n was capped: then the part
+    # below t0 is negligible (c > 1) or zero (x = inf)
+    low = xt <= 2.0
+    if np.any(low):
+        below[low] = tc[low] * _hyp2f1_1c_pfaff(c, xt[low])
+    if c > 1.0:
+        scale, xa, sign = 1.0, x, -h
+    else:
+        scale, xa, sign = tc, xt, h
+    xa = xa[:, None]
+    acc = np.zeros_like(x)
+    comp = np.zeros_like(x)  # up to _LOG_MAX panels: compensated sum
+    for j in range(int(n.max())):
+        u = sign * (j + GL01_NODES)
+        # e^(cu)/(1 + xa e^u); the exponent (c-1)u rounds far less than cu
+        with np.errstate(over="ignore"):  # e^-u = inf only where x = inf
+            v = np.exp((c - 1.0) * u) / (xa + np.exp(-u))
+        y = np.where(j < n, v @ GL01_WEIGHTS, 0.0) - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+    return below + c * h * scale * acc
+
+
+def hyp2f1_1c(c, x, x_pow_c=None):
+    """2F1(1, c; c+1; -x) for c > 0 and x in [0, inf], vectorized in x.
+
+    Per point: the Pfaff series for x <= _PFAFF_X.  Above it, for
+    c < _REFLECT_C, the reflection in 1/x (DLMF 15.8.2),
+
+        c pi / sin(pi c) x^-c + c/(c-1) x^-1 2F1(1, 1-c; 2-c; -1/x),
+
+    whose own Pfaff series has w = 1/(1+x) < 1/2 and positive terms; for
+    larger c Gauss-Legendre panels in log t (_hyp2f1_1c_panels).
+
+    ``x_pow_c``, shaped like x, is x^-c where the caller has it more
+    accurately than x ** -c: a rounded c errs by log(x) times its rounding.
+    """
+    c = float(c)
+    if not c > 0.0:
+        raise ValueError("hyp2f1_1c requires c > 0")
     x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if not np.all(flat >= 0.0):
+        raise DomainError("hyp2f1_1c requires x >= 0")
+    out = np.empty_like(flat)
+    low = flat <= _PFAFF_X
+    if np.all(low):
+        return _hyp2f1_1c_pfaff(c, flat).reshape(x.shape)[()]
+    if np.any(low):
+        out[low] = _hyp2f1_1c_pfaff(c, flat[low])
+    xh = flat[~low]
+    xc = None if x_pow_c is None else np.ravel(x_pow_c)[~low]
+    if c >= _REFLECT_C:
+        out[~low] = _hyp2f1_1c_panels(c, xh, xc)
+    else:
+        if xc is None:
+            xc = xh ** -c
+        v = 1.0 / (1.0 + xh)
+        out[~low] = (c * math.pi / math.sin(math.pi * c) * xc
+                     + c / (c - 1.0) * v * _pfaff_sum(1.0 - c, v))
+    return out.reshape(x.shape)[()]
+
+
+def _upper_gamma_cf(a, x, max_iter=1000):
+    """Gamma(a, x) = x^a e^-x / K for 1-d x > 0, K the continued fraction
+    (x+1-a) - 1(1-a)/((x+3-a) - 2(2-a)/((x+5-a) - ...)).
+
+    Steed's method sums K from its differences, compensated, to about an
+    ulp (the product form of Lentz's method gathers ~20 ulp at x near 1).
+    Larger x converges in fewer terms, so with x sorted the points still
+    running are a prefix, cut after the last one whose difference is above
+    _SERIES_TOL of K: a batch spanning x in [4, 88] does not pay x = 4's
+    terms at x = 88, and each point gets its lone value to within rounding.
+    """
     tiny = 1e-300
-    b = x + 1.0 - a
-    c = np.full_like(x, 1e300)
-    d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
-    h = d.copy()
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < tol):
+    order = np.argsort(x)
+    xs = x[order]
+    b = xs + 3.0 - a
+    D = 1.0 / b
+    dK = (a - 1.0) * D
+    K = xs + 1.0 - a
+    comp = np.zeros_like(xs)
+    k = xs.size
+    for i in range(2, max_iter + 2):
+        Kk, ck, dk = K[:k], comp[:k], dK[:k]
+        y = dk - ck  # K += dK, compensated
+        t = Kk + y
+        ck[...] = (t - Kk) - y
+        Kk[...] = t
+        live = np.flatnonzero(np.abs(dk) > _SERIES_TOL * np.abs(t))
+        if live.size == 0:
             break
-    return x ** a * np.exp(-x) * h
+        k = live[-1] + 1
+        bk = b[:k]
+        bk += 2.0
+        den = bk - i * (i - a) * D[:k]
+        D[:k] = 1.0 / np.where(np.abs(den) < tiny, tiny, den)
+        dK[:k] = (bk * D[:k] - 1.0) * dK[:k]
+    out = np.empty_like(x)
+    out[order] = K
+    return x ** a * np.exp(-x) / out
+
+
+# Ein(x) = sum_(n>=1) (-1)^(n+1) x^n/(n n!): 18 terms reach rounding at x = 1
+_EIN_COEFS = [(-1) ** (n + 1) / (n * math.factorial(n)) for n in range(1, 19)]
+
+
+def _upper_gamma_series(a, x):
+    """Gamma(a, x) for a >= 0 and 1-d 0 < x < a + 1 from a series in x:
+    Gamma(a) - x^a e^-x sum_n x^n/(a)_(n+1) for a > 0, and for a = 0
+    E1(x) = -gamma_E - log x + Ein(x), Ein by Horner."""
+    if a == 0.0:
+        acc = np.full_like(x, _EIN_COEFS[-1])
+        for coef in reversed(_EIN_COEFS[:-1]):
+            acc *= x
+            acc += coef
+        return -np.euler_gamma - np.log(x) + acc * x
+    term = np.full_like(x, 1.0 / a)
+    acc = term.copy()
+    n = 0
+    while np.any(term > _SERIES_TOL * acc):
+        n += 1
+        term *= x / (a + n)
+        acc += term
+    return math.gamma(a) - x ** a * np.exp(-x) * acc
 
 
 def upper_gamma(a, x):
     """Upper incomplete gamma Gamma(a, x) for real a and x > 0.
 
-    Vectorized in x; a is scalar.
+    Vectorized in x; a is scalar.  The continued fraction serves
+    x >= max(a + 1, 1), stable for any a.  Below that a >= 0 takes the
+    series in x; a < 0 lifts the order to a + n in (1, 2], takes its series
+    and recurses back down, whose subtraction cancels once x is of order 1.
     """
     a = float(a)
     x = np.asarray(x, dtype=float)
@@ -79,31 +273,25 @@ def upper_gamma(a, x):
     if np.any(x <= 0.0):
         raise ValueError("upper_gamma requires x > 0")
     out = np.empty_like(x)
-
-    if a > 0.0:
-        out[:] = special.gammaincc(a, x) * np.exp(special.gammaln(a))
-    elif a == 0.0:
-        out[:] = special.exp1(x)
-    else:
-        big = x >= 1.0
-        if np.any(big):
-            out[big] = _upper_gamma_cf(a, x[big])
-        small = ~big
-        if np.any(small):
-            xs = x[small]
-            # lift order to a + n in (0, 1], recurse down:
-            #   Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a
+    cf = x >= max(a + 1.0, 1.0)
+    if np.any(cf):
+        out[cf] = _upper_gamma_cf(a, x[cf])
+    if not np.all(cf):
+        xs = x[~cf]
+        if a >= 0.0:
+            out[~cf] = _upper_gamma_series(a, xs)
+        else:
+            # Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a
             n = int(np.ceil(-a)) + 1
-            atop = a + n
-            g = special.gammaincc(atop, xs) * np.exp(special.gammaln(atop))
+            g = _upper_gamma_series(a + n, xs)
             for j in range(n - 1, -1, -1):
                 aj = a + j
                 if abs(aj) < 1e-12:
                     # Gamma(0, x) = E1(x); resume the downward pass from it
-                    g = special.exp1(xs)
+                    g = _upper_gamma_series(0.0, xs)
                     continue
                 g = (g - xs ** aj * np.exp(-xs)) / aj
-            out[small] = g
+            out[~cf] = g
     return out[0] if scalar else out
 
 

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
-from ._special import tail_integrals, upper_gamma
+from ._special import hyp2f1_1c, tail_integrals, upper_gamma
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -175,7 +174,8 @@ class PowerSum(Nonlinearity):
     """f(s) = s^p + s^r with 0 < r < p.
 
     F has the closed form s^(1-p)/(p-1) * 2F1(1, c; c+1; -s^(r-p)) with
-    c = (p-1)/(p-r); the deficit series are the expansions in powers of
+    c = (p-1)/(p-r); at r = 1 (c = 1) it is log1p(s^(1-p))/(p-1), and so
+    is F^{-1}.  The deficit series are the expansions in powers of
     s^(r-p), summed directly so the far tail keeps relative accuracy.
     """
 
@@ -214,11 +214,15 @@ class PowerSum(Nonlinearity):
 
     def F(self, s):
         s = np.asarray(s, float)
-        p, r, c = self.p, self.r, self._c
-        if abs(p - 2.0) < 1e-14 and abs(r - 1.0) < 1e-14:
-            return np.log1p(1.0 / s)
-        x = s ** (r - p)
-        return s ** (1.0 - p) / (p - 1.0) * special.hyp2f1(1.0, c, c + 1.0, -x)
+        p, r = self.p, self.r
+        if r == 1.0:
+            return np.log1p(s ** (1.0 - p)) / (p - 1.0)
+        sp = s ** (1.0 - p)
+        # x^-c = s^(p-1), exact in s where c = (p-1)/(p-r) is rounded; it is
+        # read only where x > 1, that is s < 1, so sp = 0 (huge s) is harmless
+        with np.errstate(divide="ignore"):
+            x_pow_c = 1.0 / sp
+        return sp / (p - 1.0) * hyp2f1_1c(self._c, s ** (r - p), x_pow_c)
 
     @property
     def F_sup(self):
@@ -227,9 +231,10 @@ class PowerSum(Nonlinearity):
         return math.pi / ((self.p - self.r) * math.sin(math.pi * self._c))
 
     def F_inv(self, sigma):
-        sigma = _check_sigma(self, sigma)
-        if abs(self.p - 2.0) < 1e-14 and abs(self.r - 1.0) < 1e-14:
-            return 1.0 / np.expm1(sigma)
+        if self.r == 1.0:
+            sigma = _check_sigma(self, sigma)
+            p = self.p
+            return np.expm1((p - 1.0) * sigma) ** (-1.0 / (p - 1.0))
         return _invert_F(self, sigma)
 
     def _deficit_series(self, s, coef):

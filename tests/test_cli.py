@@ -292,16 +292,41 @@ def test_sweep_small_grid(tmp_path):
     assert code == 0
 
 
-def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
-    # start-up cost: the CLI needs scipy.special only
-    heavy = ["integrate", "linalg", "optimize", "sparse", "signal", "fft"]
-    code = ("import sys, singular_forge.cli; print(' '.join(m for m in "
-            f"{heavy!r} if 'scipy.' + m in sys.modules))")
+def test_cli_import_loads_no_scipy():
+    # start-up cost: numpy is the only runtime dependency
+    code = "import sys, singular_forge.cli; print('scipy' in sys.modules)"
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    assert out.strip() == "False"
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    # power_sum (2F1), power_exp_log (tail quadrature) and power_log
+    # (incomplete gamma): scipy is still absent after each run
+    runs = [
+        ["tables", "--N", "5"],
+        ["verify", "--N", "5", "--family", "power_exp_log", "--p", "2",
+         "--r", "0.5", "--M", "192", "--no-auto-rho0"],
+        ["construct", "--N", "5", "--family", "power_log", "--p", "2",
+         "--r", "0.5"],
+    ]
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "from singular_forge.cli import main",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = main(argv)",
+        "    print(argv[0], code, 'scipy' in sys.modules)",
+    ])
+    argvs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.split("\n")[:3] == [f"{argv[0]} 0 False" for argv in runs]
 
 
 def test_consecutive_main_calls_match_fresh_processes(tmp_path, monkeypatch):

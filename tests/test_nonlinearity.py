@@ -107,6 +107,59 @@ def test_power_log_F_against_40_digit_reference(r):
     assert_allclose(nl.F(s), expected, rtol=4e-15, atol=0.0)
 
 
+def _mp_power_sum_F(p, r, s):
+    """PowerSum's F at the working precision: s^(1-p)/(p-1) 2F1(1, c; c+1;
+    -s^(r-p)), c = (p-1)/(p-r) from the float p and r."""
+    P, R = mp.mpf(p), mp.mpf(r)
+    C = (P - 1) / (P - R)
+    return (s ** (1 - P) / (P - 1)
+            * mp.hyp2f1(1, C, C + 1, -s ** (R - P)))
+
+
+# the largest relative error scipy 1.17.1's hyp2f1 made at the same points,
+# rounded down to three digits: F must be at least as accurate
+POWER_SUM_F_BOUND = {
+    (1.75, 1.0): 1.31e-09,
+    (1.75, 1.7): 7.19e-16,
+    (1.8, 1.0): 3.17e-09,
+    (2.0, 1.0): 8e-07,
+    (2.0, 1.9): 1.18e-15,
+    (2.0, 0.5): 1.28e-15,
+}
+
+
+@pytest.mark.parametrize("p,r", list(POWER_SUM_F_BOUND))
+def test_power_sum_F_against_50_digit_reference(p, r):
+    s = np.logspace(-12, 300, 313)
+    with mp.workdps(50):
+        err = max(
+            float(abs(mp.mpf(float(got)) - ref) / ref)
+            for got, ref in zip(PowerSum(p, r).F(s),
+                                (_mp_power_sum_F(p, r, mp.mpf(v)) for v in s))
+        )
+    assert err <= POWER_SUM_F_BOUND[p, r]
+
+
+def test_power_sum_F_where_it_underflows():
+    # s^(1-p) underflows to 0 at s = 1e100 for p = 5; no warning, F = 0
+    F = PowerSum(5.0, 2.0).F(np.array([1e100, 1e10]))
+    assert F[0] == 0.0
+    assert_allclose(F[1], 2.5e-41, rtol=1e-14)
+
+
+@pytest.mark.parametrize("p,r", [(1.75, 1.0), (1.75, 1.7)])
+def test_power_sum_F_inverse_near_1e_minus_9(p, r):
+    # F lost relative accuracy as s -> 0, so F_inv missed its 1e-13 stop
+    nl = PowerSum(p, r)
+    sigma = 0.999999999 * float(nl.F(1e-9))
+    with mp.workdps(50):
+        root = mp.findroot(
+            lambda u: _mp_power_sum_F(p, r, u) - sigma, mp.mpf(1e-9),
+            solver="newton", df=lambda u: -1 / (u ** p + u ** r), tol=1e-40,
+            verify=False)
+    assert abs(nl.F_inv(sigma) - float(root)) <= 1e-13 * float(root)
+
+
 @pytest.mark.parametrize("a", [0.0, -0.5, -1.0, -1.3, -2.3, -3.7])
 def test_upper_gamma_against_40_digit_reference(a):
     # x in [1, 21] is where lifting the order and recursing down cancels
