@@ -26,6 +26,7 @@ from .kernels import (
     homogeneous_coeffs,
     homogeneous_pair,
     kernel_values,
+    solve_linear_volterra,
     super_kernel,
     weight_P,
     wronskian,
@@ -51,6 +52,7 @@ from .profile import (
     SolutionProfile,
     build_context,
     nonlinear_term,
+    nonlinear_term_and_derivative,
     nonlinear_term_at,
     tilde_u,
     to_radial,

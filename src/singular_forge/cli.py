@@ -326,6 +326,7 @@ def _solver_payload(sol):
         "beta": sol.beta,
         "delta": sol.delta,
         "iterations": sol.iterations,
+        "newton_steps": sol.newton_steps,
         "final_change": sol.final_change,
         "contraction_ratio": sol.contraction_ratio,
         "weighted_norm": sol.weighted_norm_value,

@@ -28,6 +28,16 @@ reproduces sum_j w_j e^{-mu(rho_i - rho_j)} g_j with trapezoid weights,
 and the confluent column B_i = sum_j w_j (rho_i - rho_j) e^{-mu(...)} g_j
 is the same recurrence driven by h q (A_i + g_i / 2).  The result agrees
 with the direct O(M^2) sum to rounding.
+
+In every regime the mode sums are two reals: (A_1, A_2), (A, B) or
+(Re A, Im A).  KernelSet.march_data gives the 2x2 transition of that state
+over one step, the state a unit drive adds at its own node, and the real
+(K, dK) readout rows.  On the drive the K row has weight 0 and the dK row
+weight denom, so the linear Volterra equation with nodewise coefficients,
+eta = Phi - int K (c + p eta + l2 eta'), is solved by one forward march
+(solve_linear_volterra): eta_{i+1} is explicit and eta'_{i+1} solves one
+scalar linear equation (Linz, Analytical and Numerical Methods for
+Volterra Equations, 1985, ch. 7).
 """
 
 import numpy as np
@@ -80,6 +90,26 @@ class KernelSet:
         self.Lambda = cls.Lambda
         self.a = (roots[0] + roots[1]).real
         self.b = (roots[0] * roots[1]).real
+
+    def march_data(self, h):
+        """The mode sums as a real two-state over a step h: (T, e0, R).
+
+        T (2x2) carries the state from one node to the next, e0 is the state
+        a unit drive adds at its own node (the columns at d = 0), and R
+        (2x2) reads the (K, dK) sums over denom off the state.  A complex
+        mode's state is its real and imaginary part.
+        """
+        q = [np.exp(-m * h).item() for m in self.mu]
+        rows = self.rows
+        if self.confluent:  # (A, B): B_{i+1} = q B_i + h q A_i
+            T, e0 = [[q[0], 0.0], [h * q[0], q[0]]], [1.0, 0.0]
+        elif len(q) == 2:
+            T, e0 = [[q[0], 0.0], [0.0, q[1]]], [1.0, 1.0]
+        else:  # (Re A, Im A); Re(c A) = Re c Re A - Im c Im A
+            z = q[0]
+            T, e0 = [[z.real, -z.imag], [z.imag, z.real]], [1.0, 0.0]
+            rows = [[row[0].real, -row[0].imag] for row in rows]
+        return T, e0, [[float(v) for v in row] for row in rows]
 
 
 def _columns(mu, confluent, d):
@@ -218,6 +248,51 @@ def convolve_cumulative(ks, rho, g):
     h, sums = _trapezoid_sums(ks.mu, ks.confluent, rho, g)
     ik, idk = (ks.rows @ sums).real * (h / ks.denom)
     return ik, idk
+
+
+def solve_linear_volterra(ks, rho, homogeneous, c, p, l2):
+    """(eta, eta') solving the trapezoid scheme of
+
+        eta  = Phi  - int_{rho_0}^{rho} K(rho, tau) g,
+        eta' = Phi' - int_{rho_0}^{rho} dK(rho, tau) g,
+        g = c + p eta + l2 eta',
+
+    with nodewise c, p, l2 and (Phi, Phi') = ``homogeneous``, in one forward
+    pass: the fixed point of convolve_cumulative's map to rounding.
+
+    The state carried across a step is the mode sums plus the node's own
+    half-drive.  At the next node the K readout of the carried state is
+    eta (the K row weighs the new drive by 0), and eta' solves
+    eta' = Phi' - dK readout - (h/2) g, one scalar linear equation.
+    """
+    h = float(rho[1] - rho[0])
+    ((t00, t01), (t10, t11)), (ea, eb), (k_row, dk_row) = ks.march_data(h)
+    scale = h / ks.denom
+    ka, kb = (scale * v for v in k_row)
+    da, db = (scale * v for v in dk_row)
+    hh = 0.5 * h
+    phi, dphi, c, p, l2 = (np.asarray(v, dtype=float)
+                           for v in (*homogeneous, c, p, l2))
+    # eta'_{i+1} = (u_i - dK readout - v_i eta_{i+1}) w_i
+    u = dphi - hh * c
+    v = hh * p
+    w = 1.0 / (1.0 + hh * l2)
+    e, de = float(phi[0]), float(dphi[0])
+    g = float(c[0] + p[0] * e + l2[0] * de)
+    sa, sb = 0.5 * g * ea, 0.5 * g * eb
+    eta, deta = [e], [de]
+    for ph, ui, vi, wi, ci, pi, li in zip(
+            *(x[1:].tolist() for x in (phi, u, v, w, c, p, l2))):
+        a = t00 * sa + t01 * sb
+        b = t10 * sa + t11 * sb
+        e = ph - (ka * a + kb * b)
+        de = (ui - (da * a + db * b) - vi * e) * wi
+        g = ci + pi * e + li * de
+        sa = a + g * ea
+        sb = b + g * eb
+        eta.append(e)
+        deta.append(de)
+    return np.array(eta), np.array(deta)
 
 
 def convolve_cumulative_direct(ks, rho, g):

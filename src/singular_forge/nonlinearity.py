@@ -217,12 +217,18 @@ class PowerSum(Nonlinearity):
         p, r = self.p, self.r
         if r == 1.0:
             return np.log1p(s ** (1.0 - p)) / (p - 1.0)
-        sp = s ** (1.0 - p)
         # x^-c = s^(p-1), exact in s where c = (p-1)/(p-r) is rounded; it is
         # read only where x > 1, that is s < 1, so sp = 0 (huge s) is harmless
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
+            sp = s ** (1.0 - p)
+            x = s ** (r - p)
             x_pow_c = 1.0 / sp
-        return sp / (p - 1.0) * hyp2f1_1c(self._c, s ** (r - p), x_pow_c)
+        # where x = s^(r-p) overflows, F has reached its limit at s = 0:
+        # F_sup for r < 1, inf for r > 1 (which is F_sup too)
+        at_zero = np.isinf(x)
+        sp, x = np.where(at_zero, 0.0, sp), np.where(at_zero, 0.0, x)
+        F = sp / (p - 1.0) * hyp2f1_1c(self._c, x, x_pow_c)
+        return np.where(at_zero, self.F_sup, np.minimum(F, self.F_sup))[()]
 
     @property
     def F_sup(self):

@@ -16,13 +16,17 @@ remainder N[eta] uses the exact integral form of the Taylor remainder
 
 (16-point Gauss-Legendre; exact to rounding for |eta| <= 0.5 since the
 integrand is analytic), which keeps N[eta] relatively accurate where the
-direct difference of near-equal f values would drown in rounding.  f'' is
+direct difference of near-equal f values would drown in rounding.  Its
+derivative in eta, N'[eta] = b F(phi) phi eta int_0^1 f''(phi(1+t eta)) dt,
+comes from the same f'' values with the plain Gauss weights, so a Newton
+step pays for one pass and no difference of f' values.  f'' is
 evaluated for several Gauss nodes in one call, as many as keep a call near
 _GROUP_POINTS points: all 16 on a grid of up to 256 nodes, one at a time on
 a 4096-node grid.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +56,12 @@ class Grid:
     def h(self):
         return (self.rho_max - self.rho0) / (self.M - 1)
 
-    @property
+    @cached_property
     def rho(self):
-        return np.linspace(self.rho0, self.rho_max, self.M)
+        """The nodes, built once per grid and read-only."""
+        rho = np.linspace(self.rho0, self.rho_max, self.M)
+        rho.flags.writeable = False
+        return rho
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,10 @@ class ProfileContext:
     I: np.ndarray
     L1: np.ndarray
     L2: np.ndarray
+    deficit_fpF: np.ndarray  # f'F - q_f at phi
+    deficit_fF: np.ndarray  # fF/phi - 1/(p_f-1) at phi
+    # what a solver derives from the context alone, computed once
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def rho(self):
@@ -109,40 +120,52 @@ def build_context(nl, cls, rho0, rho_max, M):
     L1 = b * (d1 - d2) + I
     L2 = 4.0 * d2
     dphi = 2.0 * phi * fF_over_phi
-    return ProfileContext(nl, cls, grid, phi, dphi, sigma, I, L1, L2)
+    return ProfileContext(nl, cls, grid, phi, dphi, sigma, I, L1, L2, d1, d2)
 
 
-def _remainder(ctx, nodes, eta):
-    """N[eta] at the grid nodes selected by ``nodes`` (an index, an index
-    array or a slice), eta broadcasting against them.
-
-    One f2 call takes a group of Gauss nodes, a (group, points) array; the
-    rows are summed in node order, so the value does not depend on the
-    grouping.  Raises DomainError when phi(1+eta) leaves (s_min, inf).
-    """
-    eta = np.asarray(eta, dtype=float)
-    phi = ctx.phi[nodes]
-    outside = (1.0 + eta) * phi <= ctx.nl.s_min
+def check_domain(ctx, nodes, eta):
+    """Raise DomainError where phi(1+eta) leaves (s_min, inf) at the grid
+    nodes selected by ``nodes``."""
+    outside = (1.0 + eta) * ctx.phi[nodes] <= ctx.nl.s_min
     if np.any(outside):
         index = np.atleast_1d(np.arange(len(ctx.phi))[nodes])
         bad = int(index[np.argmax(outside)])
         raise DomainError(
             f"iterate leaves domain at node {bad}: phi(1+eta) <= s_min"
         )
+
+
+def _remainder(ctx, nodes, eta, derivative=False):
+    """N[eta] at the grid nodes selected by ``nodes`` (an index, an index
+    array or a slice), eta broadcasting against them; with ``derivative``
+    the pair (N[eta], N'[eta]).
+
+    One f2 call takes a group of Gauss nodes, a (group, points) array; the
+    rows are summed in node order, so the value does not depend on the
+    grouping.  Raises DomainError when phi(1+eta) leaves (s_min, inf).
+    """
+    eta = np.asarray(eta, dtype=float)
+    check_domain(ctx, nodes, eta)
+    phi = ctx.phi[nodes]
     phi_b, eta_b = np.broadcast_arrays(phi, eta)
     shape = phi_b.shape
     phi_b, eta_b = phi_b.reshape(-1), eta_b.reshape(-1)
     group = max(1, _GROUP_POINTS // max(phi_b.size, 1))
-    acc = 0.0
+    acc = dacc = 0.0
     for start in range(0, len(_GAUSS_T), group):
-        t = _GAUSS_T[start:start + group]
+        stop = start + group
         rows = np.asarray(
-            ctx.nl.f2(phi_b * (1.0 + t[:, None] * eta_b)), dtype=float
+            ctx.nl.f2(phi_b * (1.0 + _GAUSS_T[start:stop, None] * eta_b)),
+            dtype=float,
         )
-        for w, f2 in zip(_GAUSS_W[start:start + group], rows):
+        for w, wd, f2 in zip(_GAUSS_W[start:stop], GL01_WEIGHTS[start:stop],
+                             rows):
             acc = acc + w * f2
-    acc = np.reshape(acc, shape)
-    return ctx.cls.b * ctx.Fphi[nodes] * phi * eta * eta * acc
+            if derivative:
+                dacc = dacc + wd * f2
+    scale = ctx.cls.b * ctx.Fphi[nodes] * phi * eta
+    value = scale * eta * np.reshape(acc, shape)
+    return (value, scale * np.reshape(dacc, shape)) if derivative else value
 
 
 def nonlinear_term(ctx, eta):
@@ -152,6 +175,14 @@ def nonlinear_term(ctx, eta):
     DomainError when phi(1+eta) leaves (s_min, inf).
     """
     return _remainder(ctx, slice(None), eta)
+
+
+def nonlinear_term_and_derivative(ctx, eta):
+    """(N[eta], N'[eta]) nodewise from one pass of f2 over the Gauss nodes,
+    N'[eta] = b F(phi) (f'(phi(1+eta)) - f'(phi)) the derivative of N in
+    eta.  Raises DomainError when phi(1+eta) leaves (s_min, inf).
+    """
+    return _remainder(ctx, slice(None), eta, derivative=True)
 
 
 def nonlinear_term_at(ctx, node, eta_val):

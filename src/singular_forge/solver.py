@@ -1,4 +1,5 @@
-"""Picard iteration for the remainder integral equation.
+"""Fixed point of the remainder integral equation: Picard, finished by
+Newton where Picard contracts slowly.
 
 The map is
 
@@ -9,6 +10,29 @@ with the derivative obtained from the same integrand against dK (valid
 because K vanishes on the diagonal).  Phi is the homogeneous part pinned to
 the boundary data (alpha, beta) at rho0; it is evaluated in shifted form so
 eta(rho0) = alpha and eta'(rho0) = beta hold bitwise for every iterate.
+
+picard_solve iterates eta_{k+1} = T[eta_k] from eta_0 = Phi.  T is a
+Volterra map: its error moves along rho as a front, so where T contracts
+weakly (ratios 0.25-0.6 on the quadrature families) Picard needs 15-25
+steps and neither Anderson mixing nor an exact linear part helps.  Once
+_TRANSIENT ratios are known and the last is above _SWITCH_RATIO (and below
+1), the solve turns to Newton-Kantorovich on the discrete equation: each
+step linearises N at the iterate, N[eta] ~ N[eta_k] + N'[eta_k](eta -
+eta_k), and solves the linear equation exactly by one forward march
+(kernels.solve_linear_volterra), so its changes fall quadratically.  A
+final T application certifies the result with the same stop test as
+Picard, change < tol, and is what the solve returns.  A Newton step that
+leaves the nonlinearity's domain or stops shrinking hands back to Picard
+from the last T iterate, which then ends exactly as pure Picard would.
+Below the switch Picard converges in a few more steps, each cheaper than
+a march.
+
+RemainderSolution reports the work and the evidence of contraction:
+``iterations`` counts the applications of T (the Newton steps are not
+among them), ``newton_steps`` the marches, ``ratios`` the ratios of
+successive changes of consecutive T steps only, and ``contraction_ratio``
+the worst of those after the first two.  select_rho0 probes with T alone,
+so its verdict is one about T.
 """
 
 import math
@@ -29,9 +53,23 @@ from .kernels import (
     convolve_cumulative,
     convolve_Q_cumulative,
     homogeneous_pair,
+    solve_linear_volterra,
     super_kernel,
 )
-from .profile import build_context, nonlinear_term
+from .profile import (
+    build_context,
+    check_domain,
+    nonlinear_term,
+    nonlinear_term_and_derivative,
+)
+
+# Newton takes over after this many ratios of T steps (so one ratio past
+# the first two reaches contraction_ratio), when the last is above
+# _SWITCH_RATIO: the slow families read 0.25-0.6, the table and sweep
+# cells at most 0.094 (CHANGES.md has the measurements)
+_TRANSIENT = 3
+_SWITCH_RATIO = 0.2
+_NEWTON_MAX = 12
 
 
 @dataclass
@@ -48,6 +86,7 @@ class RemainderSolution:
     weighted_norm_value: float = math.nan
     case_tag: str = ""
     converged: bool = False
+    newton_steps: int = 0
 
 
 def apply_T(
@@ -77,6 +116,44 @@ def _sup_change(e1, d1, e0, d0):
     return float(np.max(np.abs(e1 - e0)) + np.max(np.abs(d1 - d0)))
 
 
+def _newton_phase(ctx, ks, homogeneous, eta, deta, linear_only, tol):
+    """Newton steps on the discrete equation from the T iterate (eta, eta').
+
+    Each step solves eta = Phi - K*(c + (L1 + N'[eta_k]) eta + L2 eta'),
+    c = I + N[eta_k] - N'[eta_k] eta_k, by one march; with linear_only the
+    first step is the solution.  Returns ((eta, eta'), steps) once a change
+    falls below tol or the quadratic rate puts the next one (about
+    change^3 / previous^2) a hundredfold below it, or (None, steps) when a
+    step leaves the domain, stops shrinking, or _NEWTON_MAX steps pass.
+    """
+    prev = math.inf
+    for step in range(1, _NEWTON_MAX + 1):
+        if linear_only:
+            c, p = ctx.I, ctx.L1
+        else:
+            try:
+                n, dn = nonlinear_term_and_derivative(ctx, eta)
+            except DomainError:
+                return None, step - 1
+            c, p = ctx.I + (n - dn * eta), ctx.L1 + dn
+        new_eta, new_deta = solve_linear_volterra(
+            ks, ctx.rho, homogeneous, c, p, ctx.L2)
+        change = _sup_change(new_eta, new_deta, eta, deta)
+        if not change < prev:
+            return None, step
+        eta, deta = new_eta, new_deta
+        if linear_only or change < tol or (
+                step > 1 and change ** 3 < 1e-2 * tol * prev ** 2):
+            if not linear_only:
+                try:
+                    check_domain(ctx, slice(None), eta)
+                except DomainError:
+                    return None, step
+            return (eta, deta), step
+        prev = change
+    return None, _NEWTON_MAX
+
+
 def picard_solve(
     ctx,
     ks=None,
@@ -86,9 +163,12 @@ def picard_solve(
     max_iter=200,
     delta=None,
     linear_only=False,
+    *,
+    _newton=True,
 ):
     """Iterate eta_{k+1} = T[eta_k] from eta_0 = Phi until the sup change of
-    (eta, eta') drops below tol.
+    (eta, eta') drops below tol, finishing a slowly contracting solve by
+    Newton steps (module docstring); ``_newton=False`` applies T alone.
 
     Divergence is declared after three consecutive non-contracting steps
     (ratio >= 1), which tolerates transient ratio noise near rounding.
@@ -151,6 +231,15 @@ def picard_solve(
             sol.ratios = ratios
             sol.converged = True
             break
+        if _newton and len(ratios) >= _TRANSIENT and it < max_iter \
+                and _SWITCH_RATIO < ratios[-1] < 1.0:
+            _newton = False  # one Newton phase per solve
+            found, sol.newton_steps = _newton_phase(
+                ctx, ks, homogeneous, eta, deta, linear_only, tol)
+            if found is not None:
+                # the next T step certifies; its change has no T predecessor
+                eta, deta = found
+                prev_change = None
     else:
         sol.eta, sol.deta = eta, deta
         sol.iterations, sol.ratios = max_iter, ratios
@@ -170,20 +259,33 @@ def picard_solve(
     elif ratios:
         sol.contraction_ratio = max(ratios)
     sol.weighted_norm_value = weighted_norm(sol, ctx, ks, delta)
-    try:
-        sol.case_tag = case_classify(ctx, ctx.cls.Lambda)[0]
-    except InconclusiveError:
-        sol.case_tag = "?"
+    sol.case_tag = _once(ctx, "case_tag", lambda: _case_tag(ctx))
     return sol
+
+
+def _once(ctx, key, compute):
+    """compute() the first time a context asks for key, its value after:
+    for what depends on the context alone (ks is always KernelSet(ctx.cls))."""
+    if key not in ctx.memo:
+        ctx.memo[key] = compute()
+    return ctx.memo[key]
+
+
+def _case_tag(ctx):
+    try:
+        return case_classify(ctx, ctx.cls.Lambda)[0]
+    except InconclusiveError:
+        return "?"
 
 
 def weighted_norm(sol, ctx, ks, delta):
     """sup over nodes of (|eta|+|eta'|) / (delta Q(rho,rho0) + int Q |I|)."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    delta_rho = ctx.rho - ctx.grid.rho0
-    q0 = super_kernel(ctx.cls, delta_rho, 0.0)
-    qint = convolve_Q_cumulative(ks, ctx.rho, np.abs(ctx.I))
+    q0, qint = _once(ctx, "weighted_norm", lambda: (
+        super_kernel(ctx.cls, ctx.rho - ctx.grid.rho0, 0.0),
+        convolve_Q_cumulative(ks, ctx.rho, np.abs(ctx.I)),
+    ))
     denom = delta * q0 + qint
     return float(np.max((np.abs(sol.eta) + np.abs(sol.deta)) / denom))
 
@@ -252,7 +354,8 @@ def select_rho0(
             continue
         ks = KernelSet(cls)
         try:
-            picard_solve(ctx, ks, alpha, beta, tol=1e-10, max_iter=10)
+            picard_solve(ctx, ks, alpha, beta, tol=1e-10, max_iter=10,
+                         _newton=False)
             return rho0
         except IterateOutOfDomainError as exc:
             last_err = exc

@@ -74,16 +74,15 @@ def limit_diagnostics(nl, cls, ctx):
 
     Returns per-quantity window maxima over the last three dyadic windows
     and flags whether each decreases monotonically (the zero case of the
-    pure power passes trivially).
+    pure power passes trivially).  The deficits are the ones build_context
+    evaluated for ctx, so nl is the context's nonlinearity.
     """
     rho = ctx.rho
     rho0, span = rho[0], rho[-1] - rho[0]
-    d1 = np.asarray(nl.deficit_fpF(ctx.phi), dtype=float)
-    d2 = np.asarray(nl.deficit_fF(ctx.phi), dtype=float)
     dI = np.gradient(ctx.I, rho)
     quantities = {
-        "fpF_minus_qf": d1,
-        "fF_over_phi_minus_m": d2,
+        "fpF_minus_qf": ctx.deficit_fpF,
+        "fF_over_phi_minus_m": ctx.deficit_fF,
         "I": ctx.I,
         "dI_drho": dI,
     }

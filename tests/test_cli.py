@@ -362,3 +362,21 @@ def test_consecutive_main_calls_match_fresh_processes(tmp_path, monkeypatch):
                            if p.is_file())
     for rel in files:
         assert (fresh / rel).read_bytes() == (reused / rel).read_bytes(), rel
+
+
+def test_verify_quadrature_family_outputs_repeat_bytewise(tmp_path,
+                                                          monkeypatch):
+    # the quad_verify benchmark's invocation, which Newton finishes
+    args = ["verify", "--N", "5", "--family", "power_exp_log", "--p", "2",
+            "--r", "0.5", "--M", "192", "--no-auto-rho0", "--alpha",
+            "0.00019785589333897073", "--beta", "0.00022014553227391682",
+            "--out", "qv"]
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0
+    first = {name: (tmp_path / "qv" / name).read_bytes()
+             for name in ("summary.json", "profile.csv")}
+    solver = json.loads(first["summary.json"])["solver"]
+    assert solver["newton_steps"] > 0 and solver["iterations"] <= 6
+    assert main(args) == 0
+    for name, body in first.items():
+        assert (tmp_path / "qv" / name).read_bytes() == body, name

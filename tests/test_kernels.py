@@ -16,6 +16,7 @@ from singular_forge import (
     homogeneous_coeffs,
     homogeneous_pair,
     kernel_values,
+    solve_linear_volterra,
     super_kernel,
     weight_P,
     wronskian,
@@ -264,3 +265,30 @@ def test_recurrences_match_direct_sums(case, M, rho0, span, seed):
     assert np.max(np.abs(i1 - i2)) <= 1e-12 * scale
     assert np.max(np.abs(d1 - d2)) <= 1e-12 * scale
     assert np.max(np.abs(q1 - q2)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("cls", ALL_CLS, ids=lambda c: c.regime.kind)
+def test_march_solves_the_linear_scheme(cls):
+    # the march's (eta, eta') reproduce themselves through the direct
+    # O(M^2) trapezoid sum of g = c + p eta + l2 eta'
+    ks = KernelSet(cls)
+    rho = np.linspace(3.0, 23.0, 257)
+    rng = np.random.default_rng(5)
+    c = 1e-3 * rng.standard_normal(rho.size)
+    p = 0.3 * rng.standard_normal(rho.size)
+    l2 = 0.1 * rng.standard_normal(rho.size)
+    phi, dphi = homogeneous_pair(cls, rho - rho[0], 1e-3, 2e-3)
+    eta, deta = solve_linear_volterra(ks, rho, (phi, dphi), c, p, l2)
+    assert eta[0] == 1e-3 and deta[0] == 2e-3
+    ik, idk = convolve_cumulative_direct(ks, rho, c + p * eta + l2 * deta)
+    assert np.max(np.abs(phi - ik - eta)) <= 1e-12
+    assert np.max(np.abs(dphi - idk - deta)) <= 1e-12
+
+
+def test_march_data_reads_K_and_dK_off_the_drive():
+    # a unit drive at its own node adds 0 to K and denom to dK
+    for cls in ALL_CLS:
+        ks = KernelSet(cls)
+        T, e0, R = ks.march_data(0.01)
+        assert np.dot(R[0], e0) == 0.0
+        assert np.dot(R[1], e0) == ks.denom

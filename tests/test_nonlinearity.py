@@ -147,6 +147,33 @@ def test_power_sum_F_where_it_underflows():
     assert_allclose(F[1], 2.5e-41, rtol=1e-14)
 
 
+@pytest.mark.parametrize("p,r", [
+    (2.4632013295154604, 0.4338847720311839),  # s^(r-p) overflowed to nan
+    (3.1803861840192464, 0.7324765890564015),  # F rounded 2 ulp past F_sup
+])
+def test_power_sum_F_near_zero_stays_at_most_F_sup(p, r):
+    nl = PowerSum(p, r)
+    s = np.array([0.0, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20])
+    got = nl.F(s)
+    assert got[0] == nl.F_sup
+    assert np.all(got <= nl.F_sup)
+    with mp.workdps(50):
+        err = max(
+            float(abs(mp.mpf(float(g)) - ref) / ref)
+            for g, ref in zip(got[1:], (_mp_power_sum_F(p, r, mp.mpf(v))
+                                        for v in s[1:]))
+        )
+    # F_sup itself errs by up to 4.9e-16 at these (p, r)
+    assert err <= 6e-16
+
+
+def test_power_sum_F_near_zero_for_r_above_1_is_inf():
+    # s^(1-p) and s^(r-p) both overflow: F has passed the largest float
+    F = PowerSum(3.18, 1.5).F(np.array([0.0, 1e-300, 1e-10]))
+    assert F[0] == F[1] == np.inf
+    assert np.isfinite(F[2])
+
+
 @pytest.mark.parametrize("p,r", [(1.75, 1.0), (1.75, 1.7)])
 def test_power_sum_F_inverse_near_1e_minus_9(p, r):
     # F lost relative accuracy as s -> 0, so F_inv missed its 1e-13 stop

@@ -14,6 +14,7 @@ from singular_forge import (
     build_context,
     classify,
     nonlinear_term,
+    nonlinear_term_and_derivative,
     nonlinear_term_at,
     tilde_u,
     to_radial,
@@ -251,3 +252,22 @@ def test_nonlinear_term_groups_f2_calls(M, calls):
     nonlinear_term(ctx, np.full(M, 1e-3))
     assert len(seen) == calls
     assert sum(seen) == 16 * M
+
+
+@pytest.mark.parametrize("nl", [PurePower(2.0), PowerSum(1.75, 1.7),
+                                PowerExpLog(2.0, 0.5)],
+                         ids=lambda nl: nl.name)
+def test_nonlinear_term_derivative_from_the_same_pass(nl):
+    cls = classify(nl, 5)
+    ctx = build_context(nl, cls, 3.0, 23.0, 257)
+    eta = 0.2 * np.sin(ctx.rho)
+    n, dn = nonlinear_term_and_derivative(ctx, eta)
+    assert n.tobytes() == nonlinear_term(ctx, eta).tobytes()
+    # N'[eta] = b F(phi) (f'(phi(1+eta)) - f'(phi)), differenced directly
+    # where eta is large enough that the difference keeps its digits
+    direct = cls.b * ctx.Fphi * (nl.f1(ctx.phi * (1.0 + eta))
+                                 - nl.f1(ctx.phi))
+    big = np.abs(eta) > 0.05
+    assert_allclose(dn[big], direct[big], rtol=1e-12, atol=0.0)
+    with pytest.raises(DomainError):
+        nonlinear_term_and_derivative(ctx, np.full_like(eta, -2.0))

@@ -8,6 +8,8 @@ from singular_forge import (
     GridError,
     KernelSet,
     NoContractionError,
+    PowerExpLog,
+    PowerLog,
     PowerSum,
     PurePower,
     QuadratureError,
@@ -20,6 +22,7 @@ from singular_forge import (
     homogeneous_pair,
     picard_solve,
     select_rho0,
+    solve_linear_volterra,
     sweep,
     weighted_norm,
 )
@@ -249,3 +252,160 @@ def test_sweep_records_library_errors_per_pair(monkeypatch, error, bad_index):
     assert result.failures == {bad: "failure in one pair"}
     assert sorted(result.solutions) == sorted(p for p in pairs if p != bad)
     assert all(sol.converged for sol in result.solutions.values())
+
+
+# -- Newton finishing slow solves ------------------------------------------
+
+# power_exp_log and power_log (complex pair) switch to Newton on their own;
+# the two-real-root and double-root cells, at ratio 0.08, only when forced
+NEWTON_CELLS = {
+    "power_exp_log": (PowerExpLog(2.0, 0.5), False),
+    "power_log": (PowerLog(2.0, 1.0), False),
+    "two_real": (PowerSum(1.75, 1.7), True),
+    "double": (PowerSum(1.8, 1.7), True),
+}
+
+
+@pytest.mark.parametrize("name", list(NEWTON_CELLS))
+def test_newton_agrees_with_pure_picard(monkeypatch, name):
+    nl, forced = NEWTON_CELLS[name]
+    if forced:
+        monkeypatch.setattr(solver, "_SWITCH_RATIO", 0.0)
+    cls, ctx, ks = _setup(nl, span=60.0, M=1025)
+    pure = picard_solve(ctx, ks, 3e-4, 5e-4, _newton=False)
+    sol = picard_solve(ctx, ks, 3e-4, 5e-4)
+    assert sol.converged and sol.newton_steps > 0
+    assert sol.iterations == solver._TRANSIENT + 2 < pure.iterations
+    # ratios are those of the T steps before the switch
+    assert sol.ratios == pure.ratios[:solver._TRANSIENT]
+    assert sol.final_change < 1e-10
+    assert max(np.max(np.abs(sol.eta - pure.eta)),
+               np.max(np.abs(sol.deta - pure.deta))) <= 1e-10
+    # boundary data stay bitwise
+    assert sol.eta[0] == 3e-4 and sol.deta[0] == 5e-4
+    assert sol.weighted_norm_value == pytest.approx(
+        pure.weighted_norm_value, rel=1e-8)
+
+
+@pytest.mark.parametrize("nl", [PowerSum(1.75, 1.0), PowerSum(1.8, 1.0),
+                                PowerSum(2.0, 1.0)],
+                         ids=["two_real", "double", "complex"])
+def test_march_is_the_fixed_point_of_linear_T(nl):
+    cls, ctx, ks = _setup(nl, span=40.0, M=2049)
+    pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 1e-3, 2e-3)
+    eta, deta = solve_linear_volterra(ks, ctx.rho, pair, ctx.I, ctx.L1,
+                                      ctx.L2)
+    Te, Td = apply_T(ctx, ks, 1e-3, 2e-3, eta, deta, linear_only=True)
+    assert np.max(np.abs(Te - eta)) <= 1e-12
+    assert np.max(np.abs(Td - deta)) <= 1e-12
+
+
+def test_newton_is_deterministic():
+    cls, ctx, ks = _setup(PowerExpLog(2.0, 0.5), span=60.0, M=257)
+    s1 = picard_solve(ctx, ks, 3e-4, 5e-4)
+    s2 = picard_solve(ctx, ks, 3e-4, 5e-4)
+    assert s1.newton_steps > 0
+    assert s1.eta.tobytes() == s2.eta.tobytes()
+    assert s1.deta.tobytes() == s2.deta.tobytes()
+
+
+def test_fast_contraction_stays_on_picard(monkeypatch):
+    # power_sum 1.75,1.7 contracts at ratio 0.08, below the switch
+    cls, ctx, ks = _setup(PowerSum(1.75, 1.7), span=60.0, M=1025)
+    called = []
+    monkeypatch.setattr(solver, "solve_linear_volterra",
+                        lambda *a: called.append(a))
+    sol = picard_solve(ctx, ks, 3e-4, 5e-4)
+    assert sol.converged and sol.newton_steps == 0 and not called
+
+
+def _assert_bitwise_same_solve(a, b):
+    assert a.eta.tobytes() == b.eta.tobytes()
+    assert a.deta.tobytes() == b.deta.tobytes()
+    assert (a.iterations, a.ratios, a.final_change, a.contraction_ratio) \
+        == (b.iterations, b.ratios, b.final_change, b.contraction_ratio)
+
+
+def test_newton_failure_hands_back_to_picard(monkeypatch):
+    cls, ctx, ks = _setup(PowerExpLog(2.0, 0.5), span=60.0, M=257)
+    pure = picard_solve(ctx, ks, 3e-4, 5e-4, _newton=False)
+    real = solver.solve_linear_volterra
+
+    def growing(*args):
+        # each march moves farther from its start: no step shrinks
+        growing.scale *= 10.0
+        eta, deta = real(*args)
+        return eta * (1.0 + growing.scale * 1e-6), deta
+
+    growing.scale = 1.0
+    monkeypatch.setattr(solver, "solve_linear_volterra", growing)
+    sol = picard_solve(ctx, ks, 3e-4, 5e-4)
+    assert sol.newton_steps >= 2
+    _assert_bitwise_same_solve(sol, pure)
+
+
+def test_newton_leaving_the_domain_hands_back_to_picard(monkeypatch):
+    cls, ctx, ks = _setup(PowerExpLog(2.0, 0.5), span=60.0, M=257)
+    pure = picard_solve(ctx, ks, 3e-4, 5e-4, _newton=False)
+    real = solver.solve_linear_volterra
+
+    def outside(*args):
+        eta, deta = real(*args)
+        return np.full_like(eta, -2.0), deta  # phi(1 + eta) < 0
+
+    monkeypatch.setattr(solver, "solve_linear_volterra", outside)
+    sol = picard_solve(ctx, ks, 3e-4, 5e-4)
+    assert sol.newton_steps == 1
+    _assert_bitwise_same_solve(sol, pure)
+
+
+def test_select_rho0_probes_with_T_alone(monkeypatch):
+    nl = PowerExpLog(2.0, 0.5)
+    cls = classify(nl, 5)
+
+    def no_newton(*args):
+        raise AssertionError("select_rho0 must probe T, not Newton")
+
+    monkeypatch.setattr(solver, "_newton_phase", no_newton)
+    assert select_rho0(nl, cls, 3e-4, 5e-4, 3.0) == 3.0
+
+
+def test_linear_only_newton_solves_in_one_march(monkeypatch):
+    monkeypatch.setattr(solver, "_SWITCH_RATIO", 0.0)
+    nl = PowerSum(2.0, 1.9)
+    cls, ctx, ks = _setup(nl, rho0=6.0, span=24.0, M=2049)
+    pure = picard_solve(ctx, ks, 1e-3, 1e-3, linear_only=True,
+                        max_iter=400, _newton=False)
+    sol = picard_solve(ctx, ks, 1e-3, 1e-3, linear_only=True)
+    assert sol.newton_steps == 1
+    assert sol.final_change < 1e-14
+    assert np.max(np.abs(sol.eta - pure.eta)) <= 1e-10
+
+
+def test_sweep_computes_context_terms_once(monkeypatch):
+    nl = PowerSum(2.0, 1.0)
+    cls = classify(nl, 5)
+    pairs = [(1e-4, 2e-4), (5e-4, 1e-4), (2e-4, 2e-4)]
+    # each pair solved alone on a fresh context, as the parent code did
+    solo = {}
+    for pair in pairs:
+        ctx = build_context(nl, cls, 3.0, 33.0, 769)
+        solo[pair] = picard_solve(ctx, KernelSet(cls), *pair)
+    counts = {}
+    for name in ("super_kernel", "convolve_Q_cumulative", "case_classify"):
+        real = getattr(solver, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    ctx = build_context(nl, cls, 3.0, 33.0, 769)
+    result = sweep(ctx, KernelSet(cls), pairs)
+    assert counts == {"super_kernel": 1, "convolve_Q_cumulative": 1,
+                      "case_classify": 1}
+    for pair in pairs:
+        got, want = result.solutions[pair], solo[pair]
+        assert got.eta.tobytes() == want.eta.tobytes()
+        assert got.weighted_norm_value == want.weighted_norm_value
+        assert got.case_tag == want.case_tag

@@ -270,3 +270,22 @@ def test_radial_residual_refinement_on_fixed_point():
         res[M] = ode_residual_radial(prof)
     assert res[512] / res[1023] >= 3.4
     assert res[1023] / res[2045] >= 3.4
+
+
+def test_limit_diagnostics_reuses_the_context_deficits(monkeypatch):
+    nl = PowerExpLog(2.0, 0.5)
+    cls = classify(nl, 5)
+    ctx = build_context(nl, cls, 3.0, 63.0, 193)
+    assert ctx.deficit_fpF.tobytes() == np.asarray(
+        nl.deficit_fpF(ctx.phi), dtype=float).tobytes()
+    assert ctx.deficit_fF.tobytes() == np.asarray(
+        nl.deficit_fF(ctx.phi), dtype=float).tobytes()
+
+    def no_pass(s):
+        raise AssertionError("the deficits were evaluated again")
+
+    monkeypatch.setattr(nl, "deficit_fpF", no_pass)
+    monkeypatch.setattr(nl, "deficit_fF", no_pass)
+    diag = limit_diagnostics(nl, cls, ctx)
+    assert diag["fpF_minus_qf"]["windows"][0] == float(
+        np.max(np.abs(ctx.deficit_fpF[(ctx.rho >= 33.0) & (ctx.rho <= 48.0)])))
