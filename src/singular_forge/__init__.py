@@ -2,7 +2,7 @@
 -Laplace(u) = f(u) near the origin, for superlinear nonlinearities classified
 by the limit q_f = lim f'(u) F(u)."""
 
-from .classification import Classification, Regime, classify, threshold_rstar
+from .classification import Classification, Regime, classify
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -16,7 +16,6 @@ from .errors import (
     OrderError,
     QuadratureError,
     SingularForgeError,
-    UnsupportedFamilyError,
 )
 from .kernels import (
     KernelSet,
@@ -41,10 +40,8 @@ from .nonlinearity import (
     PurePower,
     estimate_qf,
     eval_F,
-    eval_F_inverse,
     evaluate,
     from_spec,
-    series_diagnostics,
 )
 from .profile import (
     Grid,

@@ -194,7 +194,7 @@ def hyp2f1_1c(c, x, x_pow_c=None):
     return out.reshape(x.shape)[()]
 
 
-def _upper_gamma_cf(a, x, max_iter=1000):
+def _upper_gamma_cf(a, x):
     """Gamma(a, x) = x^a e^-x / K for 1-d x > 0, K the continued fraction
     (x+1-a) - 1(1-a)/((x+3-a) - 2(2-a)/((x+5-a) - ...)).
 
@@ -214,7 +214,7 @@ def _upper_gamma_cf(a, x, max_iter=1000):
     K = xs + 1.0 - a
     comp = np.zeros_like(xs)
     k = xs.size
-    for i in range(2, max_iter + 2):
+    for i in range(2, 1002):  # 1000 terms at most
         Kk, ck, dk = K[:k], comp[:k], dK[:k]
         y = dk - ck  # K += dK, compensated
         t = Kk + y

@@ -123,28 +123,17 @@ def critical_exponents(N):
     return p_c, p_S, p_star
 
 
-def classify(nl, N, allow_real_N=False):
-    """Populate the Classification for nonlinearity nl in dimension N.
+def classify(nl, N):
+    """Populate the Classification for nonlinearity nl in dimension N, an
+    integer >= 3."""
+    if int(N) != N or N < 3:
+        raise ValueError("N must be an integer >= 3")
+    N = float(int(N))
 
-    N must be an integer >= 3 unless allow_real_N (experimental) is set,
-    in which case any real N > 2 is accepted.
-    """
-    if allow_real_N:
-        if not N > 2:
-            raise ValueError("N must exceed 2")
-        N = float(N)
-    else:
-        if int(N) != N or N < 3:
-            raise ValueError("N must be an integer >= 3")
-        N = float(int(N))
-
-    if nl.qf_exact is not None:
-        qf = nl.qf_exact
-    else:
-        est = estimate_qf(nl)
-        if not est.converged:
-            raise NoLimitError("q_f estimate did not converge")
-        qf = est.value
+    est = estimate_qf(nl)  # exact, and converged, where the family knows it
+    if not est.converged:
+        raise NoLimitError("q_f estimate did not converge")
+    qf = est.value
 
     p_c, p_S, p_star = critical_exponents(N)
     spec = nl.spec()
@@ -183,10 +172,3 @@ def classify(nl, N, allow_real_N=False):
             )
 
     return Classification(N, qf, pf, m, p_c, p_S, p_star, a, b, regime, spec)
-
-
-def threshold_rstar(cls, p):
-    """Corrected threshold (Lambda relation); requires an in-scope regime."""
-    if not cls.in_scope:
-        raise ValueError("r* undefined out of scope")
-    return cls.r_star(p)

@@ -12,6 +12,7 @@ the resolved config so it can be re-fed via --config to reproduce the run.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -45,6 +46,22 @@ from .verify import (
 
 DEFAULT_CELLS = [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0), (2.0, 1.0), (2.0, 1.9)]
 DEFAULT_SIGMAS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+_FORMATS = ("csv", "json")
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v):
+    """v is a finite real number; bools are not numbers here."""
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
+
+
+def _is_pair_list(v):
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(x, (list, tuple)) and len(x) == 2
+        and all(map(_is_finite, x)) for x in v)
 
 
 @dataclass
@@ -70,11 +87,36 @@ class RunConfig:
     formats: list = field(default_factory=lambda: ["csv", "json"])
 
     def validate(self):
+        """Check every field's type and range (a config file is outside
+        input too); pairs and cells come out as lists of tuples."""
         if self.command not in (
             "classify", "construct", "verify", "sweep", "tables", "appendix"
         ):
             raise ConfigError(f"command: unknown subcommand {self.command!r}")
-        if int(self.N) != self.N or self.N < 3:
+        for key in ("rho0", "tol", "alpha", "beta"):
+            if not _is_finite(getattr(self, key)):
+                raise ConfigError(f"{key}: must be a finite number")
+        for key in ("p", "r", "log_exp", "rho_max"):
+            value = getattr(self, key)
+            if value is not None and not _is_finite(value):
+                raise ConfigError(f"{key}: must be a finite number")
+        for key in ("pairs", "cells"):
+            if not _is_pair_list(getattr(self, key)):
+                raise ConfigError(f"{key}: must be a list of finite pairs")
+            setattr(self, key, [tuple(x) for x in getattr(self, key)])
+        if not (isinstance(self.sigmas, list)
+                and all(map(_is_finite, self.sigmas))):
+            raise ConfigError("sigmas: must be a list of finite numbers")
+        if not isinstance(self.family, str):
+            raise ConfigError("family: must be a string")
+        if not isinstance(self.out, str):
+            raise ConfigError("out: must be a path")
+        if not isinstance(self.auto_rho0, bool):
+            raise ConfigError("auto_rho0: must be true or false")
+        if not (isinstance(self.formats, list)
+                and all(f in _FORMATS for f in self.formats)):
+            raise ConfigError(f"formats: must be a list among {_FORMATS}")
+        if not _is_finite(self.N) or int(self.N) != self.N or self.N < 3:
             raise ConfigError("N: must be an integer >= 3")
         if self.command != "tables":
             # tables cells carry their own (p, r)
@@ -89,8 +131,10 @@ class RunConfig:
         for p, r in self.cells:
             if p <= 1.0 or not 0.0 < r < p:
                 raise ConfigError(f"cells: bad cell p={p}, r={r}")
-        if self.M < 9:
-            raise ConfigError("M: needs at least 9 nodes")
+        if not _is_int(self.M) or self.M < 9:
+            raise ConfigError("M: needs an integer of at least 9 nodes")
+        if not _is_int(self.max_iter) or self.max_iter < 1:
+            raise ConfigError("max_iter: must be an integer >= 1")
         if self.tol <= 0.0:
             raise ConfigError("tol: must be positive")
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -114,7 +158,8 @@ class RunConfig:
         return asdict(self)
 
 
-def _parse_pairs(text):
+def _parse_pairs(text, name):
+    """'a:b,c:d' -> [(a, b), (c, d)]; errors name the field ``name``."""
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -124,22 +169,8 @@ def _parse_pairs(text):
             a, b = chunk.split(":")
             pairs.append((float(a), float(b)))
         except ValueError as exc:
-            raise ConfigError(f"pairs: cannot parse {chunk!r}") from exc
+            raise ConfigError(f"{name}: cannot parse {chunk!r}") from exc
     return pairs
-
-
-def _parse_cells(text):
-    cells = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            p, r = chunk.split(":")
-            cells.append((float(p), float(r)))
-        except ValueError as exc:
-            raise ConfigError(f"cells: cannot parse {chunk!r}") from exc
-    return cells
 
 
 def _parse_floats(text, name):
@@ -200,9 +231,14 @@ def load_config(args):
         if not os.path.exists(path):
             raise ConfigError(f"config: file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"config: not JSON: {exc}") from exc
         # a previously written summary embeds its config
-        base = data.get("config", data)
+        base = data.get("config", data) if isinstance(data, dict) else None
+        if not isinstance(base, dict):
+            raise ConfigError("config: must hold a JSON object")
     cfg = RunConfig(command=args.command)
     for key, value in base.items():
         if key == "command":
@@ -240,15 +276,13 @@ def load_config(args):
                 raise ConfigError("r: a list is only valid for tables")
             cfg.r = r_list[0]
     if args.pairs is not None:
-        cfg.pairs = _parse_pairs(args.pairs)
+        cfg.pairs = _parse_pairs(args.pairs, "pairs")
     if args.cells is not None:
-        cfg.cells = _parse_cells(args.cells)
+        cfg.cells = _parse_pairs(args.cells, "cells")
     if args.sigmas is not None:
         cfg.sigmas = _parse_floats(args.sigmas, "sigmas")
     if args.formats is not None:
         cfg.formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-    cfg.pairs = [tuple(p) for p in cfg.pairs]
-    cfg.cells = [tuple(c) for c in cfg.cells]
     return cfg.validate()
 
 

@@ -34,10 +34,6 @@ class NoLimitError(SingularForgeError):
     """The classification limit did not stabilize numerically."""
 
 
-class UnsupportedFamilyError(SingularForgeError):
-    """Operation not defined for this nonlinearity family."""
-
-
 class GridError(SingularForgeError):
     """Grid construction violates a precondition (e.g. phi(rho0) <= s_min)."""
 

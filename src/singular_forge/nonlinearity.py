@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     NoLimitError,
     QuadratureError,
-    UnsupportedFamilyError,
 )
 
 
@@ -71,8 +70,6 @@ class Nonlinearity:
 
     @property
     def qf(self):
-        if self.qf_exact is not None:
-            return self.qf_exact
         return estimate_qf(self).value
 
     @property
@@ -234,7 +231,11 @@ class PowerSum(Nonlinearity):
     def F_sup(self):
         if self.r >= 1.0:
             return math.inf
-        return math.pi / ((self.p - self.r) * math.sin(math.pi * self._c))
+        # sin(pi c) = sin(pi (1 - c)); near c = 1 sin(pi c) magnifies the
+        # rounding of c by c/(1 - c), so above 1/2 the sine takes 1 - c,
+        # computed as (1 - r)/(p - r) rather than by a subtraction
+        c = self._c if self._c <= 0.5 else (1.0 - self.r) / (self.p - self.r)
+        return math.pi / ((self.p - self.r) * math.sin(math.pi * c))
 
     def F_inv(self, sigma):
         if self.r == 1.0:
@@ -545,11 +546,6 @@ def eval_F(nl, s):
     return nl.F(s)
 
 
-def eval_F_inverse(nl, sigma):
-    """The unique s with F(s) = sigma; round trip |F(s) - sigma| <= 1e-10 sigma."""
-    return nl.F_inv(sigma)
-
-
 def _check_sigma(nl, sigma):
     sigma = np.asarray(sigma, dtype=float)
     if not np.all((sigma > 0.0) & (sigma < nl.F_sup)):
@@ -559,9 +555,10 @@ def _check_sigma(nl, sigma):
     return sigma
 
 
-def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
+def _invert_F(nl, sigma):
     """F(s) = sigma, vectorized in sigma, by Newton on log F against log d,
-    d = s - s_min: d <- d exp(log(F/sigma) f F/d), exact for a pure power.
+    d = s - s_min: d <- d exp(log(F/sigma) f F/d), exact for a pure power,
+    until |F - sigma| <= 1e-13 sigma at every node (at most 100 F passes).
     Where f F/d is not finite or positive, the seed's 1/(p_f - 1) stands in.
     Each F pass narrows a per-node bracket, first (s_min, inf); a step out
     of it bisects geometrically in d, or moves 16x toward an open side."""
@@ -577,10 +574,10 @@ def _invert_F(nl, sigma, rtol=1e-13, max_iter=100):
     smin = nl.s_min
     x = np.maximum(seed, smin + np.maximum(1e-8 * max(smin, 1.0), 1e-12))
     lo, hi = np.full_like(x, smin), np.full_like(x, math.inf)
-    for _ in range(max_iter):
+    for _ in range(100):
         F = np.asarray(nl.F(x))
         g = F - sig
-        done = np.abs(g) <= rtol * sig
+        done = np.abs(g) <= 1e-13 * sig
         if np.all(done):
             break
         above = g > 0.0  # F(x) too large -> root lies to the right
@@ -659,132 +656,6 @@ def estimate_qf(nl):
             f"classification limit did not stabilize: {a1} vs {a2}"
         )
     return QfEstimate(0.5 * (a1 + a2), converged, hist)
-
-
-@dataclass
-class SeriesDiagnostics:
-    F_truncated: float
-    fpF_truncated: float
-    fF_over_s_truncated: float
-    F_first_omitted: float
-    fpF_first_omitted: float
-    fF_first_omitted: float
-    terms_used: int
-    degenerate_leading_term: bool
-
-
-def series_diagnostics(nl, s, K_terms):
-    """Truncated large-s expansion values of F, f'F and fF/s.
-
-    ``K_terms`` counts correction terms past the leading constant.  Flags
-    the degenerate sum family p - r = 1, where the leading f'F correction
-    coefficient vanishes and the true forcing decay is one order faster.
-    """
-    s = float(s)
-    if isinstance(nl, Generic):
-        raise UnsupportedFamilyError("series diagnostics need a closed family")
-    if s <= nl.s_min:
-        raise DomainError("s must exceed s_min")
-    p = nl.p
-    m1 = 1.0 / (p - 1.0)
-
-    if isinstance(nl, PurePower):
-        return SeriesDiagnostics(
-            float(nl.F(s)), nl.qf_exact, m1, 0.0, 0.0, 0.0, K_terms, False
-        )
-
-    if isinstance(nl, PowerSum):
-        r = nl.r
-        d = p - r
-        F_tr = sum(
-            (-1.0) ** k * s ** (1.0 - p - k * d) / (p - 1.0 + k * d)
-            for k in range(K_terms + 1)
-        )
-        fpF_tr = nl.qf_exact + sum(
-            (-1.0) ** (k - 1) * nl._coef_fpF(k) * s ** (-k * d)
-            for k in range(1, K_terms + 1)
-        )
-        fF_tr = m1 + sum(
-            (-1.0) ** (k - 1) * nl._coef_fF(k) * s ** (-k * d)
-            for k in range(1, K_terms + 1)
-        )
-        ko = K_terms + 1
-        return SeriesDiagnostics(
-            F_tr,
-            fpF_tr,
-            fF_tr,
-            s ** (1.0 - p - ko * d) / (p - 1.0 + ko * d),
-            abs(nl._coef_fpF(ko)) * s ** (-ko * d),
-            abs(nl._coef_fF(ko)) * s ** (-ko * d),
-            K_terms,
-            nl.degenerate_leading_term,
-        )
-
-    L = math.log(s)
-    if isinstance(nl, PowerLog):
-        r = nl.r
-        A = s ** (1.0 - p) * L ** (-r) / (p - 1.0)
-        used = min(K_terms, 2)
-        F_tr = A if used < 2 else A * (1.0 - r / ((p - 1.0) * L))
-        fpF_tr = nl.qf_exact - (r / (p - 1.0) ** 2) / L * (used >= 1)
-        fF_tr = m1 - (r / (p - 1.0) ** 2) / L * (used >= 1)
-        om = abs(r * (r + 1.0)) / (p - 1.0) ** 2 * A / L ** 2
-        om_ratio = (r / (p - 1.0)) ** 2 / L ** 2
-        return SeriesDiagnostics(
-            F_tr, fpF_tr, fF_tr, om, om_ratio, om_ratio, used, False
-        )
-
-    if isinstance(nl, PowerExpLog):
-        r = nl.r
-        B = s ** (1.0 - p) * math.exp(-(L ** r)) / (p - 1.0)
-        used = min(K_terms, 2)
-        corr = r * L ** (r - 1.0) / (p - 1.0)
-        F_tr = B if used < 2 else B * (1.0 - corr)
-        fpF_tr = nl.qf_exact - r * L ** (r - 1.0) / (p - 1.0) ** 2 * (used >= 1)
-        fF_tr = m1 - r * L ** (r - 1.0) / (p - 1.0) ** 2 * (used >= 1)
-        om = (r ** 2 * L ** (2 * r - 2) + abs(r * (r - 1)) * L ** (r - 2)) * B / (
-            p - 1.0
-        ) ** 2
-        om_ratio = (r / (p - 1.0)) ** 2 * L ** (2 * r - 2)
-        return SeriesDiagnostics(
-            F_tr, fpF_tr, fF_tr, om, om_ratio, om_ratio, used, False
-        )
-
-    if isinstance(nl, PowerSumLog):
-        r, b = nl.r, nl.log_exp
-        d = p - r
-        used = min(K_terms, 2)
-        # Gamma-form terms of F = sum (-1)^k A_k (exact partial sums)
-        terms = []
-        for k in range(used + 1):
-            qk = p - 1.0 + k * d
-            ak = qk ** (-1.0 - k * b) * upper_gamma(k * b + 1.0, qk * L)
-            terms.append((-1.0) ** k * float(ak))
-        F_tr = sum(terms)
-        c_fpF = -d * (d - 1.0) / ((p - 1.0) * (2 * p - r - 1.0))
-        c_fF = d / ((p - 1.0) * (2 * p - r - 1.0))
-        fpF_tr = nl.qf_exact + c_fpF * L ** b * s ** (-d) * (used >= 1)
-        fF_tr = m1 + c_fF * L ** b * s ** (-d) * (used >= 1)
-        ko = used + 1
-        qko = p - 1.0 + ko * d
-        F_om = float(
-            qko ** (-1.0 - ko * b) * upper_gamma(ko * b + 1.0, qko * L)
-        )
-        om_ratio = abs(b) * L ** (b - 1.0) * s ** (-d) + L ** (2 * b) * s ** (
-            -2.0 * d
-        )
-        return SeriesDiagnostics(
-            F_tr,
-            fpF_tr,
-            fF_tr,
-            F_om,
-            om_ratio,
-            om_ratio,
-            used,
-            nl.degenerate_leading_term,
-        )
-
-    raise UnsupportedFamilyError(type(nl).__name__)
 
 
 _FAMILIES = {

@@ -89,21 +89,22 @@ class RemainderSolution:
     newton_steps: int = 0
 
 
-def apply_T(
-    ctx, ks, alpha, beta, eta, deta, linear_only=False, *, homogeneous=None
-):
+def apply_T(ctx, ks, alpha, beta, eta, deta, *, homogeneous=None):
     """One application of the fixed-point map; returns (T eta, (T eta)').
 
     ``homogeneous`` is the pair (Phi, Phi') for (alpha, beta) on this grid,
     which is the same at every step; picard_solve passes the pair it starts
-    from, and without it the pair is recomputed.
+    from, and without it the pair is recomputed.  An iterate that takes
+    phi (1 + eta) out of the nonlinearity's domain raises
+    IterateOutOfDomainError.  The linear part of T alone (N off) is one
+    kernels.convolve_cumulative of I + L1 eta + L2 eta', and its fixed
+    point is kernels.solve_linear_volterra.
     """
     g = ctx.I + ctx.L1 * eta + ctx.L2 * deta
-    if not linear_only:
-        try:
-            g = g + nonlinear_term(ctx, eta)
-        except DomainError as exc:
-            raise IterateOutOfDomainError(str(exc)) from exc
+    try:
+        g = g + nonlinear_term(ctx, eta)
+    except DomainError as exc:
+        raise IterateOutOfDomainError(str(exc)) from exc
     ik, idk = convolve_cumulative(ks, ctx.rho, g)
     if homogeneous is None:
         delta_rho = ctx.rho - ctx.grid.rho0
@@ -116,70 +117,54 @@ def _sup_change(e1, d1, e0, d0):
     return float(np.max(np.abs(e1 - e0)) + np.max(np.abs(d1 - d0)))
 
 
-def _newton_phase(ctx, ks, homogeneous, eta, deta, linear_only, tol):
+def _newton_phase(ctx, ks, homogeneous, eta, deta, tol):
     """Newton steps on the discrete equation from the T iterate (eta, eta').
 
     Each step solves eta = Phi - K*(c + (L1 + N'[eta_k]) eta + L2 eta'),
-    c = I + N[eta_k] - N'[eta_k] eta_k, by one march; with linear_only the
-    first step is the solution.  Returns ((eta, eta'), steps) once a change
-    falls below tol or the quadratic rate puts the next one (about
-    change^3 / previous^2) a hundredfold below it, or (None, steps) when a
-    step leaves the domain, stops shrinking, or _NEWTON_MAX steps pass.
+    c = I + N[eta_k] - N'[eta_k] eta_k, by one march.  Returns
+    ((eta, eta'), steps) once a change falls below tol or the quadratic
+    rate puts the next one (about change^3 / previous^2) a hundredfold
+    below it, or (None, steps) when a step leaves the domain, stops
+    shrinking, or _NEWTON_MAX steps pass.
     """
     prev = math.inf
     for step in range(1, _NEWTON_MAX + 1):
-        if linear_only:
-            c, p = ctx.I, ctx.L1
-        else:
-            try:
-                n, dn = nonlinear_term_and_derivative(ctx, eta)
-            except DomainError:
-                return None, step - 1
-            c, p = ctx.I + (n - dn * eta), ctx.L1 + dn
+        try:
+            n, dn = nonlinear_term_and_derivative(ctx, eta)
+        except DomainError:
+            return None, step - 1
+        c, p = ctx.I + (n - dn * eta), ctx.L1 + dn
         new_eta, new_deta = solve_linear_volterra(
             ks, ctx.rho, homogeneous, c, p, ctx.L2)
         change = _sup_change(new_eta, new_deta, eta, deta)
         if not change < prev:
             return None, step
         eta, deta = new_eta, new_deta
-        if linear_only or change < tol or (
+        if change < tol or (
                 step > 1 and change ** 3 < 1e-2 * tol * prev ** 2):
-            if not linear_only:
-                try:
-                    check_domain(ctx, slice(None), eta)
-                except DomainError:
-                    return None, step
+            try:
+                check_domain(ctx, slice(None), eta)
+            except DomainError:
+                return None, step
             return (eta, deta), step
         prev = change
     return None, _NEWTON_MAX
 
 
-def picard_solve(
-    ctx,
-    ks=None,
-    alpha=0.0,
-    beta=0.0,
-    tol=1e-10,
-    max_iter=200,
-    delta=None,
-    linear_only=False,
-    *,
-    _newton=True,
-):
+def picard_solve(ctx, ks, alpha, beta, tol=1e-10, max_iter=200, *,
+                 _newton=True):
     """Iterate eta_{k+1} = T[eta_k] from eta_0 = Phi until the sup change of
     (eta, eta') drops below tol, finishing a slowly contracting solve by
     Newton steps (module docstring); ``_newton=False`` applies T alone.
 
     Divergence is declared after three consecutive non-contracting steps
     (ratio >= 1), which tolerates transient ratio noise near rounding.
-    Raises ConvergenceError carrying the partial solution and ratios.
+    Raises ConvergenceError carrying the partial solution and ratios.  The
+    weighted norm is taken with delta = max(4 (alpha + beta), 1e-6).
     """
     if alpha < 0.0 or beta < 0.0:
         raise ValueError("alpha and beta must be nonnegative")
-    if ks is None:
-        ks = KernelSet(ctx.cls)
-    if delta is None:
-        delta = max(4.0 * (alpha + beta), 1e-6)
+    delta = max(4.0 * (alpha + beta), 1e-6)
 
     delta_rho = ctx.rho - ctx.grid.rho0
     eta, deta = homogeneous_pair(ctx.cls, delta_rho, alpha, beta)
@@ -195,9 +180,7 @@ def picard_solve(
     for it in range(1, max_iter + 1):
         try:
             new_eta, new_deta = apply_T(
-                ctx, ks, alpha, beta, eta, deta, linear_only=linear_only,
-                homogeneous=homogeneous,
-            )
+                ctx, ks, alpha, beta, eta, deta, homogeneous=homogeneous)
         except IterateOutOfDomainError as exc:
             sol.eta, sol.deta, sol.iterations = eta, deta, it
             sol.ratios = ratios
@@ -235,7 +218,7 @@ def picard_solve(
                 and _SWITCH_RATIO < ratios[-1] < 1.0:
             _newton = False  # one Newton phase per solve
             found, sol.newton_steps = _newton_phase(
-                ctx, ks, homogeneous, eta, deta, linear_only, tol)
+                ctx, ks, homogeneous, eta, deta, tol)
             if found is not None:
                 # the next T step certifies; its change has no T predecessor
                 eta, deta = found
@@ -329,26 +312,17 @@ def case_classify(ctx, Lambda):
     return tag, trace
 
 
-def select_rho0(
-    nl,
-    cls,
-    alpha,
-    beta,
-    rho0_initial,
-    probe_span=20.0,
-    probe_M=801,
-    step=2.0,
-    tries=9,
-):
-    """Smallest rho0 in {rho0_initial + 2j} whose 10-iteration probe run
-    contracts monotonically.  Raises NoContractionError past the cap."""
+def select_rho0(nl, cls, alpha, beta, rho0_initial):
+    """Smallest rho0 in {rho0_initial + 2j : j = 0..8} whose 10-iteration
+    probe run, on [rho0, rho0 + 20] with 801 nodes, contracts monotonically.
+    Raises NoContractionError past the cap."""
     if alpha + beta < 0.0:
         raise ValueError("alpha + beta must be nonnegative")
     last_err = None
-    for j in range(tries):
-        rho0 = rho0_initial + step * j
+    for j in range(9):
+        rho0 = rho0_initial + 2.0 * j
         try:
-            ctx = build_context(nl, cls, rho0, rho0 + probe_span, probe_M)
+            ctx = build_context(nl, cls, rho0, rho0 + 20.0, 801)
         except SingularForgeError as exc:  # e.g. GridError near s_min
             last_err = exc
             continue
@@ -385,8 +359,6 @@ def sweep(ctx, ks, pairs, tol=1e-10, max_iter=200):
     """Run picard_solve for each (alpha, beta) pair; failures are collected,
     not raised.  Results are keyed by pair.
     """
-    if ks is None:
-        ks = KernelSet(ctx.cls)
     solutions, failures = {}, {}
     for pair in pairs:
         try:

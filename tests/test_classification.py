@@ -9,7 +9,6 @@ from singular_forge import (
     PowerSum,
     PurePower,
     classify,
-    threshold_rstar,
 )
 from singular_forge.classification import critical_exponents
 
@@ -89,24 +88,28 @@ def test_regime_boundary_continuity():
     # unattainable; see the decisions ledger)
     N = 5
     _, _, p_star = critical_exponents(N)
-    cls_down = classify(PurePower(p_star - 1e-8), N, allow_real_N=True)
+    cls_down = classify(PurePower(p_star - 1e-8), N)
     lam_star = classify(PurePower(p_star), N).regime.lam_star
     assert cls_down.regime.kind == "two_real_roots"
     assert abs(cls_down.regime.lam1 - lam_star) <= 1e-3
     assert abs(cls_down.regime.lam2 - lam_star) <= 1e-3
 
 
-def test_threshold_rstar_examples():
+def test_r_star_examples():
     cls = classify(PurePower(2.0), 5)
-    assert_allclose(threshold_rstar(cls, 2.0), 1.75, rtol=1e-14)
+    assert_allclose(cls.r_star(2.0), 1.75, rtol=1e-14)
     assert_allclose(cls.r_star_literal(2.0), 0.75, rtol=1e-14)
 
     cls = classify(PowerSum(1.75, 1.0), 5)
-    assert_allclose(threshold_rstar(cls, 1.75), 1.625, rtol=1e-12)
+    assert_allclose(cls.r_star(1.75), 1.625, rtol=1e-12)
     assert_allclose(cls.r_star_literal(1.75), 0.25, atol=1e-12)
 
     cls = classify(PurePower(1.8), 5)
-    assert_allclose(threshold_rstar(cls, 1.8), 1.4, rtol=1e-9)
+    assert_allclose(cls.r_star(1.8), 1.4, rtol=1e-9)
+
+    # Lambda, and so r*, is undefined out of scope
+    with pytest.raises(ValueError):
+        classify(PurePower(3.0), 5).r_star(3.0)
 
 
 def test_rstar_satisfies_defining_relation():
@@ -150,6 +153,3 @@ def test_rejects_bad_dimension():
         classify(PurePower(2.0), 2)
     with pytest.raises(ValueError):
         classify(PurePower(2.0), 4.5)
-    # experimental flag admits real N
-    cls = classify(PurePower(2.0), 4.5, allow_real_N=True)
-    assert cls.N == 4.5

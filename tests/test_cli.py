@@ -79,6 +79,46 @@ def test_bad_config_returns_1(capsys):
     assert "p must exceed 1" in capsys.readouterr().err
 
 
+_CONSTRUCT = ["construct", "--N", "5", "--family", "power_sum", "--p", "2",
+              "--r", "1"]
+
+
+@pytest.mark.parametrize("config,flags,field", [
+    ({"M": "x"}, [], "M"),
+    ({"alpha": float("nan")}, [], "alpha"),
+    ({"pairs": [[1e-4]]}, [], "pairs"),
+    ({"cells": "1.75:1"}, [], "cells"),
+    ({"sigmas": [1e-3, float("inf")]}, [], "sigmas"),
+    ({"formats": "csv"}, [], "formats"),
+    ({"auto_rho0": 0}, [], "auto_rho0"),
+    (None, ["--alpha", "nan"], "alpha"),
+    (None, ["--rho0", "inf"], "rho0"),
+    (None, ["--rho-max", "nan"], "rho_max"),
+    (None, ["--tol", "nan"], "tol"),
+    (None, ["--max-iter", "0"], "max_iter"),
+    (None, ["--max-iter", "-3"], "max_iter"),
+    (None, ["--format", "xml"], "formats"),
+    (None, ["--pairs", "1e-4:nan"], "pairs"),
+    ([1, 2], [], "config"),
+], ids=["file_M_str", "file_alpha_nan", "file_pairs_short", "file_cells_str",
+        "file_sigmas_inf", "file_formats_str", "file_auto_rho0_int",
+        "alpha_nan", "rho0_inf", "rho_max_nan", "tol_nan", "max_iter_0",
+        "max_iter_neg", "format_xml", "pairs_nan", "file_list"])
+def test_bad_input_exits_1_with_config_error(tmp_path, capsys, config,
+                                             flags, field):
+    # unchecked, each of these crashes with a traceback, ends as a
+    # "convergence failure" (exit 2) or exits 0 having written nothing
+    argv = _CONSTRUCT + flags + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:"), err
+    assert not (tmp_path / "out").exists()
+
+
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -14,15 +14,12 @@ from singular_forge import (
     PowerSum,
     PowerSumLog,
     PurePower,
-    UnsupportedFamilyError,
     build_context,
     classify,
     estimate_qf,
     eval_F,
-    eval_F_inverse,
     evaluate,
     from_spec,
-    series_diagnostics,
 )
 from singular_forge._special import upper_gamma
 from singular_forge.nonlinearity import _invert_F
@@ -116,28 +113,51 @@ def _mp_power_sum_F(p, r, s):
             * mp.hyp2f1(1, C, C + 1, -s ** (R - P)))
 
 
-# the largest relative error scipy 1.17.1's hyp2f1 made at the same points,
-# rounded down to three digits: F must be at least as accurate
-POWER_SUM_F_BOUND = {
-    (1.75, 1.0): 1.31e-09,
-    (1.75, 1.7): 7.19e-16,
-    (1.8, 1.0): 3.17e-09,
-    (2.0, 1.0): 8e-07,
-    (2.0, 1.9): 1.18e-15,
-    (2.0, 0.5): 1.28e-15,
-}
+def _max_rel_err(got, ref):
+    """Largest |got - ref| / |ref| over paired values, at 50 digits."""
+    with mp.workdps(50):
+        return max(float(abs(mp.mpf(float(g)) - v) / abs(v))
+                   for g, v in zip(got, ref))
 
 
-@pytest.mark.parametrize("p,r", list(POWER_SUM_F_BOUND))
+# measured at most 3.95e-16 (at (2, 1.9); 1.4-3.3e-16 on the others), so
+# the bound is 1.5x that
+POWER_SUM_F_BOUND = 6e-16
+
+
+@pytest.mark.parametrize("p,r", [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0),
+                                 (2.0, 1.0), (2.0, 1.9), (2.0, 0.5)])
 def test_power_sum_F_against_50_digit_reference(p, r):
     s = np.logspace(-12, 300, 313)
     with mp.workdps(50):
-        err = max(
-            float(abs(mp.mpf(float(got)) - ref) / ref)
-            for got, ref in zip(PowerSum(p, r).F(s),
-                                (_mp_power_sum_F(p, r, mp.mpf(v)) for v in s))
-        )
-    assert err <= POWER_SUM_F_BOUND[p, r]
+        ref = [_mp_power_sum_F(p, r, mp.mpf(v)) for v in s]
+    assert _max_rel_err(PowerSum(p, r).F(s), ref) <= POWER_SUM_F_BOUND
+
+
+@pytest.mark.parametrize("p", [1.5, 1.75, 1.8, 2.0, 3.0])
+def test_pure_power_F_against_50_digit_reference(p):
+    # F = s^(1-p)/(p-1) over 200 decades; measured at most 1.74e-16 (at
+    # p = 1.8), and the bound is twice that
+    s = np.logspace(-100, 100, 201)
+    with mp.workdps(50):
+        P = mp.mpf(p)
+        ref = [mp.mpf(v) ** (1 - P) / (P - 1) for v in s]
+    assert _max_rel_err(PurePower(p).F(s), ref) <= 3.5e-16
+
+
+@pytest.mark.parametrize("p,r", [
+    (2.4632013295154604, 0.4338847720311839),
+    (3.1803861840192464, 0.7324765890564015),
+    (1.8, 0.9), (2.0, 0.5), (1.5, 0.99), (3.0, 0.1),
+])
+def test_power_sum_F_sup_against_50_digit_reference(p, r):
+    # F_sup = pi/((p - r) sin(pi c)), c = (p-1)/(p-r): sin(pi c) near c = 1
+    # lost up to 5.4e-15 (at (1.5, 0.99)); 1 - c = (1 - r)/(p - r) in its
+    # place measures at most 2.04e-16 (at (1.8, 0.9)), bound 1.5x that
+    with mp.workdps(50):
+        P, R = mp.mpf(p), mp.mpf(r)
+        ref = mp.pi / ((P - R) * mp.sin(mp.pi * (P - 1) / (P - R)))
+    assert _max_rel_err([PowerSum(p, r).F_sup], [ref]) <= 3e-16
 
 
 def test_power_sum_F_where_it_underflows():
@@ -158,13 +178,10 @@ def test_power_sum_F_near_zero_stays_at_most_F_sup(p, r):
     assert got[0] == nl.F_sup
     assert np.all(got <= nl.F_sup)
     with mp.workdps(50):
-        err = max(
-            float(abs(mp.mpf(float(g)) - ref) / ref)
-            for g, ref in zip(got[1:], (_mp_power_sum_F(p, r, mp.mpf(v))
-                                        for v in s[1:]))
-        )
-    # F_sup itself errs by up to 4.9e-16 at these (p, r)
-    assert err <= 6e-16
+        ref = [_mp_power_sum_F(p, r, mp.mpf(v)) for v in s[1:]]
+    # measured 2.7e-16 and 1.7e-16 at these (p, r), F_sup's own rounding
+    # included; the bound is 1.5x the larger
+    assert _max_rel_err(got[1:], ref) <= 4e-16
 
 
 def test_power_sum_F_near_zero_for_r_above_1_is_inf():
@@ -238,7 +255,7 @@ def test_roundtrip_invariant(nl):
     hi = float(nl.F(max(2.0 * nl.s_min, nl.s_min + 0.5)))
     sigmas = np.logspace(-8, np.log10(hi), 25)
     for sig in sigmas:
-        s = eval_F_inverse(nl, sig)
+        s = nl.F_inv(sig)
         assert abs(float(nl.F(s)) - sig) <= 1e-10 * sig
 
 
@@ -342,23 +359,19 @@ def test_F_inverse_against_50_digit_reference(nl, f):
 
 
 def test_F_inverse_closed_forms():
-    assert_allclose(eval_F_inverse(PurePower(2.0), 0.25), 4.0, rtol=1e-14)
+    assert_allclose(PurePower(2.0).F_inv(0.25), 4.0, rtol=1e-14)
+    assert_allclose(PowerSum(2.0, 1.0).F_inv(np.log(2.0)), 1.0, rtol=1e-14)
     assert_allclose(
-        eval_F_inverse(PowerSum(2.0, 1.0), np.log(2.0)), 1.0, rtol=1e-14
-    )
-    assert_allclose(
-        eval_F_inverse(PowerSum(2.0, 1.0), 0.5),
-        1.5414940825367983,
-        rtol=1e-14,
+        PowerSum(2.0, 1.0).F_inv(0.5), 1.5414940825367983, rtol=1e-14
     )
 
 
 def test_F_inverse_domain():
     nl = PowerSum(2.0, 0.5)  # r < 1: F bounded at 0+
     with pytest.raises(DomainError):
-        eval_F_inverse(nl, nl.F_sup * 1.01)
+        nl.F_inv(nl.F_sup * 1.01)
     with pytest.raises(DomainError):
-        eval_F_inverse(nl, -1.0)
+        nl.F_inv(-1.0)
 
 
 def test_qf_exact_for_builtins():
@@ -394,35 +407,19 @@ def test_qf_no_limit():
         estimate_qf(Generic(f, f1, f2, s_min=0.5))
 
 
-def test_series_diagnostics_power_sum():
-    nl = PowerSum(2.0, 1.0)
-    sd = series_diagnostics(nl, 100.0, 3)
-    # degenerate: k=1 coefficient of f'F - q_f vanishes since p - r = 1,
-    # leaving the k=2 term 1/(6 s^2)
-    assert sd.degenerate_leading_term
-    assert_allclose(sd.fpF_truncated - 2.0, 1.650000000008589e-05, rtol=1e-10)
-    # coefficients 1/(k(k+1)): 1/2 s^-1 - 1/6 s^-2 + 1/12 s^-3
-    assert_allclose(
-        sd.fF_over_s_truncated - 1.0, 1.0 / 200 - 1.0 / 6e4 + 1.0 / 12e6,
-        rtol=1e-9,
-    )
-    # truncation honest: |true - truncated| below twice the first omitted
-    true_F = float(nl.F(100.0))
-    assert abs(true_F - sd.F_truncated) <= 2.0 * sd.F_first_omitted
-    assert not series_diagnostics(PowerSum(2.0, 1.5), 50.0, 2).degenerate_leading_term
+def test_pure_power_deficits_vanish():
+    # f'F = p/(p-1) = q_f and fF/s = 1/(p-1) exactly for s^p
+    nl = PurePower(2.0)
+    s = np.logspace(-3, 12, 16)
+    assert (nl.qf, 1.0 / (nl.pf - 1.0)) == (2.0, 1.0)
+    assert not np.any(nl.deficit_fpF(s)) and not np.any(nl.deficit_fF(s))
 
 
-def test_series_diagnostics_rejects_generic():
-    g = Generic(lambda s: s * s, lambda s: 2 * s, lambda s: 2.0)
-    with pytest.raises(UnsupportedFamilyError):
-        series_diagnostics(g, 100.0, 2)
-
-
-def test_series_diagnostics_pure_power_zero_corrections():
-    sd = series_diagnostics(PurePower(2.0), 50.0, 4)
-    assert sd.fpF_truncated == 2.0
-    assert sd.fF_over_s_truncated == 1.0
-    assert sd.F_first_omitted == 0.0
+def test_degenerate_leading_term_flag():
+    # p - r = 1: the k = 1 coefficient of f'F - q_f vanishes, so the
+    # forcing decays at the k = 2 rate (test_deficit_tail_tracks_asymptotics)
+    assert PowerSum(2.0, 1.0).degenerate_leading_term
+    assert not PowerSum(2.0, 1.5).degenerate_leading_term
 
 
 @pytest.mark.parametrize(
@@ -447,15 +444,77 @@ def test_limit_consistency_fF_over_s(nl):
     assert abs(vals[-1] - m1) <= 1e-3
 
 
-@pytest.mark.parametrize(
-    "nl", [PowerSum(2.0, 1.0), PowerSum(1.75, 1.7), PowerLog(2.0, 1.0),
-           PowerExpLog(2.0, 0.5), PowerSumLog(2.0, 1.0, 1.0)]
-)
-def test_series_vs_F_consistency(nl):
-    for s in (100.0, 400.0):
-        sd = series_diagnostics(nl, s, 2)
-        true_F = float(nl.F(s))
-        assert abs(true_F - sd.F_truncated) <= 2.0 * abs(sd.F_first_omitted)
+def _mp_family(nl):
+    """(f, f', F) of nl at the working precision, from the float parameters
+    the code uses; F by the 2F1 closed form for PowerSum, else by _mp_F."""
+    p = mp.mpf(nl.p)
+    if isinstance(nl, PowerSum):
+        r = mp.mpf(nl.r)
+        return (lambda u: u ** p + u ** r,
+                lambda u: p * u ** (p - 1) + r * u ** (r - 1),
+                lambda u: _mp_power_sum_F(nl.p, nl.r, u))
+    if isinstance(nl, PowerLog):
+        r = mp.mpf(nl.r)
+
+        def f(u):
+            return u ** p * mp.log(u) ** r
+
+        def f1(u):
+            return u ** (p - 1) * mp.log(u) ** (r - 1) * (p * mp.log(u) + r)
+    elif isinstance(nl, PowerExpLog):
+        r = mp.mpf(nl.r)
+
+        def f(u):
+            return u ** p * mp.exp(mp.log(u) ** r)
+
+        def f1(u):
+            return (u ** (p - 1) * mp.exp(mp.log(u) ** r)
+                    * (p + r * mp.log(u) ** (r - 1)))
+    else:
+        r, b = mp.mpf(nl.r), mp.mpf(nl.log_exp)
+
+        def f(u):
+            return u ** p + u ** r * mp.log(u) ** b
+
+        def f1(u):
+            t = mp.log(u)
+            return p * u ** (p - 1) + u ** (r - 1) * t ** (b - 1) * (r * t + b)
+    return f, f1, lambda u: _mp_F(f, u)
+
+
+# worst relative error measured on these points (f'F - q_f, fF/s - 1/(p-1)):
+# power_sum 2,1 9.2e-16, 1.0e-16; 1.75,1.7 6.4e-15, 3.8e-15; 2,0.5 2.3e-15,
+# 7.1e-16; power_log 5.5e-14, 2.9e-14; power_exp_log 3.4e-14, 1.7e-14;
+# power_sum_log 2.0e-14, 1.4e-15.  Each bound is twice the larger, rounded
+# up.  power_log and power_exp_log subtract q_f from f'F directly, and
+# their deficits fall only like a power of 1/log s, so up to two digits
+# cancel on this range.
+DEFICIT_ORACLE_BOUND = [
+    (PowerSum(2.0, 1.0), 2e-15),
+    (PowerSum(1.75, 1.7), 1.3e-14),
+    (PowerSum(2.0, 0.5), 5e-15),
+    (PowerLog(2.0, 1.0), 1.2e-13),
+    (PowerExpLog(2.0, 0.5), 7e-14),
+    (PowerSumLog(2.0, 1.0, 1.0), 5e-14),
+]
+
+
+@pytest.mark.parametrize("nl,bound", DEFICIT_ORACLE_BOUND, ids=[
+    "power_sum_2_1", "power_sum_1.75_1.7", "power_sum_2_0.5", "power_log_2_1",
+    "power_exp_log_2_0.5", "power_sum_log_2_1_1"])
+def test_deficits_against_50_digit_reference(nl, bound):
+    # seven points from just above s_min (0.5 where s_min = 0) to 1e12; the
+    # reference subtracts q_f and 1/(p_f - 1) from f'F and fF/s at 50 digits
+    lo = nl.s_min * (1.0 + 1e-3) if nl.s_min > 0.0 else 0.5
+    s = np.geomspace(lo, 1e12, 7)
+    with mp.workdps(50):
+        f, f1, F = _mp_family(nl)
+        q = mp.mpf(nl.p) / (mp.mpf(nl.p) - 1)
+        us = [mp.mpf(v) for v in s]
+        ref_fpF = [f1(u) * F(u) - q for u in us]
+        ref_fF = [f(u) * F(u) / u - 1 / (q / (q - 1) - 1) for u in us]
+    assert _max_rel_err(nl.deficit_fpF(s), ref_fpF) <= bound
+    assert _max_rel_err(nl.deficit_fF(s), ref_fF) <= bound
 
 
 def test_deficits_match_direct_in_safe_range():

@@ -17,6 +17,7 @@ from singular_forge import (
     build_context,
     case_classify,
     classify,
+    convolve_cumulative,
     fundamental_pair,
     homogeneous_coeffs,
     homogeneous_pair,
@@ -80,12 +81,10 @@ def test_apply_T_with_given_homogeneous_part_is_bitwise_equal():
     eta = 1e-3 * rng.standard_normal(ctx.grid.M)
     deta = 1e-3 * rng.standard_normal(ctx.grid.M)
     pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 5e-4, 8e-4)
-    for linear_only in (False, True):
-        plain = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta, linear_only)
-        given = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta, linear_only,
-                        homogeneous=pair)
-        for a, b in zip(plain, given):
-            assert a.tobytes() == b.tobytes()
+    plain = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta)
+    given = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta, homogeneous=pair)
+    for a, b in zip(plain, given):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_power_sum_contraction_metadata():
@@ -98,14 +97,21 @@ def test_power_sum_contraction_metadata():
     assert sol.case_tag == "A"
 
 
+def _linear_T(ctx, ks, pair, eta, deta):
+    """T with N[eta] off: Phi - K*(I + L1 eta + L2 eta')."""
+    ik, idk = convolve_cumulative(ks, ctx.rho,
+                                  ctx.I + ctx.L1 * eta + ctx.L2 * deta)
+    return pair[0] - ik, pair[1] - idk
+
+
 def test_linear_consistency_fixed_point():
     # with N[eta] off, the fixed point solves the linear integral equation,
     # i.e. the ODE eta'' + a eta' + b eta + I + L1 eta + L2 eta' = 0
     nl = PowerSum(2.0, 1.9)
     cls, ctx, ks = _setup(nl, rho0=6.0, span=24.0, M=8193)
-    sol = picard_solve(ctx, ks, 1e-3, 1e-3, linear_only=True, max_iter=400)
+    pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 1e-3, 1e-3)
+    eta, _ = solve_linear_volterra(ks, ctx.rho, pair, ctx.I, ctx.L1, ctx.L2)
     h = ctx.grid.h
-    eta = sol.eta
     d1 = (eta[2:] - eta[:-2]) / (2 * h)
     d2 = (eta[2:] - 2 * eta[1:-1] + eta[:-2]) / (h * h)
     res = (
@@ -116,14 +122,16 @@ def test_linear_consistency_fixed_point():
 
 
 def test_homogeneous_exactness():
-    # zero forcing (pure power) with nonzero data: the converged solution
-    # is exactly the homogeneous combination C1 Phi1 + C2 Phi2
+    # zero forcing (pure power) with nonzero data: the linear equation's
+    # solution is exactly the homogeneous combination C1 Phi1 + C2 Phi2
     for p in (1.75, 1.8, 2.0):
         cls, ctx, ks = _setup(PurePower(p), rho0=2.0, span=18.0, M=513)
-        sol = picard_solve(ctx, ks, 1e-3, 2e-3, linear_only=True)
+        pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 1e-3, 2e-3)
+        eta, _ = solve_linear_volterra(ks, ctx.rho, pair, ctx.I, ctx.L1,
+                                       ctx.L2)
         c1, c2 = homogeneous_coeffs(cls, 2.0, 1e-3, 2e-3)
         p1, p2, _, _ = fundamental_pair(cls, ctx.rho)
-        assert_allclose(sol.eta, c1 * p1 + c2 * p2, rtol=0, atol=1e-12)
+        assert_allclose(eta, c1 * p1 + c2 * p2, rtol=0, atol=1e-12)
 
 
 def test_select_rho0_pure_power_immediate():
@@ -295,7 +303,7 @@ def test_march_is_the_fixed_point_of_linear_T(nl):
     pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 1e-3, 2e-3)
     eta, deta = solve_linear_volterra(ks, ctx.rho, pair, ctx.I, ctx.L1,
                                       ctx.L2)
-    Te, Td = apply_T(ctx, ks, 1e-3, 2e-3, eta, deta, linear_only=True)
+    Te, Td = _linear_T(ctx, ks, pair, eta, deta)
     assert np.max(np.abs(Te - eta)) <= 1e-12
     assert np.max(np.abs(Td - deta)) <= 1e-12
 
@@ -368,18 +376,6 @@ def test_select_rho0_probes_with_T_alone(monkeypatch):
 
     monkeypatch.setattr(solver, "_newton_phase", no_newton)
     assert select_rho0(nl, cls, 3e-4, 5e-4, 3.0) == 3.0
-
-
-def test_linear_only_newton_solves_in_one_march(monkeypatch):
-    monkeypatch.setattr(solver, "_SWITCH_RATIO", 0.0)
-    nl = PowerSum(2.0, 1.9)
-    cls, ctx, ks = _setup(nl, rho0=6.0, span=24.0, M=2049)
-    pure = picard_solve(ctx, ks, 1e-3, 1e-3, linear_only=True,
-                        max_iter=400, _newton=False)
-    sol = picard_solve(ctx, ks, 1e-3, 1e-3, linear_only=True)
-    assert sol.newton_steps == 1
-    assert sol.final_change < 1e-14
-    assert np.max(np.abs(sol.eta - pure.eta)) <= 1e-10
 
 
 def test_sweep_computes_context_terms_once(monkeypatch):
