@@ -36,10 +36,27 @@ _GL01_HALF_WEIGHTS = [
     0.09130170752246179, 0.09472530522753425,
 ]
 GL01_WEIGHTS = np.array(_GL01_HALF_WEIGHTS + _GL01_HALF_WEIGHTS[::-1])
-# the 8-point rule on [0, 1], the error estimate of every 16-point panel
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL8_01_NODES = 0.5 * (_GL8_NODES + 1.0)
-_GL8_01_WEIGHTS = 0.5 * _GL8_WEIGHTS
+# The 8- and 4-point rules on [0, 1], rounded the same way (leggauss(8)
+# weights are off by up to 8e-15 relative).  The 8-point rule is the error
+# estimate of every 16-point panel; both serve profile's remainder.
+GL8_01_NODES = np.array([
+    0.019855071751231884, 0.10166676129318664, 0.2372337950418355,
+    0.4082826787521751, 0.591717321247825, 0.7627662049581645,
+    0.8983332387068134, 0.9801449282487681,
+])
+GL8_01_WEIGHTS = np.array([
+    0.05061426814518813, 0.11119051722668724, 0.15685332293894363,
+    0.181341891689181, 0.181341891689181, 0.15685332293894363,
+    0.11119051722668724, 0.05061426814518813,
+])
+GL4_01_NODES = np.array([
+    0.06943184420297371, 0.33000947820757187, 0.6699905217924281,
+    0.9305681557970263,
+])
+GL4_01_WEIGHTS = np.array([
+    0.17392742256872692, 0.32607257743127305, 0.32607257743127305,
+    0.17392742256872692,
+])
 
 # A panel is accepted when its 16- and 8-point values agree to _PANEL_RTOL
 # (the 8-point error bounds the far smaller 16-point one); the absolute floor
@@ -347,7 +364,7 @@ def _panel_sums(edges, owner, size, weight, psi, psi_ref):
     seg = np.zeros(size)
     for depth in range(_PANEL_DEPTH + 1):
         q16 = rule(a, b - a, owner, GL01_NODES, GL01_WEIGHTS)
-        q8 = rule(a, b - a, owner, _GL8_01_NODES, _GL8_01_WEIGHTS)
+        q8 = rule(a, b - a, owner, GL8_01_NODES, GL8_01_WEIGHTS)
         ok = np.abs(q16 - q8) <= _PANEL_RTOL * np.abs(q16) + _PANEL_ATOL
         seg += np.bincount(owner[ok], q16[ok], minlength=size)
         if ok.all():

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NoLimitError
-from .nonlinearity import estimate_qf
 
 REGIME_TWO_REAL = "two_real_roots"
 REGIME_DOUBLE = "double_root"
@@ -130,7 +129,7 @@ def classify(nl, N):
         raise ValueError("N must be an integer >= 3")
     N = float(int(N))
 
-    est = estimate_qf(nl)  # exact, and converged, where the family knows it
+    est = nl.qf_estimate  # exact, and converged, where the family knows it
     if not est.converged:
         raise NoLimitError("q_f estimate did not converge")
     qf = est.value

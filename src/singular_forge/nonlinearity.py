@@ -68,9 +68,14 @@ class Nonlinearity:
             return float(self.F(self.s_min * (1.0 + 1e-13)))
         return math.inf
 
+    @cached_property
+    def qf_estimate(self):
+        """estimate_qf(self), made once per nonlinearity."""
+        return estimate_qf(self)
+
     @property
     def qf(self):
-        return estimate_qf(self).value
+        return self.qf_estimate.value
 
     @property
     def pf(self):

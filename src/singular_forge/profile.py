@@ -14,15 +14,21 @@ remainder N[eta] uses the exact integral form of the Taylor remainder
     f(phi(1+eta)) - f(phi) - f'(phi) phi eta
         = (phi eta)^2 int_0^1 (1-t) f''(phi(1+t eta)) dt
 
-(16-point Gauss-Legendre; exact to rounding for |eta| <= 0.5 since the
-integrand is analytic), which keeps N[eta] relatively accurate where the
-direct difference of near-equal f values would drown in rounding.  Its
-derivative in eta, N'[eta] = b F(phi) phi eta int_0^1 f''(phi(1+t eta)) dt,
-comes from the same f'' values with the plain Gauss weights, so a Newton
-step pays for one pass and no difference of f' values.  f'' is
-evaluated for several Gauss nodes in one call, as many as keep a call near
-_GROUP_POINTS points: all 16 on a grid of up to 256 nodes, one at a time on
-a 4096-node grid.
+which keeps N[eta] relatively accurate where the direct difference of
+near-equal f values would drown in rounding.  Its derivative in eta,
+N'[eta] = b F(phi) phi eta int_0^1 f''(phi(1+t eta)) dt, comes from the
+same f'' values with the plain Gauss weights, so a Newton step pays for one
+pass and no difference of f' values.
+
+The integral is taken by a Gauss-Legendre rule of 4, 8 or 16 points, the
+fewest that serve every node of the call.  f'' is taken to be analytic off
+s_min, which phi(1 + t eta) reaches at t = -1/zeta, zeta = eta phi/(phi -
+s_min); the n-point rule serves while its Bernstein-ellipse bound rho^-2n
+is below 2^-60.  That is zeta up to z4 = 0.0223 for 4 points and z8 = 0.347
+for 8 (0.0219 and 0.258 for zeta < 0, whose singularity lies beyond t = 1,
+nearer the segment).  f'' is evaluated for several Gauss nodes in one call,
+as many as keep a call near _GROUP_POINTS points: a whole rule on a grid of
+up to 256 nodes, one node at a time on a 4096-node grid.
 """
 
 from dataclasses import dataclass, field
@@ -30,13 +36,40 @@ from functools import cached_property
 
 import numpy as np
 
-from ._special import GL01_NODES, GL01_WEIGHTS
+from ._special import (
+    GL01_NODES,
+    GL01_WEIGHTS,
+    GL4_01_NODES,
+    GL4_01_WEIGHTS,
+    GL8_01_NODES,
+    GL8_01_WEIGHTS,
+)
 from .errors import DomainError, GridError
 
-_GAUSS_T = GL01_NODES
-_GAUSS_W = GL01_WEIGHTS * (1.0 - GL01_NODES)  # weights folded with (1-t)
-# points per f2 call: one (nodes, points) batch near this size stays in
-# cache; a full 16-row batch at M=4096 is slower than one call per node
+
+def _rule(points, nodes, weights):
+    """((nodes, weights folded with (1-t), weights), largest zeta > 0,
+    largest -zeta < 0) of a remainder rule and the zeta it serves.
+
+    The singularity at t = -1/zeta lies at x = |1 + 2/zeta| in u = 2t - 1,
+    and the n-point error falls like rho^-2n, rho = x + sqrt(x^2 - 1)
+    (Trefethen, ATAP, Thm 19.3); rho^-2n <= 2^-60 bounds x from below.
+    """
+    rho = 2.0 ** (30.0 / points)
+    x = 0.5 * (rho + 1.0 / rho)
+    return ((nodes, weights * (1.0 - nodes), weights),
+            2.0 / (x - 1.0), 2.0 / (x + 1.0))
+
+
+# fewest points first; the 16-point rule also takes any zeta beyond its own
+_RULES = (
+    _rule(4, GL4_01_NODES, GL4_01_WEIGHTS),
+    _rule(8, GL8_01_NODES, GL8_01_WEIGHTS),
+    _rule(16, GL01_NODES, GL01_WEIGHTS),
+)
+# points per f2 call, whichever rule the call picks: one (nodes, points)
+# batch near this size stays in cache; a full 16-row batch at M=4096 is
+# slower than one call per node
 _GROUP_POINTS = 4096
 
 
@@ -135,6 +168,18 @@ def check_domain(ctx, nodes, eta):
         )
 
 
+def _gauss_rule(ctx, phi, eta):
+    """(nodes, folded weights, weights) of the rule of _RULES with the
+    fewest points that serves every (phi, eta) pair; a pure function of
+    phi, eta and s_min."""
+    zeta = eta * phi / (phi - ctx.nl.s_min)
+    up, down = np.max(zeta, initial=0.0), -np.min(zeta, initial=0.0)
+    for rule, up_cut, down_cut in _RULES:
+        if up <= up_cut and down <= down_cut:
+            return rule
+    return _RULES[-1][0]
+
+
 def _remainder(ctx, nodes, eta, derivative=False):
     """N[eta] at the grid nodes selected by ``nodes`` (an index, an index
     array or a slice), eta broadcasting against them; with ``derivative``
@@ -150,15 +195,16 @@ def _remainder(ctx, nodes, eta, derivative=False):
     phi_b, eta_b = np.broadcast_arrays(phi, eta)
     shape = phi_b.shape
     phi_b, eta_b = phi_b.reshape(-1), eta_b.reshape(-1)
+    gauss_t, gauss_w, gauss_wd = _gauss_rule(ctx, phi_b, eta_b)
     group = max(1, _GROUP_POINTS // max(phi_b.size, 1))
     acc = dacc = 0.0
-    for start in range(0, len(_GAUSS_T), group):
+    for start in range(0, len(gauss_t), group):
         stop = start + group
         rows = np.asarray(
-            ctx.nl.f2(phi_b * (1.0 + _GAUSS_T[start:stop, None] * eta_b)),
+            ctx.nl.f2(phi_b * (1.0 + gauss_t[start:stop, None] * eta_b)),
             dtype=float,
         )
-        for w, wd, f2 in zip(_GAUSS_W[start:stop], GL01_WEIGHTS[start:stop],
+        for w, wd, f2 in zip(gauss_w[start:stop], gauss_wd[start:stop],
                              rows):
             acc = acc + w * f2
             if derivative:

@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import singular_forge.nonlinearity as nonlinearity
 from singular_forge import (
     DomainError,
     Generic,
@@ -19,7 +21,7 @@ from singular_forge import (
     tilde_u,
     to_radial,
 )
-from singular_forge.profile import _GAUSS_T, _GAUSS_W, _remainder
+from singular_forge.profile import _RULES, _gauss_rule, _remainder
 
 
 def test_tilde_u_pure_power_closed_form():
@@ -200,12 +202,28 @@ REMAINDER_FAMILIES = [
 ]
 
 
+def test_build_context_reuses_the_qf_estimate(monkeypatch):
+    # a Generic without qf estimates it once, in classify; build_context
+    # reads the same estimate through qf and pf
+    nl = Generic(lambda s: s * s + s, lambda s: 2.0 * s + 1.0,
+                 lambda s: 2.0)
+    estimate_qf, calls = nonlinearity.estimate_qf, []
+    monkeypatch.setattr(nonlinearity, "estimate_qf",
+                        lambda nl: calls.append(nl) or estimate_qf(nl))
+    cls = classify(nl, 5)
+    assert len(calls) == 1
+    build_context(nl, cls, 3.0, 43.0, 257)
+    assert len(calls) == 1
+
+
 def _per_node_remainder(ctx, nodes, eta):
-    # one f2 call per Gauss node, accumulated in node order
+    # one f2 call per Gauss node of the rule the call picks, accumulated in
+    # node order
     eta = np.asarray(eta, dtype=float)
     phi = ctx.phi[nodes]
+    gauss_t, gauss_w, _ = _gauss_rule(ctx, *np.broadcast_arrays(phi, eta))
     acc = 0.0
-    for t, w in zip(_GAUSS_T, _GAUSS_W):
+    for t, w in zip(gauss_t, gauss_w):
         acc = acc + w * np.asarray(ctx.nl.f2(phi * (1.0 + t * eta)),
                                    dtype=float)
     return ctx.cls.b * ctx.Fphi[nodes] * phi * eta * eta * acc
@@ -223,10 +241,12 @@ def test_grouped_remainder_equals_per_node_loop_bitwise(nl):
         cases = [
             (slice(None), rng.uniform(-0.1, 0.1, M)),
             (slice(None), 0.05),
+            (slice(None), 1e-3),
             (M // 2, 0.03),
             (M // 2, np.array(-0.02)),
             (tail, rng.uniform(-0.1, 0.1, tail.size)),
             (tail, -0.07),
+            (tail, 0.4),
         ]
         for nodes, eta in cases:
             got = _remainder(ctx, nodes, eta)
@@ -236,22 +256,92 @@ def test_grouped_remainder_equals_per_node_loop_bitwise(nl):
                     == np.asarray(want).tobytes()), (M, nodes)
 
 
-@pytest.mark.parametrize("M, calls", [(192, 1), (801, 4), (4096, 16)])
-def test_nonlinear_term_groups_f2_calls(M, calls):
-    # 16 Gauss nodes in groups of about 4096 points: one call at M <= 256,
-    # one call per node at M=4096, where a 16-row batch falls out of cache
-    nl = PowerSum(1.75, 1.7)
+def _mp_f(nl):
+    """f of a REMAINDER_FAMILIES member as an mpmath function."""
+    p = mp.mpf(nl.p) if nl.p is not None else None
+    r = mp.mpf(nl.r) if nl.r is not None else None
+    return {
+        "power": lambda s: s ** p,
+        "power_sum": lambda s: s ** p + s ** r,
+        "power_log": lambda s: s ** p * mp.log(s) ** r,
+        "power_exp_log": lambda s: s ** p * mp.exp(mp.log(s) ** r),
+        "power_sum_log": lambda s: (
+            s ** p + s ** r * mp.log(s) ** mp.mpf(nl.log_exp)),
+        "generic": lambda s: s * s + s ** mp.mpf(1.5),
+    }[nl.name]
+
+
+# measured at most 6.5e-16 relative (4 points, power_exp_log, zeta < 0):
+# the quadrature adds nothing visible to the few roundings of f2 and the
+# scale b F(phi) phi eta
+REMAINDER_RTOL = 1.3e-15
+
+
+@pytest.mark.parametrize("nl", REMAINDER_FAMILIES,
+                         ids=lambda nl: nl.name)
+def test_remainder_against_50_digit_taylor_remainder(nl):
+    # N and N' where each rule is picked at its largest zeta on either side
+    # of 0, against b F(phi)/phi (f(phi(1+eta)) - f(phi) - f'(phi) phi eta)
+    # and b F(phi) (f'(phi(1+eta)) - f'(phi)) at 50 digits; b, F(phi) and
+    # phi are the context's floats, so only the quadrature is under test
+    cls = classify(nl, 5)
+    ctx = build_context(nl, cls, 3.0, 43.0, 257)
+    nodes = np.linspace(0, 256, 9).astype(int)
+    phi = ctx.phi[nodes]
+    f = _mp_f(nl)
+
+    def f1(s):  # d/ds f = d/dy f(s e^y) / s at y = 0, at any scale of s
+        return mp.diff(lambda y: f(s * mp.exp(y)), 0) / s
+
+    for rule, up_cut, down_cut in _RULES:
+        for zeta in (up_cut, -down_cut):
+            eta = zeta * (1.0 - 1e-12) * (phi - nl.s_min) / phi
+            assert _gauss_rule(ctx, phi, eta) is rule
+            n, dn = _remainder(ctx, nodes, eta, derivative=True)
+            with mp.workdps(50):
+                for k, node in enumerate(nodes):
+                    s, e = mp.mpf(phi[k]), mp.mpf(eta[k])
+                    scale = mp.mpf(cls.b) * mp.mpf(ctx.Fphi[node])
+                    want = scale / s * (f(s * (1 + e)) - f(s) - f1(s) * s * e)
+                    dwant = scale * (f1(s * (1 + e)) - f1(s))
+                    for got, ref in ((n[k], want), (dn[k], dwant)):
+                        assert abs(got - ref) <= REMAINDER_RTOL * abs(ref), (
+                            zeta, node)
+
+
+def _count_f2(nl, M, eta):
+    """Sizes of the f2 calls one nonlinear_term makes at constant eta."""
     ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, M)
     seen = []
 
     def f2(s):
         seen.append(np.size(s))
-        return PowerSum.f2(nl, s)
+        return type(nl).f2(nl, s)
 
     nl.f2 = f2
-    nonlinear_term(ctx, np.full(M, 1e-3))
+    nonlinear_term(ctx, np.full(M, eta))
+    return seen
+
+
+@pytest.mark.parametrize("M, calls", [(192, 1), (801, 4), (4096, 16)])
+def test_nonlinear_term_groups_f2_calls(M, calls):
+    # the 16 Gauss nodes in groups of about 4096 points: one call at
+    # M <= 256, one call per node at M=4096, where a 16-row batch falls
+    # out of cache
+    seen = _count_f2(PowerSum(1.75, 1.7), M, 0.4)
     assert len(seen) == calls
     assert sum(seen) == 16 * M
+
+
+@pytest.mark.parametrize("eta, points", [
+    (1e-3, 4), (-0.02, 4), (0.1, 8), (0.3, 8), (-0.25, 8), (0.4, 16),
+    (-0.3, 16),
+])
+def test_nonlinear_term_rule_follows_eta(eta, points):
+    # s_min = 0, so zeta = eta: 4 points up to 0.0223 (0.0219 below 0),
+    # 8 up to 0.347 (0.258), else 16; one f2 call per point at M=4096
+    seen = _count_f2(PowerSum(1.75, 1.7), 4096, eta)
+    assert seen == [4096] * points
 
 
 @pytest.mark.parametrize("nl", [PurePower(2.0), PowerSum(1.75, 1.7),

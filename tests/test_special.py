@@ -1,5 +1,5 @@
-"""hyp2f1_1c and upper_gamma against 50-digit mpmath values, and the
-continued fraction's batch/lone agreement.
+"""hyp2f1_1c, upper_gamma and the Gauss-Legendre tables against 50-digit
+mpmath values, and the continued fraction's batch/lone agreement.
 
 Each BOUND is the largest relative error that scipy 1.17.1 made at the same
 points (hyp2f1; gammaincc times exp(gammaln); exp1), rounded down to three
@@ -12,13 +12,54 @@ import pytest
 from numpy.testing import assert_allclose
 
 from singular_forge import DomainError
-from singular_forge._special import _upper_gamma_cf, hyp2f1_1c, upper_gamma
+from singular_forge._special import (
+    GL01_NODES,
+    GL01_WEIGHTS,
+    GL4_01_NODES,
+    GL4_01_WEIGHTS,
+    GL8_01_NODES,
+    GL8_01_WEIGHTS,
+    _upper_gamma_cf,
+    hyp2f1_1c,
+    upper_gamma,
+)
 
 
 def _max_rel_err(got, ref):
     """Largest |got - ref| / |ref|, exact in the reference's precision."""
     return max(float(abs(mp.mpf(float(g)) - r) / abs(r))
                for g, r in zip(got, ref))
+
+
+def _mp_gauss_legendre_01(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] at
+    the working precision, ascending: Newton's method on P_n."""
+    rule = []
+    for i in range(n, 0, -1):
+        x = mp.cos(mp.pi * (i - mp.mpf(0.25)) / (n + mp.mpf(0.5)))
+        step = 1
+        while abs(step) > mp.mpf(10) ** (2 - mp.mp.dps):
+            p = mp.legendre(n, x)
+            dp = n * (x * p - mp.legendre(n - 1, x)) / (x * x - 1)
+            step = p / dp
+            x -= step
+        rule.append(((1 + x) / 2, 1 / ((1 - x * x) * dp * dp)))
+    return rule
+
+
+@pytest.mark.parametrize("nodes, weights", [
+    (GL4_01_NODES, GL4_01_WEIGHTS),
+    (GL8_01_NODES, GL8_01_WEIGHTS),
+    (GL01_NODES, GL01_WEIGHTS),
+], ids=["4", "8", "16"])
+def test_gauss_legendre_tables_are_correctly_rounded(nodes, weights):
+    # every node and weight within half an ulp of its 50-digit value
+    with mp.workdps(50):
+        ref = _mp_gauss_legendre_01(len(nodes))
+        assert abs(sum(w for _, w in ref) - 1) < mp.mpf(10) ** -45
+        for got, want in zip(np.concatenate([nodes, weights]),
+                             [t for t, _ in ref] + [w for _, w in ref]):
+            assert abs(mp.mpf(got) - want) <= mp.mpf(np.spacing(got)) / 2
 
 
 # 1e-40 .. 1e12, four points a decade, and the switch at x = 1
