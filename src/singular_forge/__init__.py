@@ -48,6 +48,7 @@ from .profile import (
     ProfileContext,
     SolutionProfile,
     build_context,
+    case_classify,
     nonlinear_term,
     nonlinear_term_and_derivative,
     nonlinear_term_at,
@@ -57,7 +58,6 @@ from .profile import (
 from .solver import (
     RemainderSolution,
     apply_T,
-    case_classify,
     picard_solve,
     select_rho0,
     sweep,

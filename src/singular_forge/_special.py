@@ -251,20 +251,48 @@ def _upper_gamma_cf(a, x):
     return x ** a * np.exp(-x) / out
 
 
-# Ein(x) = sum_(n>=1) (-1)^(n+1) x^n/(n n!): 18 terms reach rounding at x = 1
-_EIN_COEFS = [(-1) ** (n + 1) / (n * math.factorial(n)) for n in range(1, 19)]
+# 1/Gamma(1 + a) = 1 + sum_(k>=1) _RGAMMA1P[k-1] a^k (the Taylor series of
+# 1/Gamma, Abramowitz & Stegun 6.1.34); 22 terms reach rounding at |a| = 1/2
+_RGAMMA1P = [
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+    -2.0583260535665066e-14,
+]
+# terms of the series in x below: 24 reach rounding at x = 3/2
+_SMALL_ORDER_TERMS = 24
+
+
+def _upper_gamma_small(a, x):
+    """Gamma(a, x) for |a| <= 1/2 and 1-d 0 < x < 3/2:
+
+        ((Gamma(1+a) - 1) - (x^a - 1))/a - x^a sum_(k>=1) (-x)^k/(k! (a+k)),
+
+    Gamma(a) - gamma(a, x) with the 1/a terms of both taken together, each
+    difference evaluated without cancellation: Gamma(1+a) - 1 from the
+    series of 1/Gamma(1+a), x^a - 1 by expm1.  At a = 0 it is E1(x) =
+    -gamma_E - log x + Ein(x)."""
+    S = 0.0
+    for coef in reversed(_RGAMMA1P):
+        S = S * a + coef
+    lx = np.log(x)
+    head = -S / (1.0 + a * S) - (np.expm1(a * lx) / a if a != 0.0 else lx)
+    coefs = [(-1.0) ** k / (math.factorial(k) * (a + k))
+             for k in range(1, _SMALL_ORDER_TERMS + 1)]
+    acc = np.full_like(x, coefs[-1])
+    for coef in reversed(coefs[:-1]):
+        acc *= x
+        acc += coef
+    return head - np.exp(a * lx) * (acc * x)
 
 
 def _upper_gamma_series(a, x):
-    """Gamma(a, x) for a >= 0 and 1-d 0 < x < a + 1 from a series in x:
-    Gamma(a) - x^a e^-x sum_n x^n/(a)_(n+1) for a > 0, and for a = 0
-    E1(x) = -gamma_E - log x + Ein(x), Ein by Horner."""
-    if a == 0.0:
-        acc = np.full_like(x, _EIN_COEFS[-1])
-        for coef in reversed(_EIN_COEFS[:-1]):
-            acc *= x
-            acc += coef
-        return -np.euler_gamma - np.log(x) + acc * x
+    """Gamma(a, x) for a > 1/2 and 1-d 0 < x < a + 1 from a series in x:
+    Gamma(a) - x^a e^-x sum_n x^n/(a)_(n+1)."""
     term = np.full_like(x, 1.0 / a)
     acc = term.copy()
     n = 0
@@ -279,9 +307,11 @@ def upper_gamma(a, x):
     """Upper incomplete gamma Gamma(a, x) for real a and x > 0.
 
     Vectorized in x; a is scalar.  The continued fraction serves
-    x >= max(a + 1, 1), stable for any a.  Below that a >= 0 takes the
-    series in x; a < 0 lifts the order to a + n in (1, 2], takes its series
-    and recurses back down, whose subtraction cancels once x is of order 1.
+    x >= max(a + 1, 1), stable for any a.  Below that a > 1/2 takes the
+    series in x, |a| <= 1/2 the small-order series, and a < -1/2 takes the
+    small-order series at a + m in [-1/2, 1/2] and recurses back down by
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x)/a, each division by an order
+    of at least 1/2, so an order near a negative integer loses no digits.
     """
     a = float(a)
     x = np.asarray(x, dtype=float)
@@ -295,18 +325,13 @@ def upper_gamma(a, x):
         out[cf] = _upper_gamma_cf(a, x[cf])
     if not np.all(cf):
         xs = x[~cf]
-        if a >= 0.0:
+        if a > 0.5:
             out[~cf] = _upper_gamma_series(a, xs)
         else:
-            # Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a
-            n = int(np.ceil(-a)) + 1
-            g = _upper_gamma_series(a + n, xs)
-            for j in range(n - 1, -1, -1):
+            m = max(round(-a), 0)
+            g = _upper_gamma_small(a + m, xs)
+            for j in range(m - 1, -1, -1):
                 aj = a + j
-                if abs(aj) < 1e-12:
-                    # Gamma(0, x) = E1(x); resume the downward pass from it
-                    g = _upper_gamma_series(0.0, xs)
-                    continue
                 g = (g - xs ** aj * np.exp(-xs)) / aj
             out[~cf] = g
     return out[0] if scalar else out

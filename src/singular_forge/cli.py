@@ -28,9 +28,8 @@ from .errors import (
     NoContractionError,
     SingularForgeError,
 )
-from .kernels import KernelSet
 from .profile import build_context, to_radial
-from .solver import picard_solve, sweep
+from .solver import sweep
 from .verify import (
     appendix_check,
     build_report,
@@ -41,6 +40,7 @@ from .verify import (
     ode_residual_radial,
     predicted_decay,
     resolve_grid,
+    run_cell,
     table_report,
 )
 
@@ -344,16 +344,6 @@ def cmd_classify(cfg):
     return 0 if cls.in_scope else 3
 
 
-def _solve_from_config(cfg, nl, cls):
-    rho0, rho_max = resolve_grid(nl, cls, cfg.alpha, cfg.beta, cfg.rho0,
-                                 cfg.rho_max, cfg.auto_rho0)
-    ctx = build_context(nl, cls, rho0, rho_max, cfg.M)
-    ks = KernelSet(cls)
-    sol = picard_solve(ctx, ks, cfg.alpha, cfg.beta, tol=cfg.tol,
-                       max_iter=cfg.max_iter)
-    return ctx, sol
-
-
 def _solver_payload(sol):
     return {
         "alpha": sol.alpha,
@@ -378,7 +368,9 @@ def cmd_construct(cfg, full_verify=False):
             write_json(os.path.join(cfg.out, "summary.json"), summary)
         print(f"out of regime: {cls.regime.reason}", file=sys.stderr)
         return 3
-    ctx, sol = _solve_from_config(cfg, nl, cls)
+    ctx, sol = run_cell(nl, cls, cfg.alpha, cfg.beta, cfg.rho0, cfg.rho_max,
+                        auto_rho0=cfg.auto_rho0, M=cfg.M, tol=cfg.tol,
+                        max_iter=cfg.max_iter)
     prof = to_radial(ctx, sol.eta, sol.deta)
     summary = {
         "config": cfg.as_dict(),
@@ -403,7 +395,7 @@ def cmd_construct(cfg, full_verify=False):
     except SingularForgeError as exc:
         summary["fit"] = {"error": str(exc)}
     if full_verify:
-        summary["limit_diagnostics"] = limit_diagnostics(nl, cls, ctx)
+        summary["limit_diagnostics"] = limit_diagnostics(ctx)
         summary["lipschitz"] = lipschitz_check(ctx, samples=2000)
         if cfg.family in ("power_sum", "power_sum_log") and "fit" in summary \
                 and "error" not in summary["fit"]:
@@ -448,8 +440,7 @@ def cmd_sweep(cfg):
         cfg.rho0, cfg.rho_max, cfg.auto_rho0,
     )
     ctx = build_context(nl, cls, rho0, rho_max, cfg.M)
-    ks = KernelSet(cls)
-    result = sweep(ctx, ks, pairs, tol=cfg.tol, max_iter=cfg.max_iter)
+    result = sweep(ctx, pairs, tol=cfg.tol, max_iter=cfg.max_iter)
     os.makedirs(cfg.out, exist_ok=True)
     agg = {
         "config": cfg.as_dict(),
@@ -488,7 +479,8 @@ def cmd_tables(cfg):
     dump_csv = "csv" in cfg.formats
     reports = table_report(
         cfg.N, cells, family=family,
-        log_exp=cfg.log_exp or 0.0, M=cfg.M, keep_solutions=dump_csv,
+        log_exp=cfg.log_exp or 0.0, M=cfg.M, tol=cfg.tol,
+        max_iter=cfg.max_iter, keep_solutions=dump_csv,
     )
     os.makedirs(cfg.out, exist_ok=True)
     if dump_csv:

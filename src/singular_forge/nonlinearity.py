@@ -470,11 +470,18 @@ class PowerSumLog(Nonlinearity):
             s, self._R1_weight, lambda x: (self.p - 1.0) * x, self.s_min
         )
 
+    def _F_weight(self, x):
+        # 1/(1+w) at u = e^x
+        return 1.0 / (1.0 + np.exp((self.r - self.p) * x) * x ** self.log_exp)
+
     def F(self, s):
+        # F = s^(1-p) * s^(p-1) int_s^inf u^-p/(1+w) du: a positive
+        # integrand, where 1/(p-1) - R1 would cancel once w(s) >> 1
         s = np.asarray(s, dtype=float)
-        R1 = self._R1(s)  # first: it rejects points outside the domain
-        # F = s^(1-p) (1/(p-1) - R1), exact splitting of the pure-power tail
-        return s ** (1.0 - self.p) * (1.0 / (self.p - 1.0) - R1)
+        J = tail_integrals(
+            s, self._F_weight, lambda x: (self.p - 1.0) * x, self.s_min
+        )
+        return s ** (1.0 - self.p) * J
 
     def deficit_fpF(self, s):
         s = np.asarray(s, dtype=float)
@@ -566,7 +573,9 @@ def _invert_F(nl, sigma):
     until |F - sigma| <= 1e-13 sigma at every node (at most 100 F passes).
     Where f F/d is not finite or positive, the seed's 1/(p_f - 1) stands in.
     Each F pass narrows a per-node bracket, first (s_min, inf); a step out
-    of it bisects geometrically in d, or moves 16x toward an open side."""
+    of it bisects geometrically in d, or moves 16x toward an open side, to
+    sqrt(d) toward s_min when that is farther (a seed far above the root,
+    where F underflows, comes down in a few passes)."""
     sigma = _check_sigma(nl, sigma)
     scalar = sigma.ndim == 0
     sig = np.atleast_1d(sigma).astype(float)
@@ -595,7 +604,7 @@ def _invert_F(nl, sigma):
                              1.0 / (pf - 1.0))
             xn = smin + d * np.exp(np.log1p(g / sig) * slope)
             # sqrt(dlo) sqrt(dhi): the product itself can overflow
-            mid = np.where(dlo == 0.0, dhi / 16.0,
+            mid = np.where(dlo == 0.0, np.minimum(dhi / 16.0, np.sqrt(dhi)),
                            np.where(np.isinf(dhi), 16.0 * dlo,
                                     np.sqrt(dlo) * np.sqrt(dhi)))
         xn = np.where((xn > lo) & (xn < hi), xn, smin + mid)  # nan: bisect

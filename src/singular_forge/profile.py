@@ -31,7 +31,8 @@ as many as keep a call near _GROUP_POINTS points: a whole rule on a grid of
 up to 256 nodes, one node at a time on a 4096-node grid.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +45,8 @@ from ._special import (
     GL8_01_NODES,
     GL8_01_WEIGHTS,
 )
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, InconclusiveError
+from .kernels import KernelSet, convolve_Q_cumulative, super_kernel
 
 
 def _rule(points, nodes, weights):
@@ -99,8 +101,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class ProfileContext:
+    """One Emden grid of one nonlinearity: the cached profile arrays, the
+    kernel of the classification, and what a solver derives from them
+    alone, each computed on first use and kept for every later solve."""
+
     nl: object
     cls: object
+    ks: KernelSet
     grid: Grid
     phi: np.ndarray
     dphi: np.ndarray
@@ -110,12 +117,25 @@ class ProfileContext:
     L2: np.ndarray
     deficit_fpF: np.ndarray  # f'F - q_f at phi
     deficit_fF: np.ndarray  # fF/phi - 1/(p_f-1) at phi
-    # what a solver derives from the context alone, computed once
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def rho(self):
         return self.grid.rho
+
+    @cached_property
+    def weighted_norm_terms(self):
+        """(Q(rho, rho0), int_{rho0}^{rho} Q |I|): the weighted norm's
+        denominator is delta times the first plus the second."""
+        return (super_kernel(self.cls, self.rho - self.grid.rho0, 0.0),
+                convolve_Q_cumulative(self.ks, self.rho, np.abs(self.I)))
+
+    @cached_property
+    def case_tag(self):
+        """case_classify's tag, or "?" when the grid is too short to tell."""
+        try:
+            return case_classify(self)[0]
+        except InconclusiveError:
+            return "?"
 
 
 def tilde_u(nl, cls, r):
@@ -153,7 +173,41 @@ def build_context(nl, cls, rho0, rho_max, M):
     L1 = b * (d1 - d2) + I
     L2 = 4.0 * d2
     dphi = 2.0 * phi * fF_over_phi
-    return ProfileContext(nl, cls, grid, phi, dphi, sigma, I, L1, L2, d1, d2)
+    return ProfileContext(nl, cls, KernelSet(cls), grid, phi, dphi, sigma, I,
+                          L1, L2, d1, d2)
+
+
+def case_classify(ctx):
+    """Tag A when J(rho) = int e^{Lambda tau}|I| has geometrically decaying
+    per-width increments over the last three dyadic windows, else B.
+    """
+    rho = ctx.rho
+    rho0 = rho[0]
+    span = rho[-1] - rho0
+    h = ctx.grid.h
+    weight = np.exp(ctx.cls.Lambda * (rho - rho0)) * np.abs(ctx.I)
+    pieces = 0.5 * (weight[1:] + weight[:-1]) * h
+    J_total = float(np.sum(pieces))
+    bounds = [rho0 + w * span for w in (0.5, 0.75, 0.875, 1.0)]
+    idx = [min(int(np.searchsorted(rho, bv)), len(rho) - 1) for bv in bounds]
+    if idx[3] - idx[2] < 4:
+        raise InconclusiveError("grid too short for three dyadic windows")
+    # window increments summed directly (a converged J would cancel to
+    # rounding noise if differenced), normalized by window width
+    incs = []
+    for a, b in zip(idx[:-1], idx[1:]):
+        width = rho[b] - rho[a]
+        incs.append(float(np.sum(pieces[a:b])) / width)
+    trace = {"J_total": J_total, "window_increments": incs}
+    if J_total < 1e-280 or all(inc * span <= 1e-12 * J_total
+                               for inc in incs):
+        # the integral has already converged on this grid
+        return "A", trace
+    r1 = incs[1] / incs[0] if incs[0] > 0.0 else math.inf
+    r2 = incs[2] / incs[1] if incs[1] > 0.0 else math.inf
+    tag = "A" if (r1 <= 0.5 and r2 <= 0.5) else "B"
+    trace["ratios"] = [r1, r2]
+    return tag, trace
 
 
 def check_domain(ctx, nodes, eta):
@@ -247,22 +301,21 @@ class SolutionProfile:
     rtheta_prime: np.ndarray
     u: np.ndarray
     u_prime: np.ndarray
-    residual: np.ndarray = field(default=None)
+    residual: np.ndarray
 
 
-def radial_residual_grid(prof):
-    """Nodewise relative residual |-u'' - (N-1)/r u' - f(u)| / f(u).
+def radial_residual_grid(ctx, r, u, u_prime):
+    """Nodewise relative residual |-u'' - (N-1)/r u' - f(u)| / f(u) of the
+    radial profile (r, u, u') on the grid of ctx.
 
     Interior nodes use the 5-point second difference in rho; the two nodes
     at each end copy the nearest interior value.
     """
-    ctx = prof.ctx
     rho = ctx.rho
     h = ctx.grid.h
     N = ctx.cls.N
-    u = prof.u
     # analytic u_rho = phi'(1+eta) + phi eta'  ==  -r u'(r)
-    u_rho = -prof.r * prof.u_prime
+    u_rho = -r * u_prime
     u_rhorho = np.empty_like(u)
     u_rhorho[2:-2] = (
         -u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2] + 16.0 * u[1:-3] - u[:-4]
@@ -287,13 +340,12 @@ def to_radial(ctx, eta, deta):
     """
     eta = np.asarray(eta, dtype=float)
     deta = np.asarray(deta, dtype=float)
-    rho = ctx.rho
-    r = np.exp(-rho)
+    r = np.exp(-ctx.rho)
     phi = ctx.phi
     u = phi * (1.0 + eta)
     # u'(r) = -e^rho (phi'(1+eta) + phi eta')
     u_prime = -(ctx.dphi * (1.0 + eta) + phi * deta) / r
-    prof = SolutionProfile(
+    return SolutionProfile(
         ctx=ctx,
         r=r,
         tilde_u=phi.copy(),
@@ -301,7 +353,5 @@ def to_radial(ctx, eta, deta):
         rtheta_prime=-deta,
         u=u,
         u_prime=u_prime,
+        residual=radial_residual_grid(ctx, r, u, u_prime),
     )
-    res = radial_residual_grid(prof)
-    object.__setattr__(prof, "residual", res)
-    return prof

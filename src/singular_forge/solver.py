@@ -43,19 +43,11 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
-    InconclusiveError,
     IterateOutOfDomainError,
     NoContractionError,
     SingularForgeError,
 )
-from .kernels import (
-    KernelSet,
-    convolve_cumulative,
-    convolve_Q_cumulative,
-    homogeneous_pair,
-    solve_linear_volterra,
-    super_kernel,
-)
+from .kernels import convolve_cumulative, homogeneous_pair, solve_linear_volterra
 from .profile import (
     build_context,
     check_domain,
@@ -89,7 +81,7 @@ class RemainderSolution:
     newton_steps: int = 0
 
 
-def apply_T(ctx, ks, alpha, beta, eta, deta, *, homogeneous=None):
+def apply_T(ctx, alpha, beta, eta, deta, *, homogeneous=None):
     """One application of the fixed-point map; returns (T eta, (T eta)').
 
     ``homogeneous`` is the pair (Phi, Phi') for (alpha, beta) on this grid,
@@ -105,7 +97,7 @@ def apply_T(ctx, ks, alpha, beta, eta, deta, *, homogeneous=None):
         g = g + nonlinear_term(ctx, eta)
     except DomainError as exc:
         raise IterateOutOfDomainError(str(exc)) from exc
-    ik, idk = convolve_cumulative(ks, ctx.rho, g)
+    ik, idk = convolve_cumulative(ctx.ks, ctx.rho, g)
     if homogeneous is None:
         delta_rho = ctx.rho - ctx.grid.rho0
         homogeneous = homogeneous_pair(ctx.cls, delta_rho, alpha, beta)
@@ -117,7 +109,7 @@ def _sup_change(e1, d1, e0, d0):
     return float(np.max(np.abs(e1 - e0)) + np.max(np.abs(d1 - d0)))
 
 
-def _newton_phase(ctx, ks, homogeneous, eta, deta, tol):
+def _newton_phase(ctx, homogeneous, eta, deta, tol):
     """Newton steps on the discrete equation from the T iterate (eta, eta').
 
     Each step solves eta = Phi - K*(c + (L1 + N'[eta_k]) eta + L2 eta'),
@@ -135,7 +127,7 @@ def _newton_phase(ctx, ks, homogeneous, eta, deta, tol):
             return None, step - 1
         c, p = ctx.I + (n - dn * eta), ctx.L1 + dn
         new_eta, new_deta = solve_linear_volterra(
-            ks, ctx.rho, homogeneous, c, p, ctx.L2)
+            ctx.ks, ctx.rho, homogeneous, c, p, ctx.L2)
         change = _sup_change(new_eta, new_deta, eta, deta)
         if not change < prev:
             return None, step
@@ -151,7 +143,7 @@ def _newton_phase(ctx, ks, homogeneous, eta, deta, tol):
     return None, _NEWTON_MAX
 
 
-def picard_solve(ctx, ks, alpha, beta, tol=1e-10, max_iter=200, *,
+def picard_solve(ctx, alpha, beta, tol=1e-10, max_iter=200, *,
                  _newton=True):
     """Iterate eta_{k+1} = T[eta_k] from eta_0 = Phi until the sup change of
     (eta, eta') drops below tol, finishing a slowly contracting solve by
@@ -180,7 +172,7 @@ def picard_solve(ctx, ks, alpha, beta, tol=1e-10, max_iter=200, *,
     for it in range(1, max_iter + 1):
         try:
             new_eta, new_deta = apply_T(
-                ctx, ks, alpha, beta, eta, deta, homogeneous=homogeneous)
+                ctx, alpha, beta, eta, deta, homogeneous=homogeneous)
         except IterateOutOfDomainError as exc:
             sol.eta, sol.deta, sol.iterations = eta, deta, it
             sol.ratios = ratios
@@ -218,7 +210,7 @@ def picard_solve(ctx, ks, alpha, beta, tol=1e-10, max_iter=200, *,
                 and _SWITCH_RATIO < ratios[-1] < 1.0:
             _newton = False  # one Newton phase per solve
             found, sol.newton_steps = _newton_phase(
-                ctx, ks, homogeneous, eta, deta, tol)
+                ctx, homogeneous, eta, deta, tol)
             if found is not None:
                 # the next T step certifies; its change has no T predecessor
                 eta, deta = found
@@ -234,82 +226,24 @@ def picard_solve(ctx, ks, alpha, beta, tol=1e-10, max_iter=200, *,
 
     # reported contraction ratio: worst ratio once the transient has passed
     # and while changes are still meaningfully above the noise floor
-    meaningful = [
-        r for i, r in enumerate(ratios) if i >= 2 and r > 0.0
-    ]
+    meaningful = [r for r in ratios[2:] if r > 0.0]
     if meaningful:
         sol.contraction_ratio = max(meaningful)
     elif ratios:
         sol.contraction_ratio = max(ratios)
-    sol.weighted_norm_value = weighted_norm(sol, ctx, ks, delta)
-    sol.case_tag = _once(ctx, "case_tag", lambda: _case_tag(ctx))
+    sol.weighted_norm_value = weighted_norm(sol, ctx)
+    sol.case_tag = ctx.case_tag
     return sol
 
 
-def _once(ctx, key, compute):
-    """compute() the first time a context asks for key, its value after:
-    for what depends on the context alone (ks is always KernelSet(ctx.cls))."""
-    if key not in ctx.memo:
-        ctx.memo[key] = compute()
-    return ctx.memo[key]
-
-
-def _case_tag(ctx):
-    try:
-        return case_classify(ctx, ctx.cls.Lambda)[0]
-    except InconclusiveError:
-        return "?"
-
-
-def weighted_norm(sol, ctx, ks, delta):
-    """sup over nodes of (|eta|+|eta'|) / (delta Q(rho,rho0) + int Q |I|)."""
-    if delta <= 0.0:
+def weighted_norm(sol, ctx):
+    """sup over nodes of (|eta|+|eta'|) / (delta Q(rho,rho0) + int Q |I|),
+    delta = sol.delta."""
+    if sol.delta <= 0.0:
         raise ValueError("delta must be positive")
-    q0, qint = _once(ctx, "weighted_norm", lambda: (
-        super_kernel(ctx.cls, ctx.rho - ctx.grid.rho0, 0.0),
-        convolve_Q_cumulative(ks, ctx.rho, np.abs(ctx.I)),
-    ))
-    denom = delta * q0 + qint
+    q0, qint = ctx.weighted_norm_terms
+    denom = sol.delta * q0 + qint
     return float(np.max((np.abs(sol.eta) + np.abs(sol.deta)) / denom))
-
-
-def case_classify(ctx, Lambda):
-    """Tag A when J(rho) = int e^{Lambda tau}|I| has geometrically decaying
-    per-width increments over the last three dyadic windows, else B.
-    """
-    rho = ctx.rho
-    rho0 = rho[0]
-    span = rho[-1] - rho0
-    h = ctx.grid.h
-    weight = np.exp(Lambda * (rho - rho0)) * np.abs(ctx.I)
-    pieces = 0.5 * (weight[1:] + weight[:-1]) * h
-    J_total = float(np.sum(pieces))
-    bounds = [
-        rho0 + 0.5 * span,
-        rho0 + 0.75 * span,
-        rho0 + 0.875 * span,
-        rho0 + span,
-    ]
-    idx = [min(int(np.searchsorted(rho, bv)), len(rho) - 1) for bv in bounds]
-    if idx[3] - idx[2] < 4:
-        raise InconclusiveError("grid too short for three dyadic windows")
-    # window increments summed directly (a converged J would cancel to
-    # rounding noise if differenced), normalized by window width
-    incs = []
-    for a, b in zip(idx[:-1], idx[1:]):
-        width = rho[b] - rho[a]
-        incs.append(float(np.sum(pieces[a:b])) / width)
-    trace = {"J_total": J_total, "window_increments": incs}
-    if J_total < 1e-280 or all(
-        inc * span <= 1e-12 * J_total for inc in incs
-    ):
-        # the integral has already converged on this grid
-        return "A", trace
-    r1 = incs[1] / incs[0] if incs[0] > 0.0 else math.inf
-    r2 = incs[2] / incs[1] if incs[1] > 0.0 else math.inf
-    tag = "A" if (r1 <= 0.5 and r2 <= 0.5) else "B"
-    trace["ratios"] = [r1, r2]
-    return tag, trace
 
 
 def select_rho0(nl, cls, alpha, beta, rho0_initial):
@@ -326,9 +260,8 @@ def select_rho0(nl, cls, alpha, beta, rho0_initial):
         except SingularForgeError as exc:  # e.g. GridError near s_min
             last_err = exc
             continue
-        ks = KernelSet(cls)
         try:
-            picard_solve(ctx, ks, alpha, beta, tol=1e-10, max_iter=10,
+            picard_solve(ctx, alpha, beta, tol=1e-10, max_iter=10,
                          _newton=False)
             return rho0
         except IterateOutOfDomainError as exc:
@@ -355,7 +288,7 @@ class SweepResult:
     sup_separations: dict = field(default_factory=dict)
 
 
-def sweep(ctx, ks, pairs, tol=1e-10, max_iter=200):
+def sweep(ctx, pairs, tol=1e-10, max_iter=200):
     """Run picard_solve for each (alpha, beta) pair; failures are collected,
     not raised.  Results are keyed by pair.
     """
@@ -363,7 +296,7 @@ def sweep(ctx, ks, pairs, tol=1e-10, max_iter=200):
     for pair in pairs:
         try:
             solutions[pair] = picard_solve(
-                ctx, ks, *pair, tol=tol, max_iter=max_iter
+                ctx, *pair, tol=tol, max_iter=max_iter
             )
         except (SingularForgeError, ValueError) as exc:
             failures[pair] = str(exc)

@@ -14,16 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classification import REGIME_COMPLEX, classify
+from .classification import REGIME_COMPLEX, REGIME_DOUBLE, classify
 from .errors import ConfigError, FitError, SingularForgeError
-from .kernels import KernelSet
 from .nonlinearity import PowerSum, PowerSumLog
-from .profile import (
-    build_context,
-    nonlinear_term,
-    nonlinear_term_at,
-    radial_residual_grid,
-)
+from .profile import build_context, nonlinear_term, nonlinear_term_at
 from .solver import picard_solve, select_rho0
 
 # a fitted decay rate within this fraction of the predicted one matches it
@@ -33,10 +27,7 @@ _RATE_TOLERANCE = 0.10
 def ode_residual_radial(prof):
     """Max relative radial residual over interior nodes, for the
     nonlinearity of the profile's context."""
-    res = prof.residual
-    if res is None:
-        res = radial_residual_grid(prof)
-    return float(np.max(res[2:-2]))
+    return float(np.max(prof.residual[2:-2]))
 
 
 def ode_residual_eta(sol, ctx):
@@ -68,13 +59,13 @@ def _window_max(values, rho, lo, hi):
     return float(np.max(np.abs(values[mask])))
 
 
-def limit_diagnostics(nl, cls, ctx):
+def limit_diagnostics(ctx):
     """Tail behavior of the classification limits on the context grid.
 
     Returns per-quantity window maxima over the last three dyadic windows
     and flags whether each decreases monotonically (the zero case of the
     pure power passes trivially).  The deficits are the ones build_context
-    evaluated for ctx, so nl is the context's nonlinearity.
+    evaluated for ctx.
     """
     rho = ctx.rho
     rho0, span = rho[0], rho[-1] - rho[0]
@@ -85,11 +76,8 @@ def limit_diagnostics(nl, cls, ctx):
         "I": ctx.I,
         "dI_drho": dI,
     }
-    bounds = [
-        (rho0 + 0.5 * span, rho0 + 0.75 * span),
-        (rho0 + 0.75 * span, rho0 + 0.875 * span),
-        (rho0 + 0.875 * span, rho0 + span),
-    ]
+    edges = [rho0 + w * span for w in (0.5, 0.75, 0.875, 1.0)]
+    bounds = list(zip(edges[:-1], edges[1:]))
     out = {}
     for name, vals in quantities.items():
         wins = [_window_max(vals, rho, lo, hi) for lo, hi in bounds]
@@ -101,7 +89,7 @@ def limit_diagnostics(nl, cls, ctx):
     # tail values (last 10% of the grid)
     tail = rho >= rho[-1] - 0.1 * span
     out["tail_phi_ratio_deficit"] = float(
-        np.max(np.abs(ctx.dphi[tail] / ctx.phi[tail] - cls.m))
+        np.max(np.abs(ctx.dphi[tail] / ctx.phi[tail] - ctx.cls.m))
     )
     return out
 
@@ -207,7 +195,7 @@ def predicted_decay(cls, p, r, log_exp=0.0):
     """(lambda, log-power) upper-bound prediction for a sum-type family,
     using the corrected threshold r*."""
     rstar = cls.r_star(p)
-    double = cls.regime.kind == "double_root"
+    double = cls.regime.kind == REGIME_DOUBLE
     lam_slow = cls.Lambda
     forced_rate = 2.0 * (p - r) / (p - 1.0)
     if abs(r - rstar) < 1e-9:
@@ -299,7 +287,7 @@ def grid_span(nl, cls):
     e-foldings of the rate (predicted_decay's for the sum families, Lambda
     otherwise) to separate it from the log-power."""
     reg = cls.regime
-    if reg.kind == "double_root":
+    if reg.kind == REGIME_DOUBLE:
         floor = 28.0
     elif reg.kind == REGIME_COMPLEX:
         floor = max(55.0, 22.0 * math.pi / reg.k)
@@ -322,23 +310,22 @@ def resolve_grid(nl, cls, alpha, beta, rho0, rho_max=None, auto_rho0=True):
     return rho0, rho_max
 
 
-def run_cell(nl, cls, M=4096):
-    """Full pipeline for one table cell: choose the grid (select_rho0 from
-    rho0 = 3), solve for (alpha, beta) = (1e-3, 2e-3) to the default
-    tolerance, fit."""
-    alpha, beta = 1e-3, 2e-3
-    rho0, rho_max = resolve_grid(nl, cls, alpha, beta, 3.0)
+def run_cell(nl, cls, alpha=1e-3, beta=2e-3, rho0=3.0, rho_max=None, *,
+             auto_rho0=True, M=4096, tol=1e-10, max_iter=200):
+    """(ctx, sol) of one run: the grid from resolve_grid, its context of M
+    nodes, and picard_solve for (alpha, beta) at tol and max_iter.  The
+    defaults are a table cell's."""
+    rho0, rho_max = resolve_grid(nl, cls, alpha, beta, rho0, rho_max,
+                                 auto_rho0)
     ctx = build_context(nl, cls, rho0, rho_max, M)
-    ks = KernelSet(cls)
-    sol = picard_solve(ctx, ks, alpha, beta)
-    fit = decay_fit(sol, ctx)
-    return ctx, sol, fit
+    return ctx, picard_solve(ctx, alpha, beta, tol=tol, max_iter=max_iter)
 
 
 def table_report(N, cells, family="power_sum", log_exp=0.0, M=4096,
-                 keep_solutions=False):
+                 tol=1e-10, max_iter=200, keep_solutions=False):
     """Reproduce decay-rate table cells: for each (p, r) run the pipeline
-    and compare the fitted exponent with the corrected-threshold prediction.
+    from run_cell's defaults, solving to tol within max_iter, and compare
+    the fitted exponent with the corrected-threshold prediction.
 
     Returns a list of per-cell dicts; per-cell failures are recorded, not
     raised.  Also evaluates which r* candidate the measured rate supports.
@@ -364,7 +351,8 @@ def table_report(N, cells, family="power_sum", log_exp=0.0, M=4096,
             lam_pred, w_pred = predicted_decay(
                 cls, p, r, log_exp if family == "power_sum_log" else 0.0
             )
-            ctx, sol, fit = run_cell(nl, cls, M=M)
+            ctx, sol = run_cell(nl, cls, M=M, tol=tol, max_iter=max_iter)
+            fit = decay_fit(sol, ctx)
             rstar = cls.r_star(p)
             rstar_lit = cls.r_star_literal(p)
             # prediction that the literal threshold would have made

@@ -42,7 +42,7 @@ def test_criterion_1_pure_power_exactness():
     nl = PurePower(2.0)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 20.0, 4096)
-    sol = picard_solve(ctx, KernelSet(cls), 0.0, 0.0)
+    sol = picard_solve(ctx, 0.0, 0.0)
     prof = to_radial(ctx, sol.eta, sol.deta)
     res = ode_residual_radial(prof)
     u_err = float(np.max(np.abs(prof.u * prof.r ** 2 / 2.0 - 1.0)))
@@ -62,7 +62,7 @@ def test_criterion_2_boundary_data_exact():
     ]:
         cls = classify(nl, 5)
         ctx = build_context(nl, cls, 3.0, 33.0, 1025)
-        sol = picard_solve(ctx, KernelSet(cls), a, b)
+        sol = picard_solve(ctx, a, b)
         checks.append(sol.eta[0] == a and sol.deta[0] == b)
     _report(2, all(checks),
             f"eta(rho0) == alpha and eta'(rho0) == beta bitwise in "
@@ -74,7 +74,7 @@ def test_criterion_3_contraction():
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 43.0, 4096)
-    sol = picard_solve(ctx, KernelSet(cls), 1e-3, 1e-3, tol=1e-10)
+    sol = picard_solve(ctx, 1e-3, 1e-3, tol=1e-10)
     elapsed = time.perf_counter() - t0
     late_ratios = sol.ratios[2:] or sol.ratios
     ok = (
@@ -93,11 +93,10 @@ def test_criterion_3_contraction():
 def test_criterion_4_eta_residual_and_rate():
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
-    ks = KernelSet(cls)
     res = {}
     for M in (4096, 8191):  # M-1 doubles, so h exactly halves
         ctx = build_context(nl, cls, 3.0, 43.0, M)
-        sol = picard_solve(ctx, ks, 1e-3, 1e-3)
+        sol = picard_solve(ctx, 1e-3, 1e-3)
         res[M] = ode_residual_eta(sol, ctx)
     ratio = res[4096] / res[8191]
     ok = res[4096] <= 1e-5 and 3.4 <= ratio <= 4.6
@@ -230,7 +229,7 @@ def test_criterion_9_multiplicity_sweep():
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 43.0, 4096)
     pairs = [(1e-4 * (i + 1), 1e-4 * (10 - i)) for i in range(10)]
-    result = sweep(ctx, KernelSet(cls), pairs)
+    result = sweep(ctx, pairs)
     elapsed = time.perf_counter() - t0
     distinct = True
     for i, p1 in enumerate(pairs):
@@ -259,7 +258,7 @@ def test_criterion_10_limit_diagnostics():
     for nl, rho0, rho_max, M in DIAG_GRIDS:
         cls = classify(nl, 5)
         ctx = build_context(nl, cls, rho0, rho_max, M)
-        diag = limit_diagnostics(nl, cls, ctx)
+        diag = limit_diagnostics(ctx)
         keys = ("fpF_minus_qf", "fF_over_phi_minus_m", "I", "dI_drho")
         ok = all(diag[k]["monotone_decrease"] for k in keys)
         ok_all = ok_all and ok

@@ -20,6 +20,7 @@ from singular_forge.cli import (
 )
 from singular_forge.errors import ConfigError
 from singular_forge.profile import to_radial
+from singular_forge.verify import run_cell
 
 
 def _cfg(argv):
@@ -151,7 +152,10 @@ def test_profile_csv_cells_parse_back_bitwise(tmp_path, family):
             "--out", str(tmp_path)]
     assert main(args) == 0
     cfg = _cfg(args)
-    ctx, sol = cli._solve_from_config(cfg, *cli._classification_payload(cfg))
+    ctx, sol = run_cell(*cli._classification_payload(cfg), cfg.alpha,
+                        cfg.beta, cfg.rho0, cfg.rho_max,
+                        auto_rho0=cfg.auto_rho0, M=cfg.M, tol=cfg.tol,
+                        max_iter=cfg.max_iter)
     prof = to_radial(ctx, sol.eta, sol.deta)
     expected = np.column_stack([
         ctx.rho, prof.r, ctx.phi, ctx.I, sol.eta, sol.deta, prof.theta,
@@ -215,6 +219,28 @@ def test_tables_single_cell(tmp_path):
     data = json.loads((tmp_path / "tables.json").read_text())
     cell = data["cells"][0]
     assert cell["within_tolerance"]
+
+
+def test_tables_honours_max_iter(tmp_path):
+    # one iteration cannot converge: a per-cell ConvergenceError, exit 2
+    code = main(["tables", "--N", "5", "--cells", "2:1", "--M", "513",
+                 "--max-iter", "1", "--out", str(tmp_path)])
+    assert code == 2
+    data = json.loads((tmp_path / "tables.json").read_text())
+    assert data["config"]["max_iter"] == 1
+    assert data["cells"][0]["error"].startswith("ConvergenceError: ")
+
+
+def test_tables_honours_tol(tmp_path):
+    args = ["tables", "--N", "5", "--cells", "2:1", "--M", "513",
+            "--format", "json"]
+    iterations = []
+    for i, tol in enumerate(("1e-10", "1e-3")):
+        out = tmp_path / str(i)
+        assert main(args + ["--tol", tol, "--out", str(out)]) == 0
+        cell = json.loads((out / "tables.json").read_text())["cells"][0]
+        iterations.append(cell["iterations"])
+    assert iterations[1] < iterations[0]
 
 
 def test_default_cells_cover_acceptance_table():
@@ -295,6 +321,18 @@ def test_readme_construct_example_fits_half(tmp_path):
     fit = json.loads((tmp_path / "summary.json").read_text())["fit"]
     assert "error" not in fit
     assert abs(fit["lambda"] - 0.5) <= 0.05
+
+
+def test_readme_library_sketch_runs():
+    # exec the README's Library sketch as written and check its comments
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1]
+    code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["ctx"].grid.rho_max == 58.0
+    assert namespace["sol"].converged
+    assert abs(namespace["fit"].lambda_fit - 0.5) <= 0.005
 
 
 def test_write_profile_csv_golden_bytes(tmp_path):

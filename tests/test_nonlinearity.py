@@ -3,6 +3,8 @@ import functools
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from singular_forge import (
@@ -32,6 +34,57 @@ ALL_FAMILIES = [
     PowerExpLog(2.0, 0.5),
     PowerSumLog(2.0, 1.0, 1.0),
 ]
+
+
+_P = st.floats(1.05, 6.0)
+# (constructor, strategy of its arguments) for every built-in family, the
+# arguments drawn within the constructor's hypotheses
+_FAMILY_ARGS = {
+    "power": (PurePower, st.tuples(_P)),
+    "power_sum": (PowerSum, st.tuples(_P, st.floats(0.02, 0.98)).map(
+        lambda pt: (pt[0], pt[0] * pt[1]))),
+    "power_log": (PowerLog, st.tuples(_P, st.floats(-3.0, 3.0))),
+    "power_exp_log": (PowerExpLog, st.tuples(_P, st.floats(0.05, 0.95))),
+    "power_sum_log": (PowerSumLog, st.tuples(
+        _P, st.floats(0.02, 0.98), st.floats(-3.0, 3.0)).map(
+        lambda ptb: (ptb[0], ptb[0] * ptb[1], ptb[2]))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_ARGS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_F_inv_round_trip_property(family, data, seed):
+    # F(F_inv(F(s))) matches F(s) to _invert_F's own stop test, 1e-13
+    # relative, on the whole batch; s itself is not compared, since for
+    # power_sum with r < 1 F flattens as s -> 0 and s is ill-conditioned
+    make, args = _FAMILY_ARGS[family]
+    try:
+        nl = make(*data.draw(args))
+    except (ValueError, DomainError):
+        assume(False)
+    lo = max(1.01 * nl.s_min, 1e-6)
+    rng = np.random.default_rng(seed)
+    s = np.exp(rng.uniform(np.log(lo), np.log(1e12), 64))
+    sigma = np.asarray(nl.F(s), dtype=float)
+    back = np.asarray(nl.F(nl.F_inv(sigma)), dtype=float)
+    assert np.all(np.abs(back - sigma) <= 1e-13 * sigma)
+
+
+@pytest.mark.parametrize("nl, s", [
+    # the pure-power seed lies near 1e154, where F underflows
+    (PowerExpLog(1.0625, 0.875), 925830079104.6509),
+    # order 1 - r of Gamma(1 - r, x) near -1, just above s_min
+    (PowerLog(2.0, 2.00001), 2.1745888991396085),
+    # w(s) >> 1, where s^(1-p) (1/(p-1) - R1) cancels
+    (PowerSumLog(3.0530458555184232, 2.9811800324112365, 2.6212022585672576),
+     3011.4358132215284),
+])
+def test_F_inv_round_trip_at_former_failures(nl, s):
+    # each of these raised ConvergenceError after 100 F passes
+    sigma = np.asarray(nl.F(np.array([s])), dtype=float)
+    back = np.asarray(nl.F(nl.F_inv(sigma)), dtype=float)
+    assert np.all(np.abs(back - sigma) <= 1e-13 * sigma)
 
 
 def test_evaluate_pure_power():

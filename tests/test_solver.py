@@ -27,7 +27,7 @@ from singular_forge import (
     sweep,
     weighted_norm,
 )
-from singular_forge import solver
+from singular_forge import profile, solver
 from singular_forge.solver import RemainderSolution
 
 
@@ -39,14 +39,14 @@ def _setup(nl, N=5, rho0=3.0, span=20.0, M=513):
 
 def test_pure_power_trivial_fixed_point():
     cls, ctx, ks = _setup(PurePower(2.0))
-    sol = picard_solve(ctx, ks, 0.0, 0.0)
+    sol = picard_solve(ctx, 0.0, 0.0)
     assert sol.converged and sol.iterations == 1
     assert np.all(sol.eta == 0.0) and np.all(sol.deta == 0.0)
 
 
 def test_boundary_data_bitwise():
     cls, ctx, ks = _setup(PowerSum(2.0, 1.0))
-    sol = picard_solve(ctx, ks, 1e-3, 2e-3)
+    sol = picard_solve(ctx, 1e-3, 2e-3)
     assert sol.eta[0] == 1e-3
     assert sol.deta[0] == 2e-3
 
@@ -56,7 +56,7 @@ def test_apply_T_preserves_boundary_for_any_input():
     rng = np.random.default_rng(3)
     eta = 1e-3 * rng.standard_normal(ctx.grid.M)
     deta = 1e-3 * rng.standard_normal(ctx.grid.M)
-    Te, Td = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta)
+    Te, Td = apply_T(ctx, 5e-4, 8e-4, eta, deta)
     assert Te[0] == 5e-4 and Td[0] == 8e-4
 
 
@@ -70,7 +70,7 @@ def test_picard_computes_the_homogeneous_part_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(solver, "homogeneous_pair", counted)
-    sol = picard_solve(ctx, ks, 1e-3, 2e-3)
+    sol = picard_solve(ctx, 1e-3, 2e-3)
     assert sol.iterations > 1
     assert len(calls) == 1
 
@@ -81,15 +81,15 @@ def test_apply_T_with_given_homogeneous_part_is_bitwise_equal():
     eta = 1e-3 * rng.standard_normal(ctx.grid.M)
     deta = 1e-3 * rng.standard_normal(ctx.grid.M)
     pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 5e-4, 8e-4)
-    plain = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta)
-    given = apply_T(ctx, ks, 5e-4, 8e-4, eta, deta, homogeneous=pair)
+    plain = apply_T(ctx, 5e-4, 8e-4, eta, deta)
+    given = apply_T(ctx, 5e-4, 8e-4, eta, deta, homogeneous=pair)
     for a, b in zip(plain, given):
         assert a.tobytes() == b.tobytes()
 
 
 def test_power_sum_contraction_metadata():
     cls, ctx, ks = _setup(PowerSum(2.0, 1.0), span=40.0, M=2049)
-    sol = picard_solve(ctx, ks, 1e-3, 1e-3)
+    sol = picard_solve(ctx, 1e-3, 1e-3)
     assert sol.converged
     assert sol.iterations <= 60
     assert all(r < 0.9 for r in sol.ratios)
@@ -150,7 +150,7 @@ def test_select_rho0_slow_decay_needs_larger():
     assert r_slow >= r_fast
     # the returned rho0 admits a fully converged run
     ctx = build_context(nl_slow, cls_s, r_slow, r_slow + 40.0, 1025)
-    sol = picard_solve(ctx, KernelSet(cls_s), 1e-3, 1e-3)
+    sol = picard_solve(ctx, 1e-3, 1e-3)
     assert sol.converged
 
 
@@ -178,7 +178,7 @@ def test_picard_failure_carries_diagnostics():
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 23.0, 257)
     with pytest.raises(ConvergenceError) as err:
-        picard_solve(ctx, KernelSet(cls), 2.0, 2.0, max_iter=50)
+        picard_solve(ctx, 2.0, 2.0, max_iter=50)
     assert err.value.solution is not None
 
 
@@ -186,40 +186,39 @@ def test_weighted_norm_trivial_cases():
     cls, ctx, ks = _setup(PurePower(2.0))
     z = np.zeros(ctx.grid.M)
     sol = RemainderSolution(z, z, 0.0, 0.0, 1e-6)
-    assert weighted_norm(sol, ctx, ks, 1e-6) == 0.0
+    assert weighted_norm(sol, ctx) == 0.0
     # eta = delta Q(., rho0), eta' = 0, I = 0 -> norm exactly 1
     from singular_forge import super_kernel
 
     delta = 0.25
     eta = delta * np.asarray(super_kernel(cls, ctx.rho, ctx.rho[0]))
     sol = RemainderSolution(eta, z, 0.0, 0.0, delta)
-    assert_allclose(weighted_norm(sol, ctx, ks, delta), 1.0, rtol=1e-12)
+    assert_allclose(weighted_norm(sol, ctx), 1.0, rtol=1e-12)
 
 
 def test_case_classify_examples():
     nl = PurePower(2.0)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 43.0, 513)
-    assert case_classify(ctx, cls.Lambda)[0] == "A"
+    assert case_classify(ctx)[0] == "A"
 
     nl = PowerSum(2.0, 1.0)  # I ~ e^{-4 rho} (degenerate), Lambda = 1/2
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 43.0, 513)
-    assert case_classify(ctx, cls.Lambda)[0] == "A"
+    assert case_classify(ctx)[0] == "A"
 
     nl = PowerSum(2.0, 1.9)  # I ~ e^{-0.2 rho} slower than Lambda = 1/2
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 43.0, 513)
-    assert case_classify(ctx, cls.Lambda)[0] == "B"
+    assert case_classify(ctx)[0] == "B"
 
 
 def test_sweep_distinctness_and_failures():
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 33.0, 769)
-    ks = KernelSet(cls)
     pairs = [(1e-4 * (i + 1), 1e-4 * (10 - i)) for i in range(10)]
-    result = sweep(ctx, ks, pairs)
+    result = sweep(ctx, pairs)
     assert len(result.solutions) == 10 and not result.failures
     for i, p1 in enumerate(pairs):
         for p2 in pairs[i + 1:]:
@@ -227,7 +226,7 @@ def test_sweep_distinctness_and_failures():
             assert abs(s1.eta[0] - s2.eta[0]) == abs(p1[0] - p2[0])
             assert abs(s1.deta[0] - s2.deta[0]) == abs(p1[1] - p2[1])
     # a hopeless pair is reported, not raised
-    result = sweep(ctx, ks, [(1e-4, 1e-4), (3.0, 3.0)])
+    result = sweep(ctx, [(1e-4, 1e-4), (3.0, 3.0)])
     assert len(result.solutions) == 1 and len(result.failures) == 1
     assert result.max_converged_size == 2e-4
 
@@ -235,7 +234,7 @@ def test_sweep_distinctness_and_failures():
 def test_alpha_beta_sign_rejected():
     cls, ctx, ks = _setup(PurePower(2.0))
     with pytest.raises(ValueError):
-        picard_solve(ctx, ks, -1e-3, 0.0)
+        picard_solve(ctx, -1e-3, 0.0)
 
 
 @pytest.mark.parametrize("bad_index", [1, 2])
@@ -245,18 +244,17 @@ def test_sweep_records_library_errors_per_pair(monkeypatch, error, bad_index):
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 23.0, 257)
-    ks = KernelSet(cls)
     pairs = [(1e-4, 2e-4), (5e-4, 1e-4), (2e-4, 2e-4)]
     bad = pairs[bad_index]
     real = solver.picard_solve
 
-    def picard_failing_on_bad(ctx, ks, alpha, beta, **kwargs):
+    def picard_failing_on_bad(ctx, alpha, beta, **kwargs):
         if (alpha, beta) == bad:
             raise error("failure in one pair")
-        return real(ctx, ks, alpha, beta, **kwargs)
+        return real(ctx, alpha, beta, **kwargs)
 
     monkeypatch.setattr(solver, "picard_solve", picard_failing_on_bad)
-    result = sweep(ctx, ks, pairs)
+    result = sweep(ctx, pairs)
     assert result.failures == {bad: "failure in one pair"}
     assert sorted(result.solutions) == sorted(p for p in pairs if p != bad)
     assert all(sol.converged for sol in result.solutions.values())
@@ -280,8 +278,8 @@ def test_newton_agrees_with_pure_picard(monkeypatch, name):
     if forced:
         monkeypatch.setattr(solver, "_SWITCH_RATIO", 0.0)
     cls, ctx, ks = _setup(nl, span=60.0, M=1025)
-    pure = picard_solve(ctx, ks, 3e-4, 5e-4, _newton=False)
-    sol = picard_solve(ctx, ks, 3e-4, 5e-4)
+    pure = picard_solve(ctx, 3e-4, 5e-4, _newton=False)
+    sol = picard_solve(ctx, 3e-4, 5e-4)
     assert sol.converged and sol.newton_steps > 0
     assert sol.iterations == solver._TRANSIENT + 2 < pure.iterations
     # ratios are those of the T steps before the switch
@@ -310,8 +308,8 @@ def test_march_is_the_fixed_point_of_linear_T(nl):
 
 def test_newton_is_deterministic():
     cls, ctx, ks = _setup(PowerExpLog(2.0, 0.5), span=60.0, M=257)
-    s1 = picard_solve(ctx, ks, 3e-4, 5e-4)
-    s2 = picard_solve(ctx, ks, 3e-4, 5e-4)
+    s1 = picard_solve(ctx, 3e-4, 5e-4)
+    s2 = picard_solve(ctx, 3e-4, 5e-4)
     assert s1.newton_steps > 0
     assert s1.eta.tobytes() == s2.eta.tobytes()
     assert s1.deta.tobytes() == s2.deta.tobytes()
@@ -323,7 +321,7 @@ def test_fast_contraction_stays_on_picard(monkeypatch):
     called = []
     monkeypatch.setattr(solver, "solve_linear_volterra",
                         lambda *a: called.append(a))
-    sol = picard_solve(ctx, ks, 3e-4, 5e-4)
+    sol = picard_solve(ctx, 3e-4, 5e-4)
     assert sol.converged and sol.newton_steps == 0 and not called
 
 
@@ -336,7 +334,7 @@ def _assert_bitwise_same_solve(a, b):
 
 def test_newton_failure_hands_back_to_picard(monkeypatch):
     cls, ctx, ks = _setup(PowerExpLog(2.0, 0.5), span=60.0, M=257)
-    pure = picard_solve(ctx, ks, 3e-4, 5e-4, _newton=False)
+    pure = picard_solve(ctx, 3e-4, 5e-4, _newton=False)
     real = solver.solve_linear_volterra
 
     def growing(*args):
@@ -347,14 +345,14 @@ def test_newton_failure_hands_back_to_picard(monkeypatch):
 
     growing.scale = 1.0
     monkeypatch.setattr(solver, "solve_linear_volterra", growing)
-    sol = picard_solve(ctx, ks, 3e-4, 5e-4)
+    sol = picard_solve(ctx, 3e-4, 5e-4)
     assert sol.newton_steps >= 2
     _assert_bitwise_same_solve(sol, pure)
 
 
 def test_newton_leaving_the_domain_hands_back_to_picard(monkeypatch):
     cls, ctx, ks = _setup(PowerExpLog(2.0, 0.5), span=60.0, M=257)
-    pure = picard_solve(ctx, ks, 3e-4, 5e-4, _newton=False)
+    pure = picard_solve(ctx, 3e-4, 5e-4, _newton=False)
     real = solver.solve_linear_volterra
 
     def outside(*args):
@@ -362,7 +360,7 @@ def test_newton_leaving_the_domain_hands_back_to_picard(monkeypatch):
         return np.full_like(eta, -2.0), deta  # phi(1 + eta) < 0
 
     monkeypatch.setattr(solver, "solve_linear_volterra", outside)
-    sol = picard_solve(ctx, ks, 3e-4, 5e-4)
+    sol = picard_solve(ctx, 3e-4, 5e-4)
     assert sol.newton_steps == 1
     _assert_bitwise_same_solve(sol, pure)
 
@@ -386,18 +384,18 @@ def test_sweep_computes_context_terms_once(monkeypatch):
     solo = {}
     for pair in pairs:
         ctx = build_context(nl, cls, 3.0, 33.0, 769)
-        solo[pair] = picard_solve(ctx, KernelSet(cls), *pair)
+        solo[pair] = picard_solve(ctx, *pair)
     counts = {}
     for name in ("super_kernel", "convolve_Q_cumulative", "case_classify"):
-        real = getattr(solver, name)
+        real = getattr(profile, name)
 
         def counted(*args, _real=real, _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _real(*args)
 
-        monkeypatch.setattr(solver, name, counted)
+        monkeypatch.setattr(profile, name, counted)
     ctx = build_context(nl, cls, 3.0, 33.0, 769)
-    result = sweep(ctx, KernelSet(cls), pairs)
+    result = sweep(ctx, pairs)
     assert counts == {"super_kernel": 1, "convolve_Q_cumulative": 1,
                       "case_classify": 1}
     for pair in pairs:

@@ -129,6 +129,16 @@ def test_upper_gamma_against_50_digit_reference(a):
         assert _max_rel_err(upper_gamma(a, GAMMA_X), ref) <= GAMMA_BOUND[a]
 
 
+@pytest.mark.parametrize("a", [1e-9, 1e-5, -1e-5, -1.00001, -2.0 + 1e-7])
+def test_upper_gamma_near_nonpositive_integer_orders(a):
+    # no division by an order near 0: a recursion through one lost up to
+    # nine digits here
+    x = np.logspace(-3, 0, 40)
+    with mp.workdps(50):
+        ref = [mp.gammainc(mp.mpf(a), mp.mpf(v)) for v in x]
+        assert _max_rel_err(upper_gamma(a, x), ref) <= 4e-15
+
+
 @pytest.mark.parametrize("a", [0.0, 0.5, 2.3, -1.3])
 def test_upper_gamma_cf_batch_matches_lone_points(a):
     # each point leaves the iteration when it converges, so x = 88 does not

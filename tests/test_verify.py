@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from singular_forge import (
     FitError,
-    KernelSet,
     PowerExpLog,
     PowerLog,
     PowerSum,
@@ -144,7 +143,7 @@ def test_limit_diagnostics_monotone_smoke():
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 2.0, 18.0, 1025)
-    diag = limit_diagnostics(nl, cls, ctx)
+    diag = limit_diagnostics(ctx)
     for key in ("fpF_minus_qf", "fF_over_phi_minus_m", "I", "dI_drho"):
         assert diag[key]["monotone_decrease"], key
     assert diag["tail_phi_ratio_deficit"] <= 1e-2
@@ -192,11 +191,10 @@ def test_predicted_decay_rows():
 def test_residual_eta_refinement_rate():
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
-    ks = KernelSet(cls)
     res = {}
     for M in (1024, 2047):
         ctx = build_context(nl, cls, 3.0, 23.0, M)
-        sol = picard_solve(ctx, ks, 1e-3, 1e-3)
+        sol = picard_solve(ctx, 1e-3, 1e-3)
         res[M] = ode_residual_eta(sol, ctx)
     assert 3.4 <= res[1024] / res[2047] <= 4.6
 
@@ -261,11 +259,10 @@ def test_radial_residual_refinement_on_fixed_point():
     # solver's O(h^2))
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
-    ks = KernelSet(cls)
     res = {}
     for M in (512, 1023, 2045):
         ctx = build_context(nl, cls, 2.0, 10.0, M)
-        sol = picard_solve(ctx, ks, 1e-3, 1e-3)
+        sol = picard_solve(ctx, 1e-3, 1e-3)
         prof = to_radial(ctx, sol.eta, sol.deta)
         res[M] = ode_residual_radial(prof)
     assert res[512] / res[1023] >= 3.4
@@ -286,6 +283,6 @@ def test_limit_diagnostics_reuses_the_context_deficits(monkeypatch):
 
     monkeypatch.setattr(nl, "deficit_fpF", no_pass)
     monkeypatch.setattr(nl, "deficit_fF", no_pass)
-    diag = limit_diagnostics(nl, cls, ctx)
+    diag = limit_diagnostics(ctx)
     assert diag["fpF_minus_qf"]["windows"][0] == float(
         np.max(np.abs(ctx.deficit_fpF[(ctx.rho >= 33.0) & (ctx.rho <= 48.0)])))
