@@ -65,7 +65,6 @@ from .solver import (
 )
 from .verify import (
     FitResult,
-    VerificationReport,
     appendix_check,
     decay_fit,
     grid_span,
@@ -74,6 +73,7 @@ from .verify import (
     ode_residual_eta,
     ode_residual_radial,
     predicted_decay,
+    rate_report,
     run_cell,
     table_report,
 )

@@ -31,6 +31,7 @@ from .errors import (
 from .profile import build_context, to_radial
 from .solver import sweep
 from .verify import (
+    RATE_FAMILIES,
     appendix_check,
     build_report,
     decay_fit,
@@ -38,7 +39,6 @@ from .verify import (
     lipschitz_check,
     ode_residual_eta,
     ode_residual_radial,
-    predicted_decay,
     resolve_grid,
     run_cell,
     table_report,
@@ -47,6 +47,11 @@ from .verify import (
 DEFAULT_CELLS = [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0), (2.0, 1.0), (2.0, 1.9)]
 DEFAULT_SIGMAS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 _FORMATS = ("csv", "json")
+# what tables does not read, by field and flag: every cell is solved at
+# (alpha, beta) = (1e-3, 2e-3) from rho0 = 3, with select_rho0 and the
+# default grid end
+_TABLE_FIXED = {"alpha": "--alpha", "beta": "--beta", "rho0": "--rho0",
+                "rho_max": "--rho-max", "auto_rho0": "--no-auto-rho0"}
 
 
 def _is_int(v):
@@ -255,17 +260,22 @@ def load_config(args):
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
+    if cfg.command == "tables":
+        _check_table_flags(args, cfg)
     p_list = _parse_floats(args.p, "p") if args.p is not None else None
     r_list = _parse_floats(args.r, "r") if args.r is not None else None
-    if cfg.command == "tables" and (p_list is not None and len(p_list) > 1
-                                    or r_list is not None and len(r_list) > 1):
+    if cfg.command == "tables" and (p_list is not None or r_list is not None):
         # cross product of exponent lists defines the cells
+        if p_list is None:
+            raise ConfigError("--r: tables needs --p beside it")
         cfg.cells = [
             (p, r)
-            for p in (p_list or [])
+            for p in p_list
             for r in (r_list if r_list is not None else [1.0])
             if 0.0 < r < p
         ]
+        if not cfg.cells:
+            raise ConfigError("--p/--r: no cell with 0 < r < p")
     else:
         if p_list is not None:
             if len(p_list) != 1:
@@ -284,6 +294,25 @@ def load_config(args):
     if args.formats is not None:
         cfg.formats = [f.strip() for f in args.formats.split(",") if f.strip()]
     return cfg.validate()
+
+
+def _check_table_flags(args, cfg):
+    """ConfigError naming the first tables flag that would go unread: one
+    of _TABLE_FIXED, or a family without a predicted decay rate, given by
+    --family or the config file (RunConfig's default "power" stands for
+    power_sum when neither sets one)."""
+    for key, flag in _TABLE_FIXED.items():
+        if getattr(args, key) is not None:
+            raise ConfigError(
+                f"{flag}: tables solves every cell at (alpha, beta) = "
+                "(1e-3, 2e-3) from rho0 = 3, with select_rho0 and the "
+                "default grid end")
+    names = [c.name for c in RATE_FAMILIES]
+    if cfg.family not in names and (args.family is not None
+                                    or cfg.family != "power"):
+        raise ConfigError(
+            f"--family: tables needs a family with a predicted decay rate, "
+            f"one of {names}")
 
 
 def _clean(obj):
@@ -310,16 +339,17 @@ _CSV_COLUMNS = ["rho", "r", "phi", "I", "eta", "eta_prime", "theta", "u",
 _CSV_BLOCK = 256
 
 
-def write_profile_csv(path, prof, ctx, eta, deta):
-    """Write one CSV row per grid node, each value exactly as
-    ``'%.17g' % v`` prints it.
+def write_profile_csv(path, prof):
+    """Write one CSV row per grid node of the profile, each value exactly as
+    ``'%.17g' % v`` prints it; eta is theta and eta' is -r theta'.
 
     ``_csvfmt.format_rows`` formats the rows a block at a time from slices
     of the columns, in numpy, so the whole table is never held as text at
     once.  Adding 0.0 folds -0.0 into 0.
     """
-    cols = [ctx.rho, prof.r, ctx.phi, ctx.I, eta, deta, prof.theta, prof.u,
-            prof.tilde_u, prof.residual]
+    ctx = prof.ctx
+    cols = [ctx.rho, prof.r, ctx.phi, ctx.I, prof.theta, -prof.rtheta_prime,
+            prof.theta, prof.u, prof.tilde_u, prof.residual]
     with open(path, "wb") as fh:
         fh.write((",".join(_CSV_COLUMNS) + "\n").encode("ascii"))
         for lo in range(0, len(ctx.rho), _CSV_BLOCK):
@@ -397,24 +427,19 @@ def cmd_construct(cfg, full_verify=False):
     if full_verify:
         summary["limit_diagnostics"] = limit_diagnostics(ctx)
         summary["lipschitz"] = lipschitz_check(ctx, samples=2000)
-        if cfg.family in ("power_sum", "power_sum_log") and "fit" in summary \
-                and "error" not in summary["fit"]:
-            lam_pred, w_pred = predicted_decay(
-                cls, cfg.p, cfg.r,
-                cfg.log_exp if cfg.family == "power_sum_log" else 0.0,
-            )
-            summary["prediction"] = {"lambda": lam_pred, "power": w_pred}
+        if "error" not in summary["fit"]:
             report = build_report(
-                cls, cfg.p, cfg.r, sol, fit,
+                nl, cls, sol, fit,
                 summary["residuals"]["radial_max_relative"],
                 summary["residuals"]["eta_equation_max"],
-                cfg.log_exp if cfg.family == "power_sum_log" else 0.0,
             )
-            summary["verification"] = report.as_dict()
+            if report is not None:
+                summary["prediction"] = {"lambda": report["lambda_pred"],
+                                         "power": report["power_pred"]}
+                summary["verification"] = report
     os.makedirs(cfg.out, exist_ok=True)
     if "csv" in cfg.formats:
-        write_profile_csv(os.path.join(cfg.out, "profile.csv"), prof, ctx,
-                          sol.eta, sol.deta)
+        write_profile_csv(os.path.join(cfg.out, "profile.csv"), prof)
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, "summary.json"), summary)
     print(json.dumps(_clean(summary["solver"]), sort_keys=True, indent=2))
@@ -461,11 +486,8 @@ def cmd_sweep(cfg):
         sol = result.solutions[pair]
         agg["solutions"][f"{pair[0]}:{pair[1]}"] = _solver_payload(sol)
         if "csv" in cfg.formats:
-            prof = to_radial(ctx, sol.eta, sol.deta)
-            write_profile_csv(
-                os.path.join(cfg.out, f"profile_{i:03d}.csv"),
-                prof, ctx, sol.eta, sol.deta,
-            )
+            write_profile_csv(os.path.join(cfg.out, f"profile_{i:03d}.csv"),
+                              to_radial(ctx, sol.eta, sol.deta))
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, "sweep.json"), agg)
     print(f"{len(result.solutions)}/{len(pairs)} pairs converged")
@@ -474,8 +496,8 @@ def cmd_sweep(cfg):
 
 def cmd_tables(cfg):
     cells = cfg.cells or DEFAULT_CELLS
-    family = cfg.family if cfg.family in ("power_sum", "power_sum_log") \
-        else "power_sum"
+    # without --family (RunConfig's "power") the table is the sum family's
+    family = "power_sum" if cfg.family == "power" else cfg.family
     dump_csv = "csv" in cfg.formats
     reports = table_report(
         cfg.N, cells, family=family,
@@ -489,12 +511,10 @@ def cmd_tables(cfg):
             if handle is None:
                 continue
             ctx, sol = handle
-            prof = to_radial(ctx, sol.eta, sol.deta)
-            write_profile_csv(
-                os.path.join(cfg.out, f"cell_{i:02d}_profile.csv"),
-                prof, ctx, sol.eta, sol.deta,
-            )
-    payload = {"config": cfg.as_dict(), "cells": reports}
+            path = os.path.join(cfg.out, f"cell_{i:02d}_profile.csv")
+            write_profile_csv(path, to_radial(ctx, sol.eta, sol.deta))
+    config = {k: v for k, v in cfg.as_dict().items() if k not in _TABLE_FIXED}
+    payload = {"config": config, "cells": reports}
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, "tables.json"), payload)
     for c in reports:

@@ -575,7 +575,9 @@ def _invert_F(nl, sigma):
     Each F pass narrows a per-node bracket, first (s_min, inf); a step out
     of it bisects geometrically in d, or moves 16x toward an open side, to
     sqrt(d) toward s_min when that is farther (a seed far above the root,
-    where F underflows, comes down in a few passes)."""
+    where F underflows, comes down in a few passes).  A node whose bracket
+    holds no float any more, where F's own rounding exceeds the stop test,
+    raises ConvergenceError at once with its residual."""
     sigma = _check_sigma(nl, sigma)
     scalar = sigma.ndim == 0
     sig = np.atleast_1d(sigma).astype(float)
@@ -597,6 +599,13 @@ def _invert_F(nl, sigma):
         above = g > 0.0  # F(x) too large -> root lies to the right
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
+        stuck = ~done & (np.nextafter(lo, hi) >= hi)
+        if np.any(stuck):
+            i = int(np.argmax(stuck))
+            raise ConvergenceError(
+                f"{nl.name}: F inverse bracket collapsed at "
+                f"s = {float(x[i])!r}, |F - sigma|/sigma = "
+                f"{abs(g[i]) / sig[i]:.3g} above 1e-13")
         d, dlo, dhi = x - smin, lo - smin, hi - smin
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             slope = np.asarray(nl.f(x)) * F / d

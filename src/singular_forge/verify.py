@@ -10,13 +10,13 @@ grid refinement shows the solver's own O(h^2) rate.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classification import REGIME_COMPLEX, REGIME_DOUBLE, classify
 from .errors import ConfigError, FitError, SingularForgeError
-from .nonlinearity import PowerSum, PowerSumLog
+from .nonlinearity import PowerSum, PowerSumLog, from_spec
 from .profile import build_context, nonlinear_term, nonlinear_term_at
 from .solver import picard_solve, select_rho0
 
@@ -191,9 +191,17 @@ def decay_fit(sol, ctx):
     )
 
 
-def predicted_decay(cls, p, r, log_exp=0.0):
+# the families predicted_decay predicts a rate for: s^p + s^r and
+# s^p + s^r (log s)^b
+RATE_FAMILIES = (PowerSum, PowerSumLog)
+
+
+def predicted_decay(nl, cls):
     """(lambda, log-power) upper-bound prediction for a sum-type family,
-    using the corrected threshold r*."""
+    using the corrected threshold r*; None for any other family."""
+    if not isinstance(nl, RATE_FAMILIES):
+        return None
+    p, r, log_exp = nl.p, nl.r, nl.log_exp or 0.0
     rstar = cls.r_star(p)
     double = cls.regime.kind == REGIME_DOUBLE
     lam_slow = cls.Lambda
@@ -205,79 +213,59 @@ def predicted_decay(cls, p, r, log_exp=0.0):
     return forced_rate, log_exp
 
 
-@dataclass
-class VerificationReport:
-    classification: dict
-    residual_radial: float
-    residual_eta: float
-    lambda_fit: float
-    lambda_stderr: float
-    power_fit: float
-    power_stderr: float
-    lambda_pred: float
-    power_pred: float
-    case_tag: str
-    r_star: float
-    r_star_literal: float
-    passes: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "classification": self.classification,
-            "residual_radial": self.residual_radial,
-            "residual_eta": self.residual_eta,
-            "lambda_fit": self.lambda_fit,
-            "lambda_stderr": self.lambda_stderr,
-            "power_fit": self.power_fit,
-            "power_stderr": self.power_stderr,
-            "lambda_pred": self.lambda_pred,
-            "power_pred": self.power_pred,
-            "case": self.case_tag,
-            "r_star": self.r_star,
-            "r_star_literal": self.r_star_literal,
-            "passes": self.passes,
-            "notes": self.notes,
-        }
+def rate_report(nl, cls, fit):
+    """The fitted decay rate against predicted_decay(nl, cls), as the fields
+    a tables cell and summary.json's verification block share; None when
+    the family has no prediction.  Beside the fit, the prediction and both
+    r* candidates it holds two flags for the caller to word:
+    "within_tolerance", the fit is within 10% of the prediction, and
+    "faster", the fit decays more than 10% faster, which the prediction,
+    an upper bound, allows."""
+    pred = predicted_decay(nl, cls)
+    if pred is None:
+        return None
+    lam_pred, w_pred = pred
+    return {
+        "lambda_fit": fit.lambda_fit,
+        "lambda_stderr": fit.stderr_lambda,
+        "power_fit": fit.power_fit,
+        "power_stderr": fit.stderr_power,
+        "lambda_pred": lam_pred,
+        "power_pred": w_pred,
+        "r_star": cls.r_star(nl.p),
+        "r_star_literal": cls.r_star_literal(nl.p),
+        "within_tolerance": bool(
+            abs(fit.lambda_fit - lam_pred) <= _RATE_TOLERANCE * lam_pred),
+        "faster": bool(fit.lambda_fit > lam_pred * (1.0 + _RATE_TOLERANCE)),
+    }
 
 
-def build_report(cls_obj, p, r, sol, fit, res_radial, res_eta, log_exp=0.0):
-    """Assemble a VerificationReport; the pass flags are recomputable pure
-    functions of the stored numbers and the stated tolerances."""
-    lam_pred, w_pred = predicted_decay(cls_obj, p, r, log_exp)
-    rep = VerificationReport(
-        classification=cls_obj.as_dict(),
+def build_report(nl, cls, sol, fit, res_radial, res_eta):
+    """summary.json's verification block: rate_report with its flags among
+    the pass flags and notes, the residuals and the classification; None
+    when the family has no prediction.  The pass flags are recomputable
+    pure functions of the stored numbers and the stated tolerances."""
+    rep = rate_report(nl, cls, fit)
+    if rep is None:
+        return None
+    within, faster = rep.pop("within_tolerance"), rep.pop("faster")
+    rep.update(
+        classification=cls.as_dict(),
         residual_radial=res_radial,
         residual_eta=res_eta,
-        lambda_fit=fit.lambda_fit,
-        lambda_stderr=fit.stderr_lambda,
-        power_fit=fit.power_fit,
-        power_stderr=fit.stderr_power,
-        lambda_pred=lam_pred,
-        power_pred=w_pred,
-        case_tag=sol.case_tag,
-        r_star=cls_obj.r_star(p),
-        r_star_literal=cls_obj.r_star_literal(p),
+        case=sol.case_tag,
+        passes={
+            "lambda_within_10pct": within,
+            "eta_residual_below_1e-5": bool(res_eta <= 1e-5),
+            "weighted_norm_at_most_2": bool(sol.weighted_norm_value <= 2.0),
+            "boundary_data_exact": bool(
+                sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta
+            ),
+        },
+        notes=(["consistent with bound (faster decay than predicted)"]
+               if faster else []),
     )
-    rep.passes = compute_passes(rep, sol)
-    if rep.lambda_fit > lam_pred * (1.0 + _RATE_TOLERANCE):
-        rep.notes.append("consistent with bound (faster decay than predicted)")
     return rep
-
-
-def compute_passes(rep, sol):
-    """Pass flags from the stored numbers at the standing tolerances."""
-    return {
-        "lambda_within_10pct": bool(
-            abs(rep.lambda_fit - rep.lambda_pred)
-            <= _RATE_TOLERANCE * rep.lambda_pred
-        ),
-        "eta_residual_below_1e-5": bool(rep.residual_eta <= 1e-5),
-        "weighted_norm_at_most_2": bool(sol.weighted_norm_value <= 2.0),
-        "boundary_data_exact": bool(
-            sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta
-        ),
-    }
 
 
 def grid_span(nl, cls):
@@ -293,10 +281,8 @@ def grid_span(nl, cls):
         floor = max(55.0, 22.0 * math.pi / reg.k)
     else:
         floor = 45.0
-    if isinstance(nl, (PowerSum, PowerSumLog)):
-        lam = predicted_decay(cls, nl.p, nl.r)[0]
-    else:
-        lam = cls.Lambda
+    pred = predicted_decay(nl, cls)
+    lam = cls.Lambda if pred is None else pred[0]
     return max(floor, 14.0 / lam)
 
 
@@ -323,12 +309,14 @@ def run_cell(nl, cls, alpha=1e-3, beta=2e-3, rho0=3.0, rho_max=None, *,
 
 def table_report(N, cells, family="power_sum", log_exp=0.0, M=4096,
                  tol=1e-10, max_iter=200, keep_solutions=False):
-    """Reproduce decay-rate table cells: for each (p, r) run the pipeline
-    from run_cell's defaults, solving to tol within max_iter, and compare
-    the fitted exponent with the corrected-threshold prediction.
+    """Reproduce decay-rate table cells: for each (p, r) build the family's
+    nonlinearity by from_spec, run the pipeline from run_cell's defaults,
+    solving to tol within max_iter, and compare the fitted exponent with
+    the corrected-threshold prediction by rate_report.
 
     Returns a list of per-cell dicts; per-cell failures are recorded, not
-    raised.  Also evaluates which r* candidate the measured rate supports.
+    raised, a family without a predicted rate among them.  Also evaluates
+    which r* candidate the measured rate supports.
     With keep_solutions the (ctx, sol) handles ride along under the
     non-serializable key "_solution" (for profile dumps).
     """
@@ -336,59 +324,41 @@ def table_report(N, cells, family="power_sum", log_exp=0.0, M=4096,
     for (p, r) in cells:
         cell = {"p": p, "r": r}
         try:
-            try:
-                if family == "power_sum":
-                    nl = PowerSum(p, r)
-                else:
-                    nl = PowerSumLog(p, r, log_exp)
-            except ValueError as exc:  # parameters outside the family
-                raise ConfigError(str(exc)) from exc
+            nl = from_spec({"family": family, "p": p, "r": r,
+                            "log_exp": log_exp})
             cls = classify(nl, N)
             if not cls.in_scope:
                 cell["error"] = f"out of scope: {cls.regime.reason}"
                 reports.append(cell)
                 continue
-            lam_pred, w_pred = predicted_decay(
-                cls, p, r, log_exp if family == "power_sum_log" else 0.0
-            )
+            if predicted_decay(nl, cls) is None:
+                raise ConfigError(
+                    f"family: {family!r} has no predicted decay rate")
             ctx, sol = run_cell(nl, cls, M=M, tol=tol, max_iter=max_iter)
             fit = decay_fit(sol, ctx)
-            rstar = cls.r_star(p)
-            rstar_lit = cls.r_star_literal(p)
-            # prediction that the literal threshold would have made
-            if r < rstar_lit:
-                lam_lit = cls.Lambda
-            else:
-                lam_lit = 2.0 * (p - r) / (p - 1.0)
-            err_corr = abs(fit.lambda_fit - lam_pred)
-            err_lit = abs(fit.lambda_fit - lam_lit)
-            degenerate = nl.degenerate_leading_term
+            rep = rate_report(nl, cls, fit)
+            # the rate the literal threshold would have predicted
+            lam_lit = (cls.Lambda if r < rep["r_star_literal"]
+                       else 2.0 * (p - r) / (p - 1.0))
+            corrected = (abs(fit.lambda_fit - rep["lambda_pred"])
+                         <= abs(fit.lambda_fit - lam_lit))
+            faster = rep.pop("faster")
             cell.update(
+                rep,
                 rho0=ctx.grid.rho0,
                 rho_max=ctx.grid.rho_max,
-                lambda_fit=fit.lambda_fit,
-                lambda_stderr=fit.stderr_lambda,
-                power_fit=fit.power_fit,
-                power_stderr=fit.stderr_power,
-                lambda_pred=lam_pred,
-                power_pred=w_pred,
                 lambda_pred_literal=lam_lit,
-                r_star=rstar,
-                r_star_literal=rstar_lit,
                 case=sol.case_tag,
                 iterations=sol.iterations,
                 weighted_norm=sol.weighted_norm_value,
-                within_tolerance=bool(err_corr <= _RATE_TOLERANCE * lam_pred),
-                supports="corrected" if err_corr <= err_lit else "literal",
-                degenerate_p_minus_r_1=bool(degenerate),
+                supports="corrected" if corrected else "literal",
+                degenerate_p_minus_r_1=nl.degenerate_leading_term,
+                label=("consistent with bound (faster decay)" if faster
+                       else "matches predicted rate"),
             )
-            if degenerate:
+            if nl.degenerate_leading_term:
                 # forcing decays at the k=2 series rate, twice the nominal one
                 cell["I_rate_annotation"] = 4.0 * (p - r) / (p - 1.0)
-            if fit.lambda_fit > lam_pred * (1.0 + _RATE_TOLERANCE):
-                cell["label"] = "consistent with bound (faster decay)"
-            else:
-                cell["label"] = "matches predicted rate"
             if keep_solutions:
                 cell["_solution"] = (ctx, sol)
         except SingularForgeError as exc:  # per-cell isolation

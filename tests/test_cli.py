@@ -243,6 +243,68 @@ def test_tables_honours_tol(tmp_path):
     assert iterations[1] < iterations[0]
 
 
+def test_tables_single_p_and_r_define_one_cell(tmp_path):
+    code = main(["tables", "--N", "5", "--p", "2", "--r", "1", "--M", "513",
+                 "--format", "json", "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "tables.json").read_text())
+    assert data["config"]["cells"] == [[2.0, 1.0]]
+    assert data["config"]["p"] is None and data["config"]["r"] is None
+    (cell,) = data["cells"]
+    assert (cell["p"], cell["r"]) == (2.0, 1.0)
+    # p - r = 1: the degenerate cell carries the forcing-rate annotation
+    assert set(cell) == {
+        "p", "r", "rho0", "rho_max", "lambda_fit", "lambda_stderr",
+        "power_fit", "power_stderr", "lambda_pred", "power_pred",
+        "lambda_pred_literal", "r_star", "r_star_literal", "case",
+        "iterations", "weighted_norm", "within_tolerance", "supports",
+        "degenerate_p_minus_r_1", "label", "I_rate_annotation",
+    }
+    assert cell["label"] == "matches predicted rate"
+    # the fields tables does not read are not recorded either
+    assert {"alpha", "beta", "rho0", "rho_max",
+            "auto_rho0"}.isdisjoint(data["config"])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1e-3"], ["--beta", "5e-3"], ["--rho0", "3"],
+    ["--rho-max", "60"], ["--no-auto-rho0"], ["--family", "power_log"],
+    ["--family", "power"],
+], ids="=".join)
+def test_tables_rejects_flags_it_does_not_read(tmp_path, capsys, flags):
+    code = main(["tables", "--N", "5", "--cells", "2:1", *flags,
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flags[0]}: ")
+    assert not (tmp_path / "tables.json").exists()
+
+
+def test_tables_replays_its_config_and_rejects_other_families(tmp_path):
+    args = ["tables", "--N", "5", "--cells", "2:1", "--M", "513",
+            "--format", "json"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    path = tmp_path / "a" / "tables.json"
+    assert main(["tables", "--config", str(path),
+                 "--out", str(tmp_path / "b")]) == 0
+    cells = [json.loads((tmp_path / d / "tables.json").read_text())["cells"]
+             for d in "ab"]
+    assert cells[0] == cells[1]
+    # a family from the config file must have a predicted rate too
+    data = json.loads(path.read_text())
+    data["config"]["family"] = "power_log"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="^--family: "):
+        _cfg(["tables", "--config", str(path)])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--r", "1"], ["--p", "2", "--r", "3"],
+], ids=["r_without_p", "no_cell_below_p"])
+def test_tables_rejects_exponents_that_make_no_cell(flags):
+    with pytest.raises(ConfigError, match="^--"):
+        _cfg(["tables", "--N", "5", *flags])
+
+
 def test_default_cells_cover_acceptance_table():
     assert (2.0, 1.9) in DEFAULT_CELLS and (1.8, 1.0) in DEFAULT_CELLS
 
@@ -279,6 +341,45 @@ def test_verify_subcommand_full_report(tmp_path):
     assert rep["passes"]["boundary_data_exact"]
     assert rep["passes"]["weighted_norm_at_most_2"]
     assert abs(rep["r_star"] - 1.75) < 1e-12
+    # the report's shape: sorted keys would hide a dropped one
+    assert set(data["prediction"]) == {"lambda", "power"}
+    assert set(rep) == {
+        "classification", "residual_radial", "residual_eta", "lambda_fit",
+        "lambda_stderr", "power_fit", "power_stderr", "lambda_pred",
+        "power_pred", "case", "r_star", "r_star_literal", "passes", "notes",
+    }
+    assert set(rep["passes"]) == {
+        "lambda_within_10pct", "eta_residual_below_1e-5",
+        "weighted_norm_at_most_2", "boundary_data_exact",
+    }
+    assert rep["notes"] == []
+    assert rep["classification"] == data["classification"]
+
+
+def test_verify_without_a_predicted_rate_writes_no_rate_report(tmp_path):
+    # power_exp_log has no predicted decay rate: the fit is reported alone
+    code = main(["verify", "--N", "5", "--family", "power_exp_log", "--p",
+                 "2", "--r", "0.5", "--M", "192", "--no-auto-rho0",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert "error" not in data["fit"]
+    assert "limit_diagnostics" in data and "lipschitz" in data
+    assert "prediction" not in data and "verification" not in data
+
+
+def test_verify_notes_a_fit_faster_than_predicted(tmp_path):
+    # r = r* = 1.75: the fit decays faster than the prediction, an upper
+    # bound, so the rate check fails and the report says why
+    code = main(["verify", "--N", "5", "--family", "power_sum", "--p", "2",
+                 "--r", "1.75", "--M", "2049", "--format", "json",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "summary.json").read_text())["verification"]
+    assert rep["lambda_fit"] > 1.1 * rep["lambda_pred"]
+    assert not rep["passes"]["lambda_within_10pct"]
+    assert rep["notes"] == [
+        "consistent with bound (faster decay than predicted)"]
 
 
 def test_verify_fit_failure_exits_4(tmp_path):
@@ -333,6 +434,7 @@ def test_readme_library_sketch_runs():
     assert namespace["ctx"].grid.rho_max == 58.0
     assert namespace["sol"].converged
     assert abs(namespace["fit"].lambda_fit - 0.5) <= 0.005
+    assert namespace["pred"] == (0.5, 0.0)
 
 
 def test_write_profile_csv_golden_bytes(tmp_path):
@@ -346,11 +448,13 @@ def test_write_profile_csv_golden_bytes(tmp_path):
         c[rng.permutation(n)[:len(special)]] = special
         cols.append(c)
     cols[6][n - 5:] = np.round(cols[6][n - 5:])  # integer-valued floats
+    cols[4] = cols[6]  # eta is theta
     ctx = SimpleNamespace(rho=cols[0], phi=cols[2], I=cols[3])
-    prof = SimpleNamespace(r=cols[1], theta=cols[6], u=cols[7],
+    prof = SimpleNamespace(ctx=ctx, r=cols[1], theta=cols[6],
+                           rtheta_prime=-cols[5], u=cols[7],
                            tilde_u=cols[8], residual=cols[9])
     path = tmp_path / "profile.csv"
-    write_profile_csv(path, prof, ctx, cols[4], cols[5])
+    write_profile_csv(path, prof)
     expected = ["rho,r,phi,I,eta,eta_prime,theta,u,tilde_u,residual\n"]
     for i in range(n):
         expected.append(",".join(format(float(c[i]) + 0.0, ".17g")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from singular_forge import (
+    ConvergenceError,
     DomainError,
     Generic,
     NoLimitError,
@@ -378,6 +379,27 @@ def test_F_inverse_bisects_where_newton_misleads():
     nl = Misled(1.5)
     for root in (1e100, 1e200):
         assert_allclose(_invert_F(nl, nl.F(root)), root, rtol=1e-12)
+
+
+def test_F_inverse_raises_once_the_bracket_collapses():
+    # F jumps by 2e-11 relative across s0, so no float meets the 1e-13 stop
+    # test at sigma = F(s0): the bracket closes on s0 within a few dozen
+    # passes, and the inversion then raises at once with the residual
+    # instead of re-evaluating F at the same float up to its pass cap
+    s0 = 3011.0
+    passes = []
+
+    class Jump(PowerExpLog):
+        def F(self, s):
+            passes.append(1)
+            jump = np.where(np.asarray(s) < s0, 1.0 + 1e-11, 1.0 - 1e-11)
+            return np.asarray(super().F(s)) * jump
+
+    sigma = float(PowerExpLog(2.0, 0.5).F(s0))
+    with pytest.raises(ConvergenceError, match=r"collapsed at s = 30(10\.99"
+                       r"|11\.0).*\|F - sigma\|/sigma = 1e-11 "):
+        _invert_F(Jump(2.0, 0.5), sigma)
+    assert len(passes) < 30
 
 
 def _mp_F(f, s):

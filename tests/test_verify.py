@@ -176,16 +176,21 @@ def test_appendix_rejects_pure_power():
 
 def test_predicted_decay_rows():
     cls = classify(PurePower(2.0), 5)  # complex, Lambda = 0.5, r* = 1.75
-    assert predicted_decay(cls, 2.0, 1.0) == (0.5, 0.0)
-    assert predicted_decay(cls, 2.0, 1.75) == (0.5, 1.0)
-    lam, w = predicted_decay(cls, 2.0, 1.9)
+    assert predicted_decay(PowerSum(2.0, 1.0), cls) == (0.5, 0.0)
+    assert predicted_decay(PowerSum(2.0, 1.75), cls) == (0.5, 1.0)
+    lam, w = predicted_decay(PowerSum(2.0, 1.9), cls)
     assert_allclose(lam, 0.2, rtol=1e-12) and w == 0.0
     cls = classify(PurePower(1.8), 5)  # double root
-    assert predicted_decay(cls, 1.8, 1.0)[1] == 1.0
-    lam, w = predicted_decay(cls, 1.8, cls.r_star(1.8))
+    assert predicted_decay(PowerSum(1.8, 1.0), cls)[1] == 1.0
+    lam, w = predicted_decay(PowerSum(1.8, cls.r_star(1.8)), cls)
     assert w == 2.0
     # log-power family shifts the fitted log exponent by log_exp
-    assert predicted_decay(cls, 1.8, 1.7, log_exp=2.0)[1] == 2.0
+    assert predicted_decay(PowerSumLog(1.8, 1.7, 2.0), cls)[1] == 2.0
+
+
+def test_predicted_decay_is_none_without_a_sum_family():
+    for nl in (PurePower(2.0), PowerLog(2.0, 1.0), PowerExpLog(2.0, 0.5)):
+        assert predicted_decay(nl, classify(nl, 5)) is None
 
 
 def test_residual_eta_refinement_rate():
@@ -237,7 +242,7 @@ def test_grid_span_takes_the_largest_of_its_three_rules():
     # fourteen e-foldings of the forced rate 0.2
     nl = PowerSum(2.0, 1.9)
     cls = classify(nl, 5)
-    assert grid_span(nl, cls) == 14.0 / predicted_decay(cls, 2.0, 1.9)[0]
+    assert grid_span(nl, cls) == 14.0 / predicted_decay(nl, cls)[0]
 
 
 def test_table_report_isolates_cell_failures():
@@ -250,6 +255,12 @@ def test_table_report_bad_parameters_become_cell_errors():
     reports = table_report(5, [(0.5, 0.25), (1.75, 1.0)], M=257)
     assert reports[0]["error"].startswith("ConfigError: p must exceed 1")
     assert "error" not in reports[1]
+
+
+def test_table_report_needs_a_family_with_a_predicted_rate():
+    (cell,) = table_report(5, [(2.0, 1.0)], family="power_log", M=257)
+    assert cell["error"] == (
+        "ConfigError: family: 'power_log' has no predicted decay rate")
 
 
 def test_radial_residual_refinement_on_fixed_point():
