@@ -52,6 +52,10 @@ _FORMATS = ("csv", "json")
 # default grid end
 _TABLE_FIXED = {"alpha": "--alpha", "beta": "--beta", "rho0": "--rho0",
                 "rho_max": "--rho-max", "auto_rho0": "--no-auto-rho0"}
+# the lists of other subcommands, refused by tables from flags or a config
+# file alike: by field, its flag and the subcommand that reads it
+_TABLE_FOREIGN = {"pairs": ("--pairs", "sweep"),
+                  "sigmas": ("--sigmas", "appendix")}
 
 
 def _is_int(v):
@@ -260,6 +264,8 @@ def load_config(args):
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
+    if cfg.log_exp is not None and cfg.family != "power_sum_log":
+        raise ConfigError("--log-exp: only family power_sum_log reads it")
     if cfg.command == "tables":
         _check_table_flags(args, cfg)
     p_list = _parse_floats(args.p, "p") if args.p is not None else None
@@ -298,15 +304,20 @@ def load_config(args):
 
 def _check_table_flags(args, cfg):
     """ConfigError naming the first tables flag that would go unread: one
-    of _TABLE_FIXED, or a family without a predicted decay rate, given by
-    --family or the config file (RunConfig's default "power" stands for
-    power_sum when neither sets one)."""
+    of _TABLE_FIXED, a list of _TABLE_FOREIGN (by flag or config file), or
+    a family without a predicted decay rate, given by --family or the
+    config file (RunConfig's default "power" stands for power_sum when
+    neither sets one)."""
     for key, flag in _TABLE_FIXED.items():
         if getattr(args, key) is not None:
             raise ConfigError(
                 f"{flag}: tables solves every cell at (alpha, beta) = "
                 "(1e-3, 2e-3) from rho0 = 3, with select_rho0 and the "
                 "default grid end")
+    for key, (flag, reader) in _TABLE_FOREIGN.items():
+        if getattr(args, key) is not None or getattr(cfg, key):
+            raise ConfigError(f"{flag}: tables does not read it; {reader} "
+                              "does")
     names = [c.name for c in RATE_FAMILIES]
     if cfg.family not in names and (args.family is not None
                                     or cfg.family != "power"):
@@ -513,7 +524,10 @@ def cmd_tables(cfg):
             ctx, sol = handle
             path = os.path.join(cfg.out, f"cell_{i:02d}_profile.csv")
             write_profile_csv(path, to_radial(ctx, sol.eta, sol.deta))
-    config = {k: v for k, v in cfg.as_dict().items() if k not in _TABLE_FIXED}
+    # the config records the family and cells the run solved
+    config = {k: v for k, v in cfg.as_dict().items()
+              if k not in _TABLE_FIXED and k not in _TABLE_FOREIGN}
+    config.update(family=family, cells=cells)
     payload = {"config": config, "cells": reports}
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, "tables.json"), payload)

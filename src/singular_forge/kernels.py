@@ -29,6 +29,17 @@ and the confluent column B_i = sum_j w_j (rho_i - rho_j) e^{-mu(...)} g_j
 is the same recurrence driven by h q (A_i + g_i / 2).  The result agrees
 with the direct O(M^2) sum to rounding.
 
+Each recurrence s_{i+1} = q s_i + u_i is evaluated in blocks of B nodes
+(_recurrence; Blelloch, "Prefix sums and their applications", 1990): one
+matrix product per call with a cached B x B triangular Toeplitz block
+of powers of q gives every block's own prefix, all modes of a call
+at once, and a scalar loop over the M/B blocks carries the state from
+block to block by q^B.  Re mu > 0 in every regime, so |q| < 1 and no
+entry of the block exceeds 1: the result stays within rounding of the
+sequential sum, with the same form of error bound (see _recurrence).
+The per-node loops left are solve_linear_volterra's march and the
+downward sum of _special.tail_integrals.
+
 In every regime the mode sums are two reals: (A_1, A_2), (A, B) or
 (Re A, Im A).  KernelSet.march_data gives the 2x2 transition of that state
 over one step, the state a unit drive adds at its own node, and the real
@@ -39,6 +50,8 @@ eta = Phi - int K (c + p eta + l2 eta'), is solved by one forward march
 scalar linear equation (Linz, Analytical and Numerical Methods for
 Volterra Equations, 1985, ch. 7).
 """
+
+import functools
 
 import numpy as np
 
@@ -209,34 +222,97 @@ def homogeneous_pair(cls, delta, alpha, beta):
     return alpha * (dK + ks.a * K) + beta * K, alpha * (-ks.b * K) + beta * dK
 
 
+# Nodes per block of the blocked recurrence.  A call costs about 15 us of
+# numpy calls plus about 100 ns per block and mode in the carry loop; at
+# 4 the loop still outweighs the fixed part at 2048 nodes, as criterion
+# 8's O(M) timing slope needs (best of 9, 2^11..2^14 nodes, on a 2-vCPU
+# Xeon VM: 0.87-0.89 at 8, 0.90-0.96 at 4).
+_BLOCK = 4
+# Blocks per matrix product.  OpenBLAS splits a product across threads
+# from about 2^16 complex or 2^20 real multiply-adds, which there cost
+# milliseconds per call.
+_CHUNK = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _block_plan(q):
+    """(T, ends, qB) for the pole tuple q, one entry per pole: the B x B
+    block T[r, c] = q^(c - r) on and above the diagonal and 0 below it,
+    the column ends[r] = q^(B - r) that maps a block to q times its last
+    prefix, and q^B as a Python scalar.  Powers by repeated multiplication;
+    the arrays carry a unit chunk axis and are read-only, as they are
+    shared."""
+    column = np.array(q)[:, None]
+    powers = np.cumprod(np.hstack([np.ones_like(column)]
+                                  + [column] * _BLOCK), axis=1)
+    lag = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
+    T = np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)[:, None]
+    ends = powers[:, _BLOCK:0:-1, None][:, None].copy()
+    for a in (T, ends):
+        a.flags.writeable = False
+    return T, ends, powers[:, _BLOCK].tolist()
+
+
 def _recurrence(q, u):
-    """s_0 = 0, s_{i+1} = q s_i + u_i, for a real or complex pole q.
+    """s_0 = 0, s_{i+1} = q_m s_i + u_{m,i} for each pole q_m of the tuple q
+    (all |q_m| < 1), as rows: u is (len(q), n), the result (len(q), n + 1).
 
-    The one per-node loop: Python scalars from a list, so the work stays
-    strictly per node and no numpy scalar is indexed.
+    Blocked: the drive with a leading 0 is padded to chunks of blocks of B
+    nodes.  One product gives q times each block's last own prefix, a
+    scalar loop over the blocks turns those into the state t_b = q s_{bB}
+    entering block b (t_{b+1} = q^B t_b + q e_b), t_b is added to the
+    block's first drive entry, and one product with T gives every s_i.
+
+    Every entry of T is a power of q, at most 1 in modulus, so each s_i is
+    the sum of the terms u_j q^(i-1-j) with a bounded number of roundings
+    per block and per carry step: in the worst case |s_i - exact| is of
+    order (B + m_i / B) eps W_i, where W_i = sum_j |u_j| |q|^(i-1-j) and
+    m_i = min(i, 1 / (1 - |q|)) counts the terms q still remembers; the
+    sequential loop's worst case is of order m_i eps W_i.
+    tests/test_kernels.py bounds the difference between the two.  No
+    product spans more than _CHUNK blocks, so BLAS runs each on one thread.
     """
-    s = 0.0
-    out = [s]
-    append = out.append
-    for x in u.tolist():
-        s = q * s + x
-        append(s)
-    return np.array(out)
+    T, ends, qB = _block_plan(q)
+    k, n = u.shape
+    chunks = -(-(n // _BLOCK + 1) // _CHUNK)
+    per = -(-(n // _BLOCK + 1) // chunks)
+    v = np.zeros((k, chunks, per, _BLOCK), np.promote_types(u.dtype, T.dtype))
+    v.reshape(k, -1)[:, 1:n + 1] = u
+    carry = []
+    append = carry.append
+    for qb, e in zip(qB, (v @ ends).reshape(k, -1).tolist()):
+        t = 0.0
+        for x in e:
+            append(t)
+            t = qb * t + x
+    first = v[..., 0]
+    first += np.array(carry).reshape(first.shape)
+    return (v @ T).reshape(k, -1)[:, :n + 1]
 
 
-def _trapezoid_sums(mu, confluent, rho, g):
-    """The mode columns convolved with g by the trapezoid rule, cumulatively:
-    A_i = sum_j w_j e^{-mu(rho_i - rho_j)} g_j per exponent, then the
-    confluent B_i of the last exponent, stacked as rows.  Returns (h, sums)."""
+@functools.lru_cache(maxsize=64)
+def _poles(mu, h):
+    """The poles e^{-mu h} of the exponents mu, as a tuple and a read-only
+    column."""
+    q = tuple(np.exp(-m * h).item() for m in mu)
+    column = np.array(q)[:, None]
+    column.flags.writeable = False
+    return q, column
+
+
+def _trapezoid_sums(mu, confluent, rho, g, denom=1.0):
+    """The mode columns convolved with g by the trapezoid rule, cumulatively,
+    over denom: A_i = (h / denom) sum_j w_j e^{-mu(rho_i - rho_j)} g_j per
+    exponent, then the confluent B_i of the last exponent, as rows."""
     h = float(rho[1] - rho[0])
-    half = 0.5 * np.asarray(g, dtype=float)
-    sums = []
-    for m in mu:
-        q = np.exp(-m * h).item()
-        sums.append(_recurrence(q, q * half[:-1] + half[1:]))
+    half = (0.5 * h / denom) * np.asarray(g, dtype=float)
+    q, q_col = _poles(mu, h)
+    sums = _recurrence(q, q_col * half[:-1] + half[1:])
     if confluent:
-        sums.append(_recurrence(q, (h * q) * (sums[-1][:-1] + half[:-1])))
-    return h, np.array(sums)
+        qc = q[-1]
+        b = _recurrence((qc,), (h * qc) * (sums[-1:, :-1] + half[:-1]))
+        sums = np.concatenate((sums, b))
+    return sums
 
 
 def convolve_cumulative(ks, rho, g):
@@ -245,8 +321,8 @@ def convolve_cumulative(ks, rho, g):
     Returns grid functions y1(rho_i) = int_{rho_0}^{rho_i} K(rho_i, tau) g
     and y2 with the dK kernel, in O(M) total work.
     """
-    h, sums = _trapezoid_sums(ks.mu, ks.confluent, rho, g)
-    ik, idk = (ks.rows @ sums).real * (h / ks.denom)
+    sums = _trapezoid_sums(ks.mu, ks.confluent, rho, g, ks.denom)
+    ik, idk = (ks.rows @ sums).real
     return ik, idk
 
 
@@ -314,5 +390,4 @@ def convolve_cumulative_direct(ks, rho, g):
 
 def convolve_Q_cumulative(ks, rho, g):
     """Cumulative trapezoid of the super-kernel: int_{rho0}^rho Q(rho,tau) g."""
-    h, sums = _trapezoid_sums((ks.Lambda,), ks.confluent, rho, g)
-    return (ks.Q_row @ sums) * h
+    return ks.Q_row @ _trapezoid_sums((ks.Lambda,), ks.confluent, rho, g)

@@ -269,7 +269,7 @@ def test_tables_single_p_and_r_define_one_cell(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--alpha", "1e-3"], ["--beta", "5e-3"], ["--rho0", "3"],
     ["--rho-max", "60"], ["--no-auto-rho0"], ["--family", "power_log"],
-    ["--family", "power"],
+    ["--family", "power"], ["--sigmas", "1e-3"], ["--pairs", "1e-4:1e-4"],
 ], ids="=".join)
 def test_tables_rejects_flags_it_does_not_read(tmp_path, capsys, flags):
     code = main(["tables", "--N", "5", "--cells", "2:1", *flags,
@@ -295,6 +295,55 @@ def test_tables_replays_its_config_and_rejects_other_families(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError, match="^--family: "):
         _cfg(["tables", "--config", str(path)])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("pairs", [[1e-4, 1e-4]]), ("sigmas", [1e-3]),
+])
+def test_tables_rejects_lists_of_other_subcommands_in_config(
+        tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=f"^--{key}: "):
+        _cfg(["tables", "--N", "5", "--config", str(path)])
+
+
+def test_tables_records_the_family_and_cells_it_solved(tmp_path):
+    # a default run records power_sum and the five default cells, and
+    # replaying its tables.json solves the same cells to the same bytes
+    args = ["tables", "--N", "5", "--M", "513", "--format", "json"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    path = tmp_path / "a" / "tables.json"
+    config = json.loads(path.read_text())["config"]
+    assert config["family"] == "power_sum"
+    assert config["cells"] == [list(c) for c in DEFAULT_CELLS]
+    assert {"pairs", "sigmas"}.isdisjoint(config)
+    assert main(["tables", "--config", str(path),
+                 "--out", str(tmp_path / "b")]) == 0
+    cells = [json.dumps(json.loads((tmp_path / d / "tables.json")
+                                   .read_text())["cells"]) for d in "ab"]
+    assert cells[0] == cells[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "power", "--p", "2"],
+    ["verify", "--family", "power_sum", "--p", "2", "--r", "1"],
+    ["sweep", "--family", "power_sum", "--p", "2", "--r", "1"],
+], ids=lambda argv: argv[0])
+def test_log_exp_is_refused_without_power_sum_log(tmp_path, capsys, argv):
+    code = main([*argv, "--N", "5", "--log-exp", "3", "--M", "257",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: --log-exp: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_log_exp_in_a_config_file_is_refused_without_power_sum_log(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"family": "power_sum", "p": 2, "r": 1,
+                                "log_exp": 3}))
+    with pytest.raises(ConfigError, match="^--log-exp: "):
+        _cfg(["verify", "--N", "5", "--config", str(path)])
 
 
 @pytest.mark.parametrize("flags", [

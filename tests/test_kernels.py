@@ -1,3 +1,7 @@
+import cmath
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +25,12 @@ from singular_forge import (
     weight_P,
     wronskian,
 )
-from singular_forge.kernels import convolve_cumulative_direct
+from singular_forge.kernels import (
+    _BLOCK,
+    _block_plan,
+    _recurrence,
+    convolve_cumulative_direct,
+)
 
 CLS_REAL = classify(PowerSum(1.75, 1.0), 5)     # lam1 = 1/3, lam2 = 2
 CLS_DOUBLE = classify(PurePower(1.8), 5)        # lam* = 1
@@ -168,6 +177,91 @@ def test_recurrence_matches_direct():
             scale = max(np.max(np.abs(i2)), np.max(np.abs(d2)))
             assert np.max(np.abs(i1 - i2)) <= 1e-12 * scale
             assert np.max(np.abs(d1 - d2)) <= 1e-12 * scale
+
+
+def _sequential(q, u):
+    """s_0 = 0, s_{i+1} = q s_i + u_i one node at a time: the scalar loop
+    the blocked _recurrence replaced, kept as its reference."""
+    s = 0.0
+    out = [s]
+    for x in u.tolist():
+        s = q * s + x
+        out.append(s)
+    return np.array(out)
+
+
+def _error_scale(q, u):
+    """eps (1 + sqrt(m_i)) W_i per node: W_i = sum_j |u_j| |q|^(i-1-j), and
+    m_i = min(i, 1 / (1 - |q|)) terms in memory, over which rounding
+    errors of either evaluation accumulate."""
+    m = np.minimum(np.arange(u.size + 1), 1.0 / (1.0 - abs(q)))
+    w = _sequential(abs(q), np.abs(u))
+    return np.finfo(float).eps * (1.0 + np.sqrt(m)) * w
+
+
+# Largest |blocked - sequential| / _error_scale over the cases below, at
+# B = 4: 1.33 (q = 1 - 1e-6, same-sign drive; at most 0.62 for the other
+# poles).  The bound is 3, a margin of 2.25.
+_RECURRENCE_ERROR = 3.0
+RECURRENCE_POLES = {
+    "1e-3": 1e-3,
+    "q^B=0": math.exp(-200.0),       # large mu h: q^B underflows to 0
+    "0.5": 0.5,
+    "1-1e-6": 1.0 - 1e-6,
+    "complex": cmath.exp(-complex(0.5, -math.sqrt(7.0) / 2.0) * 0.05),
+}
+
+
+def _drive(q, n, kind, rng):
+    """n drive values, of mixed sign or all in [0.5, 1.5], complex for a
+    complex pole."""
+    def draw():
+        if kind == "signed":
+            return rng.standard_normal(n)
+        return rng.uniform(0.5, 1.5, n)
+    return draw() + 1j * draw() if isinstance(q, complex) else draw()
+
+
+@pytest.mark.parametrize("kind", ["signed", "positive"])
+@pytest.mark.parametrize("q", RECURRENCE_POLES.values(),
+                         ids=RECURRENCE_POLES.keys())
+def test_recurrence_matches_the_sequential_loop(q, kind):
+    rng = np.random.default_rng(8)
+    for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4095, 2 ** 14):
+        u = _drive(q, n, kind, rng)
+        s = _recurrence((q,), u[None])[0]
+        ref = _sequential(q, u)
+        assert s.shape == ref.shape and s[0] == 0.0
+        assert np.all(np.abs(s - ref)
+                      <= _RECURRENCE_ERROR * _error_scale(q, u))
+    if abs(q) < 1e-40:
+        assert _block_plan((q,))[2] == [0.0]
+
+
+def test_recurrence_runs_several_poles_at_once():
+    # one call for two poles, as _trapezoid_sums makes for two real roots
+    rng = np.random.default_rng(9)
+    q = (0.5, 1.0 - 1e-6)
+    u = rng.standard_normal((2, 5000))
+    s = _recurrence(q, u)
+    for row, qm, um in zip(s, q, u):
+        assert row[0] == 0.0
+        assert np.all(np.abs(row - _sequential(qm, um))
+                      <= _RECURRENCE_ERROR * _error_scale(qm, um))
+
+
+def test_recurrence_against_40_digit_sums():
+    # |q| near 1 and a same-sign drive, where rounding errors accumulate
+    # most: the blocked form stays within the bound of the exact value
+    q = 1.0 - 1e-6
+    u = np.random.default_rng(10).uniform(0.5, 1.5, 4095)
+    s = _recurrence((q,), u[None])[0]
+    with mp.workdps(40):
+        t, exact = mp.mpf(0), [0.0]
+        for x in u.tolist():
+            t = mp.mpf(q) * t + x
+            exact.append(float(t))
+    assert np.all(np.abs(s - exact) <= _RECURRENCE_ERROR * _error_scale(q, u))
 
 
 def test_convolution_solves_ode():
