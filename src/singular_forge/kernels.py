@@ -19,36 +19,39 @@ every column is 1 or 0, so the rows give exactly 0 for K and exactly
 the denominator for dK, and K(rho, rho) = 0, dK(rho, rho) = 1 hold
 bitwise.
 
-The cumulative convolution implements the trapezoid rule exactly: per
-mode, with q = e^{-mu h},
+In every regime the mode sums are two reals: (A_1, A_2), (A, B) or
+(Re A, Im A).  KernelSet.march_data gives the 2x2 transition T of that
+state over one step, the state e0 a unit drive adds at its own node, and
+the real (K, dK) readout rows R; on the drive the K row has weight 0 and
+the dK row weight denom.  The cumulative convolution implements the
+trapezoid rule exactly: with c = h / denom and P_i the state plus the
+node's own half-drive,
 
-    A_{i+1} = q A_i + (q g_i + g_{i+1}) / 2
+    P_0 = (c/2) e0 g_0,    P_{i+1} = T P_i + c e0 g_{i+1},
 
-reproduces sum_j w_j e^{-mu(rho_i - rho_j)} g_j with trapezoid weights,
-and the confluent column B_i = sum_j w_j (rho_i - rho_j) e^{-mu(...)} g_j
-is the same recurrence driven by h q (A_i + g_i / 2).  The result agrees
-with the direct O(M^2) sum to rounding.
+the readouts R P_i - (c/2) (R e0) g_i (that is, R_K P_i and
+R_dK P_i - (h/2) g_i) reproduce sum_j w_j K(rho_i - rho_j) g_j and its dK
+twin with trapezoid weights, and are 0 at node 0 by construction.  The
+super-kernel Q is the same scan over the state of Lambda (with its
+confluent column for the double root).  The result agrees with the
+direct O(M^2) sum to rounding.
 
-Each recurrence s_{i+1} = q s_i + u_i is evaluated in blocks of B nodes
-(_recurrence; Blelloch, "Prefix sums and their applications", 1990): one
-matrix product per call with a cached B x B triangular Toeplitz block
-of powers of q gives every block's own prefix, all modes of a call
-at once, and a scalar loop over the M/B blocks carries the state from
-block to block by q^B.  Re mu > 0 in every regime, so |q| < 1 and no
-entry of the block exceeds 1: the result stays within rounding of the
-sequential sum, with the same form of error bound (see _recurrence).
+The scan runs in blocks of B nodes (_scan; Blelloch, "Prefix sums and
+their applications", 1990): per call, one matrix product with cached
+B x B blocks of R T^m e0 gives every block's readouts from its own drive,
+one with the columns T^m e0 its own end state, a Python loop over the M/B
+blocks carries the state by T^B, and one more product adds each entering
+state's readouts.  The plan is cached by its numbers (T, e0, R, c).  Re mu
+> 0 in every regime, so T^m decays and the result stays within rounding
+of the sequential two-state loop, with the same form of error bound.
 The per-node loops left are solve_linear_volterra's march and the
 downward sum of _special.tail_integrals.
 
-In every regime the mode sums are two reals: (A_1, A_2), (A, B) or
-(Re A, Im A).  KernelSet.march_data gives the 2x2 transition of that state
-over one step, the state a unit drive adds at its own node, and the real
-(K, dK) readout rows.  On the drive the K row has weight 0 and the dK row
-weight denom, so the linear Volterra equation with nodewise coefficients,
-eta = Phi - int K (c + p eta + l2 eta'), is solved by one forward march
-(solve_linear_volterra): eta_{i+1} is explicit and eta'_{i+1} solves one
-scalar linear equation (Linz, Analytical and Numerical Methods for
-Volterra Equations, 1985, ch. 7).
+The same two-state solves the linear Volterra equation with nodewise
+coefficients, eta = Phi - int K (c + p eta + l2 eta'), by one forward
+march (solve_linear_volterra): eta_{i+1} is explicit and eta'_{i+1}
+solves one scalar linear equation (Linz, Analytical and Numerical Methods
+for Volterra Equations, 1985, ch. 7).
 """
 
 import functools
@@ -60,7 +63,8 @@ from .errors import OrderError
 
 
 class KernelSet:
-    """Mode data of the kernel for a Classification (immutable).
+    """Mode data of the kernel for a Classification (immutable but for the
+    memo of march_data).
 
     mu: mode exponents of the K/dK columns; confluent: a d e^{-mu d}
     column follows (double root); rows: the (K, dK) coefficients of the
@@ -103,6 +107,7 @@ class KernelSet:
         self.Lambda = cls.Lambda
         self.a = (roots[0] + roots[1]).real
         self.b = (roots[0] * roots[1]).real
+        self._march = {}
 
     def march_data(self, h):
         """The mode sums as a real two-state over a step h: (T, e0, R).
@@ -110,19 +115,30 @@ class KernelSet:
         T (2x2) carries the state from one node to the next, e0 is the state
         a unit drive adds at its own node (the columns at d = 0), and R
         (2x2) reads the (K, dK) sums over denom off the state.  A complex
-        mode's state is its real and imaginary part.
+        mode's state is its real and imaginary part.  Nested tuples,
+        computed once per step h.
         """
-        q = [np.exp(-m * h).item() for m in self.mu]
-        rows = self.rows
-        if self.confluent:  # (A, B): B_{i+1} = q B_i + h q A_i
-            T, e0 = [[q[0], 0.0], [h * q[0], q[0]]], [1.0, 0.0]
-        elif len(q) == 2:
-            T, e0 = [[q[0], 0.0], [0.0, q[1]]], [1.0, 1.0]
-        else:  # (Re A, Im A); Re(c A) = Re c Re A - Im c Im A
-            z = q[0]
-            T, e0 = [[z.real, -z.imag], [z.imag, z.real]], [1.0, 0.0]
-            rows = [[row[0].real, -row[0].imag] for row in rows]
-        return T, e0, [[float(v) for v in row] for row in rows]
+        data = self._march.get(h)
+        if data is None:
+            data = self._march[h] = _two_state(self.mu, self.confluent,
+                                               self.rows, h)
+        return data
+
+
+def _two_state(mu, confluent, rows, h):
+    """(T, e0, R) of the columns of the exponents mu (at most two, or one
+    with its confluent column) read by the coefficient rows, over a step h.
+    A single real exponent is a complex one whose imaginary part stays 0."""
+    q = [np.exp(-m * h).item() for m in mu]
+    if confluent:  # (A, B): B_{i+1} = q B_i + h q A_i
+        T, e0 = ((q[0], 0.0), (h * q[0], q[0])), (1.0, 0.0)
+    elif len(q) == 2:
+        T, e0 = ((q[0], 0.0), (0.0, q[1])), (1.0, 1.0)
+    else:  # (Re A, Im A); Re(c A) = Re c Re A - Im c Im A
+        z = q[0]
+        T, e0 = ((z.real, -z.imag), (z.imag, z.real)), (1.0, 0.0)
+        rows = [(row[0].real, -row[0].imag) for row in rows]
+    return T, e0, tuple(tuple(float(v) for v in row) for row in rows)
 
 
 def _columns(mu, confluent, d):
@@ -222,97 +238,91 @@ def homogeneous_pair(cls, delta, alpha, beta):
     return alpha * (dK + ks.a * K) + beta * K, alpha * (-ks.b * K) + beta * dK
 
 
-# Nodes per block of the blocked recurrence.  A call costs about 15 us of
-# numpy calls plus about 100 ns per block and mode in the carry loop; at
-# 4 the loop still outweighs the fixed part at 2048 nodes, as criterion
-# 8's O(M) timing slope needs (best of 9, 2^11..2^14 nodes, on a 2-vCPU
-# Xeon VM: 0.87-0.89 at 8, 0.90-0.96 at 4).
-_BLOCK = 4
+# Nodes per block of the scan.  A call costs about 10 us of numpy calls at
+# any M, plus about 200 ns per block in the carry loop and a few ns per
+# node in the products.  Criterion 8's O(M) timing slope (best of 9,
+# 2^11..2^14 nodes) reads the fixed part as sub-linearity, so it caps the
+# block: on a 2-vCPU Xeon VM, interleaved in one process, B = 16 read
+# 0.76-0.87, 12 read 0.86-0.94, 8 read 0.82-0.95 and 6 read 0.92-1.00;
+# seven full-suite runs at 8 read 0.85-0.93, one failing, five at 6
+# 0.92-0.98.
+_BLOCK = 6
 # Blocks per matrix product.  OpenBLAS splits a product across threads
-# from about 2^16 complex or 2^20 real multiply-adds, which there cost
-# milliseconds per call.
-_CHUNK = 1024
+# from about 2^20 multiply-adds, which there costs up to milliseconds per
+# call; 2048 blocks of 6 nodes stay far below that.
+_CHUNK = 2048
 
 
 @functools.lru_cache(maxsize=64)
-def _block_plan(q):
-    """(T, ends, qB) for the pole tuple q, one entry per pole: the B x B
-    block T[r, c] = q^(c - r) on and above the diagonal and 0 below it,
-    the column ends[r] = q^(B - r) that maps a block to q times its last
-    prefix, and q^B as a Python scalar.  Powers by repeated multiplication;
-    the arrays carry a unit chunk axis and are read-only, as they are
-    shared."""
-    column = np.array(q)[:, None]
-    powers = np.cumprod(np.hstack([np.ones_like(column)]
-                                  + [column] * _BLOCK), axis=1)
-    lag = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
-    T = np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)[:, None]
-    ends = powers[:, _BLOCK:0:-1, None][:, None].copy()
-    for a in (T, ends):
-        a.flags.writeable = False
-    return T, ends, powers[:, _BLOCK].tolist()
+def _scan_plan(T, e0, R, c):
+    """The block matrices of the scan of the two-state (T, e0, R) with drive
+    weight c, keyed by those numbers: (W, E, P, T^B).
 
-
-def _recurrence(q, u):
-    """s_0 = 0, s_{i+1} = q_m s_i + u_{m,i} for each pole q_m of the tuple q
-    (all |q_m| < 1), as rows: u is (len(q), n), the result (len(q), n + 1).
-
-    Blocked: the drive with a leading 0 is padded to chunks of blocks of B
-    nodes.  One product gives q times each block's last own prefix, a
-    scalar loop over the blocks turns those into the state t_b = q s_{bB}
-    entering block b (t_{b+1} = q^B t_b + q e_b), t_b is added to the
-    block's first drive entry, and one product with T gives every s_i.
-
-    Every entry of T is a power of q, at most 1 in modulus, so each s_i is
-    the sum of the terms u_j q^(i-1-j) with a bounded number of roundings
-    per block and per carry step: in the worst case |s_i - exact| is of
-    order (B + m_i / B) eps W_i, where W_i = sum_j |u_j| |q|^(i-1-j) and
-    m_i = min(i, 1 / (1 - |q|)) counts the terms q still remembers; the
-    sequential loop's worst case is of order m_i eps W_i.
-    tests/test_kernels.py bounds the difference between the two.  No
-    product spans more than _CHUNK blocks, so BLAS runs each on one thread.
+    W[o] (B x B) maps the drive of one block to its readouts o,
+    W[o][s, r] = c (R T^(r-s) e0)_o for s < r, half that at s = r (the
+    node's own trapezoid weight) and 0 for s > r; E (B x 2) maps it to the
+    block's own end state, E[s] = c T^(B-1-s) e0; P[o] (2 x B) maps the
+    state entering a block to its readouts, P[o][:, r] = (R T^(r+1))_o.
+    Powers by repeated multiplication; the arrays carry a unit chunk axis
+    and are read-only, as they are shared.
     """
-    T, ends, qB = _block_plan(q)
-    k, n = u.shape
-    chunks = -(-(n // _BLOCK + 1) // _CHUNK)
-    per = -(-(n // _BLOCK + 1) // chunks)
-    v = np.zeros((k, chunks, per, _BLOCK), np.promote_types(u.dtype, T.dtype))
-    v.reshape(k, -1)[:, 1:n + 1] = u
+    Tm = np.array(T)
+    powers = [np.eye(2)]
+    for _ in range(_BLOCK):
+        powers.append(Tm @ powers[-1])
+    powers = np.array(powers)
+    R = np.array(R)
+    drive = powers[:_BLOCK] @ (c * np.array(e0))
+    read = R @ drive.T
+    read[:, 0] *= 0.5
+    lag = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
+    W = np.where(lag >= 0, read[:, np.maximum(lag, 0)], 0.0)[:, None]
+    E = drive[::-1].copy()
+    P = (R @ powers[1:]).transpose(1, 2, 0)[:, None].copy()
+    for a in (W, E, P):
+        a.flags.writeable = False
+    return W, E, P, powers[_BLOCK].tolist()
+
+
+def _scan(plan, g):
+    """The k readouts R P_i - (c/2) (R e0) g_i of the state
+    P_0 = (c/2) e0 g_0, P_{i+1} = T P_i + c e0 g_{i+1}, as a (k, n) array
+    whose first column is 0: the trapezoid sums of the readouts' kernels
+    against g on nodes 0..i.
+
+    Blocked (Blelloch, 1990): g, with node 0 at half weight, is padded to
+    chunks of blocks of B nodes.  One product with W gives every block's
+    readouts from its own drive and one with E its own end state; a
+    Python loop over the blocks carries the state by T^B, and one product
+    with P adds each entering state's readouts.  Every entry of the plan
+    is a power of T of at most B steps, so each readout is the sequential
+    sum with a bounded number of roundings per block and per carry step;
+    tests/test_kernels.py bounds the difference between the two.  No
+    product spans more than _CHUNK blocks, so BLAS runs each on one
+    thread.
+    """
+    W, E, P, ((t00, t01), (t10, t11)) = plan
+    n = len(g)
+    blocks = -(-n // _BLOCK)
+    chunks = -(-blocks // _CHUNK)
+    per = -(-blocks // chunks)
+    v = np.zeros((chunks, per, _BLOCK))
+    flat = v.reshape(-1)
+    flat[:n] = g
+    flat[0] *= 0.5
+    y = v @ W
+    a = b = 0.0
     carry = []
-    append = carry.append
-    for qb, e in zip(qB, (v @ ends).reshape(k, -1).tolist()):
-        t = 0.0
-        for x in e:
-            append(t)
-            t = qb * t + x
-    first = v[..., 0]
-    first += np.array(carry).reshape(first.shape)
-    return (v @ T).reshape(k, -1)[:, :n + 1]
-
-
-@functools.lru_cache(maxsize=64)
-def _poles(mu, h):
-    """The poles e^{-mu h} of the exponents mu, as a tuple and a read-only
-    column."""
-    q = tuple(np.exp(-m * h).item() for m in mu)
-    column = np.array(q)[:, None]
-    column.flags.writeable = False
-    return q, column
-
-
-def _trapezoid_sums(mu, confluent, rho, g, denom=1.0):
-    """The mode columns convolved with g by the trapezoid rule, cumulatively,
-    over denom: A_i = (h / denom) sum_j w_j e^{-mu(rho_i - rho_j)} g_j per
-    exponent, then the confluent B_i of the last exponent, as rows."""
-    h = float(rho[1] - rho[0])
-    half = (0.5 * h / denom) * np.asarray(g, dtype=float)
-    q, q_col = _poles(mu, h)
-    sums = _recurrence(q, q_col * half[:-1] + half[1:])
-    if confluent:
-        qc = q[-1]
-        b = _recurrence((qc,), (h * qc) * (sums[-1:, :-1] + half[:-1]))
-        sums = np.concatenate((sums, b))
-    return sums
+    push = carry.append
+    ends = iter(np.dot(flat.reshape(-1, _BLOCK), E).ravel().tolist())
+    for ea, eb in zip(ends, ends):
+        push(a)
+        push(b)
+        a, b = t00 * a + t01 * b + ea, t10 * a + t11 * b + eb
+    y += np.fromiter(carry, float, len(carry)).reshape(chunks, per, 2) @ P
+    y = y.reshape(len(W), -1)
+    y[:, 0] = 0.0
+    return y[:, :n]
 
 
 def convolve_cumulative(ks, rho, g):
@@ -321,9 +331,9 @@ def convolve_cumulative(ks, rho, g):
     Returns grid functions y1(rho_i) = int_{rho_0}^{rho_i} K(rho_i, tau) g
     and y2 with the dK kernel, in O(M) total work.
     """
-    sums = _trapezoid_sums(ks.mu, ks.confluent, rho, g, ks.denom)
-    ik, idk = (ks.rows @ sums).real
-    return ik, idk
+    h = float(rho[1] - rho[0])
+    sums = _scan(_scan_plan(*ks.march_data(h), h / ks.denom), g)
+    return sums[0], sums[1]
 
 
 def solve_linear_volterra(ks, rho, homogeneous, c, p, l2):
@@ -371,23 +381,8 @@ def solve_linear_volterra(ks, rho, homogeneous, c, p, l2):
     return np.array(eta), np.array(deta)
 
 
-def convolve_cumulative_direct(ks, rho, g):
-    """O(M^2) reference with the same trapezoid rule (testing only)."""
-    rho = np.asarray(rho, dtype=float)
-    g = np.asarray(g, dtype=float)
-    h = rho[1] - rho[0]
-    n = len(rho)
-    ik = np.zeros(n)
-    idk = np.zeros(n)
-    for i in range(1, n):
-        kv, dkv = kernel_values(ks.cls, rho[i], rho[: i + 1])
-        w = np.ones(i + 1)
-        w[0] = w[-1] = 0.5
-        ik[i] = h * np.sum(w * kv * g[: i + 1])
-        idk[i] = h * np.sum(w * dkv * g[: i + 1])
-    return ik, idk
-
-
 def convolve_Q_cumulative(ks, rho, g):
     """Cumulative trapezoid of the super-kernel: int_{rho0}^rho Q(rho,tau) g."""
-    return ks.Q_row @ _trapezoid_sums((ks.Lambda,), ks.confluent, rho, g)
+    h = float(rho[1] - rho[0])
+    data = _two_state((ks.Lambda,), ks.confluent, [ks.Q_row], h)
+    return _scan(_scan_plan(*data, h), g)[0]

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._special import hyp2f1_1c, tail_integrals, upper_gamma
+from ._special import _SERIES_TOL, hyp2f1_1c, tail_integrals, upper_gamma
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -250,27 +250,33 @@ class PowerSum(Nonlinearity):
         return _invert_F(self, sigma)
 
     def _deficit_series(self, s, coef):
-        """Sum_{k>=1} (-1)^(k-1) coef(k) s^(-k(p-r)), vectorized in s."""
-        s = np.asarray(s, dtype=float)
-        x = s ** (self.r - self.p)
-        acc = np.zeros_like(s)
-        xk = np.ones_like(s)
-        scale = np.full_like(s, 1e-300)
-        small_streak = 0
-        for k in range(1, 20001):
-            xk = xk * x
-            term = ((-1.0) ** (k - 1)) * coef(k) * xk
-            acc += term
-            scale = np.maximum(scale, np.abs(acc))
-            # a single coefficient may vanish (degenerate p - r = 1), so only
-            # stop after two consecutive negligible terms
-            if np.max(np.abs(term) / scale) < 1e-17:
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-        return acc
+        """Sum_{k>=1} (-1)^(k-1) coef(k) x^k with x = s^(r-p) <= 0.85, by
+        Horner to the degree the largest x needs.
+
+        With d = p - r, every |coef(j)| for j >= k is at most
+        m d / (p - 1 + (k-1) d), m = max(1, 1/(p-1)), so the rest after
+        degree n is below m d / (p - 1 + n d) x^(n+1) / (1 - x).  The degree
+        is the first n where that is below _SERIES_TOL of the first nonzero
+        term, which is the second where coef_fpF(1) = 0 (p - r = 1).
+        """
+        x = np.asarray(s, dtype=float) ** (self.r - self.p)
+        xmax = float(np.max(x))
+        p, d = self.p, self.p - self.r
+        m = max(1.0, 1.0 / (p - 1.0))
+        b = []
+        lead = 0.0
+        while True:
+            k = len(b) + 1
+            b.append((-1.0) ** (k - 1) * coef(k))
+            lead = lead or abs(b[-1]) * xmax ** k
+            rest = m * d / (p - 1.0 + k * d) * xmax ** (k + 1) / (1.0 - xmax)
+            if rest <= _SERIES_TOL * lead:
+                break
+        acc = np.full_like(x, b[-1])
+        for bk in reversed(b[:-1]):
+            acc *= x
+            acc += bk
+        return acc * x
 
     def _coef_fpF(self, k):
         p, r = self.p, self.r

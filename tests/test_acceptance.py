@@ -28,7 +28,8 @@ from singular_forge import (
     table_report,
     to_radial,
 )
-from singular_forge.kernels import convolve_cumulative_direct
+
+from direct_sums import convolve_cumulative_direct
 
 
 def _report(num, ok, detail):

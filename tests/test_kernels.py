@@ -25,12 +25,9 @@ from singular_forge import (
     weight_P,
     wronskian,
 )
-from singular_forge.kernels import (
-    _BLOCK,
-    _block_plan,
-    _recurrence,
-    convolve_cumulative_direct,
-)
+from singular_forge.kernels import _BLOCK, _CHUNK, _scan, _scan_plan
+
+from direct_sums import convolve_cumulative_direct
 
 CLS_REAL = classify(PowerSum(1.75, 1.0), 5)     # lam1 = 1/3, lam2 = 2
 CLS_DOUBLE = classify(PurePower(1.8), 5)        # lam* = 1
@@ -179,30 +176,66 @@ def test_recurrence_matches_direct():
             assert np.max(np.abs(d1 - d2)) <= 1e-12 * scale
 
 
-def _sequential(q, u):
-    """s_0 = 0, s_{i+1} = q s_i + u_i one node at a time: the scalar loop
-    the blocked _recurrence replaced, kept as its reference."""
-    s = 0.0
-    out = [s]
-    for x in u.tolist():
-        s = q * s + x
-        out.append(s)
-    return np.array(out)
+def _sequential(T, e0, R, c, g):
+    """The readouts R P_i - (c/2) (R e0) g_i of P_0 = (c/2) e0 g_0,
+    P_{i+1} = T P_i + c e0 g_{i+1}, one node at a time and 0 at node 0: the
+    two-state loop the blocked _scan replaced, kept as its reference."""
+    (t00, t01), (t10, t11) = T
+    own = [0.5 * c * (r0 * e0[0] + r1 * e0[1]) for r0, r1 in R]
+    x = g.tolist()
+    a, b = 0.5 * c * e0[0] * x[0], 0.5 * c * e0[1] * x[0]
+    out = [[0.0] * len(R)]
+    for gi in x[1:]:
+        a, b = (t00 * a + t01 * b + c * e0[0] * gi,
+                t10 * a + t11 * b + c * e0[1] * gi)
+        out.append([r0 * a + r1 * b - d * gi for (r0, r1), d in zip(R, own)])
+    return np.array(out).T
 
 
-def _error_scale(q, u):
-    """eps (1 + sqrt(m_i)) W_i per node: W_i = sum_j |u_j| |q|^(i-1-j), and
-    m_i = min(i, 1 / (1 - |q|)) terms in memory, over which rounding
-    errors of either evaluation accumulate."""
-    m = np.minimum(np.arange(u.size + 1), 1.0 / (1.0 - abs(q)))
-    w = _sequential(abs(q), np.abs(u))
-    return np.finfo(float).eps * (1.0 + np.sqrt(m)) * w
+def _error_scale(majorant, R, c, q, g):
+    """eps (1 + sqrt(m_i)) W_i per readout and node: W_i = |R| S_i, where
+    S_i = sum_j c |g_j| T+^(i-j) e+ bounds the terms of the state entrywise
+    (majorant = (T+, e+), |T^m e0| <= T+^m e+), and m_i = min(i,
+    1 / (1 - |q|)) terms in memory, over which rounding errors of either
+    evaluation accumulate."""
+    ((t00, t01), (t10, t11)), (ea, eb) = majorant
+    a = b = 0.0
+    w = []
+    for gi in np.abs(g).tolist():
+        a, b = (t00 * a + t01 * b + c * ea * gi,
+                t10 * a + t11 * b + c * eb * gi)
+        w.append((a, b))
+    W = np.abs(np.array(R)) @ np.array(w).T
+    m = np.minimum(np.arange(g.size), 1.0 / (1.0 - abs(q)))
+    return np.finfo(float).eps * (1.0 + np.sqrt(m)) * W
+
+
+def _transitions(q, h=0.05):
+    """The three two-states of the regimes, built on the modulus of the
+    pole q: {name: ((T, e0, R), (T+, e+))}.  Diagonal diag(|q|, |q|^2) read
+    by rows like the two real roots', the Jordan block of |q| with step h
+    read like the double root's, and the rotation by q (by |q| e^{0.07i}
+    for a real pole) read like the complex pair's."""
+    r = abs(q)
+    z = q if isinstance(q, complex) else r * cmath.exp(0.07j)
+    diagonal = ((r, 0.0), (0.0, r * r)), (1.0, 1.0)
+    jordan = ((r, 0.0), (h * r, r)), (1.0, 0.0)
+    rotation = ((z.real, -z.imag), (z.imag, z.real)), (1.0, 0.0)
+    return {
+        "diagonal": ((*diagonal, ((1.0, -1.0), (-0.5, 2.0))), diagonal),
+        "jordan": ((*jordan, ((0.0, 1.0), (1.0, -1.0))), jordan),
+        "rotation": ((*rotation, ((0.0, 1.0), (1.3, 0.5))),
+                     (((r, 0.0), (0.0, r)), (1.0, 1.0))),
+    }
 
 
 # Largest |blocked - sequential| / _error_scale over the cases below, at
-# B = 4: 1.33 (q = 1 - 1e-6, same-sign drive; at most 0.62 for the other
-# poles).  The bound is 3, a margin of 2.25.
+# B = 6: 1.57 (the Jordan block of the complex pole's modulus 0.975,
+# same-sign drive; 1.55 at q = 1 - 1e-6, at most 1.00 for the others).
+# Against 40 digits the scan reads at most 0.68 (Jordan), the sequential
+# loop 0.29.  The bound is 3, a margin of 1.9.
 _RECURRENCE_ERROR = 3.0
+_DRIVE_WEIGHT = 0.05
 RECURRENCE_POLES = {
     "1e-3": 1e-3,
     "q^B=0": math.exp(-200.0),       # large mu h: q^B underflows to 0
@@ -210,16 +243,22 @@ RECURRENCE_POLES = {
     "1-1e-6": 1.0 - 1e-6,
     "complex": cmath.exp(-complex(0.5, -math.sqrt(7.0) / 2.0) * 0.05),
 }
+# Steps after node 0: none, around one block, around one chunk, and two
+# long runs.
+RECURRENCE_LENGTHS = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                      (_CHUNK - 1) * _BLOCK, (_CHUNK + 1) * _BLOCK,
+                      4095, 2 ** 14)
 
 
-def _drive(q, n, kind, rng):
-    """n drive values, of mixed sign or all in [0.5, 1.5], complex for a
-    complex pole."""
-    def draw():
-        if kind == "signed":
-            return rng.standard_normal(n)
-        return rng.uniform(0.5, 1.5, n)
-    return draw() + 1j * draw() if isinstance(q, complex) else draw()
+def _drive(n, kind, rng):
+    """n drive values, of mixed sign or all in [0.5, 1.5]."""
+    if kind == "signed":
+        return rng.standard_normal(n)
+    return rng.uniform(0.5, 1.5, n)
+
+
+def _scan_of(data, g):
+    return _scan(_scan_plan(*data, _DRIVE_WEIGHT), g)
 
 
 @pytest.mark.parametrize("kind", ["signed", "positive"])
@@ -227,41 +266,72 @@ def _drive(q, n, kind, rng):
                          ids=RECURRENCE_POLES.keys())
 def test_recurrence_matches_the_sequential_loop(q, kind):
     rng = np.random.default_rng(8)
-    for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4095, 2 ** 14):
-        u = _drive(q, n, kind, rng)
-        s = _recurrence((q,), u[None])[0]
-        ref = _sequential(q, u)
-        assert s.shape == ref.shape and s[0] == 0.0
-        assert np.all(np.abs(s - ref)
-                      <= _RECURRENCE_ERROR * _error_scale(q, u))
-    if abs(q) < 1e-40:
-        assert _block_plan((q,))[2] == [0.0]
+    for data, majorant in _transitions(q).values():
+        for steps in RECURRENCE_LENGTHS:
+            g = _drive(steps + 1, kind, rng)
+            s = _scan_of(data, g)
+            ref = _sequential(*data, _DRIVE_WEIGHT, g)
+            assert s.shape == ref.shape and np.all(s[:, 0] == 0.0)
+            scale = _error_scale(majorant, data[2], _DRIVE_WEIGHT, q, g)
+            assert np.all(np.abs(s - ref) <= _RECURRENCE_ERROR * scale)
+        if abs(q) < 1e-40:
+            assert _scan_plan(*data, _DRIVE_WEIGHT)[3] == [[0.0, 0.0]] * 2
 
 
 def test_recurrence_runs_several_poles_at_once():
-    # one call for two poles, as _trapezoid_sums makes for two real roots
+    # one state of two poles, as for two real roots, read mode by mode
     rng = np.random.default_rng(9)
-    q = (0.5, 1.0 - 1e-6)
-    u = rng.standard_normal((2, 5000))
-    s = _recurrence(q, u)
-    for row, qm, um in zip(s, q, u):
+    T, e0, R = ((0.5, 0.0), (0.0, 1.0 - 1e-6)), (1.0, 1.0), ((1.0, 0.0),
+                                                            (0.0, 1.0))
+    g = rng.standard_normal(5000)
+    s = _scan_of((T, e0, R), g)
+    for row, q in zip(s, (0.5, 1.0 - 1e-6)):
+        ref = _sequential(((q, 0.0), (0.0, q)), (1.0, 0.0), ((1.0, 0.0),),
+                          _DRIVE_WEIGHT, g)[0]
+        scale = _error_scale((((q, 0.0), (0.0, q)), (1.0, 0.0)),
+                             ((1.0, 0.0),), _DRIVE_WEIGHT, q, g)[0]
         assert row[0] == 0.0
-        assert np.all(np.abs(row - _sequential(qm, um))
-                      <= _RECURRENCE_ERROR * _error_scale(qm, um))
+        assert np.all(np.abs(row - ref) <= _RECURRENCE_ERROR * scale)
 
 
 def test_recurrence_against_40_digit_sums():
     # |q| near 1 and a same-sign drive, where rounding errors accumulate
     # most: the blocked form stays within the bound of the exact value
     q = 1.0 - 1e-6
-    u = np.random.default_rng(10).uniform(0.5, 1.5, 4095)
-    s = _recurrence((q,), u[None])[0]
-    with mp.workdps(40):
-        t, exact = mp.mpf(0), [0.0]
-        for x in u.tolist():
-            t = mp.mpf(q) * t + x
-            exact.append(float(t))
-    assert np.all(np.abs(s - exact) <= _RECURRENCE_ERROR * _error_scale(q, u))
+    g = np.random.default_rng(10).uniform(0.5, 1.5, 4096)
+    for (T, e0, R), majorant in _transitions(q).values():
+        s = _scan_of((T, e0, R), g)
+        with mp.workdps(40):
+            Tm, Rm = mp.matrix(T), mp.matrix(R)
+            ce0 = mp.mpf(_DRIVE_WEIGHT) * mp.matrix(e0)
+            state = ce0 * (g[0] / 2)
+            exact = [[0.0] * len(R)]
+            for x in g[1:].tolist():
+                state = Tm * state + ce0 * x
+                exact.append([float(v) for v in Rm * (state - ce0 * (x / 2))])
+        scale = _error_scale(majorant, R, _DRIVE_WEIGHT, q, g)
+        assert np.all(np.abs(s - np.array(exact).T)
+                      <= _RECURRENCE_ERROR * scale)
+
+
+def test_convolutions_start_at_zero_bitwise():
+    # node 0 holds the empty integral in every regime, also on grids whose
+    # step does not survive (h / denom) * denom
+    rng = np.random.default_rng(12)
+    inexact = 0
+    for cls in ALL_CLS:
+        ks = KernelSet(cls)
+        for rho0, span, M in ((0.0, 1.0, 9), (3.0, 7.0, 4096),
+                              (3.0, 7.0, 17), (1.1, 0.3, 17)):
+            rho = np.linspace(rho0, rho0 + span, M)
+            h = float(rho[1] - rho[0])
+            inexact += h / ks.denom * ks.denom != h
+            g = rng.uniform(0.5, 1.5, M)
+            ik, idk = convolve_cumulative(ks, rho, g)
+            q = convolve_Q_cumulative(ks, rho, g)
+            for first in (ik[0], idk[0], q[0]):
+                assert first == 0.0 and not math.copysign(1.0, first) < 0
+    assert inexact
 
 
 def test_convolution_solves_ode():

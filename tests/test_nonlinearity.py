@@ -592,6 +592,40 @@ def test_deficits_against_50_digit_reference(nl, bound):
     assert _max_rel_err(nl.deficit_fF(s), ref_fF) <= bound
 
 
+def _mp_deficit_series(p, r, s, fpF):
+    """sum_{k>=1} (-1)^(k-1) coef(k) s^(-k(p-r)) at 50 digits, 1200 terms
+    (below 1e-80 of the sum at x = 0.85), with the coefficients of
+    PowerSum._coef_fpF or _coef_fF in exact p and r."""
+    with mp.workdps(50):
+        p, r = mp.mpf(p), mp.mpf(r)
+        d = p - r
+        x = mp.mpf(s) ** (r - p)
+        total, xk = mp.mpf(0), mp.mpf(1)
+        for k in range(1, 1200):
+            xk *= x
+            c = d / ((p - 1 + k * d) * (p - 1 + (k - 1) * d))
+            total += (-1) ** (k - 1) * (c * (1 - k * d) if fpF else c) * xk
+        return total
+
+
+# measured at most 2.7e-16 (1.75, 1.7; fF); the bound is about twice that
+DEFICIT_SERIES_BOUND = 6e-16
+
+
+@pytest.mark.parametrize("p,r", [(2.0, 1.0), (1.75, 1.7), (2.0, 0.5),
+                                 (2.0, 1.9), (3.0, 2.0)])
+def test_deficit_series_against_50_digit_sums(p, r):
+    # one call from the series' threshold, where x = s^(r-p) is largest
+    # (0.85 or 2^(r-p)) and sets the Horner degree, to s = 1e8 times it;
+    # p - r = 1 has coef_fpF(1) = 0
+    nl = PowerSum(p, r)
+    s = nl._s_series * np.array([1.0, 1.01, 1.5, 10.0, 1e3, 1e8])
+    for fpF, coef in ((True, nl._coef_fpF), (False, nl._coef_fF)):
+        ref = [_mp_deficit_series(p, r, v, fpF) for v in s]
+        assert _max_rel_err(nl._deficit_series(s, coef), ref) \
+            <= DEFICIT_SERIES_BOUND
+
+
 def test_deficits_match_direct_in_safe_range():
     # below the cancellation threshold the direct formulas are exact oracles
     for nl in [PowerSum(1.75, 1.0), PowerSumLog(2.0, 1.0, 1.0)]:
