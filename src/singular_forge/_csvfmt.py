@@ -13,7 +13,8 @@ decided that way; it goes, with zero, nan, +-inf and the values outside
 that range, through Python's own ``'%.17g' %``, and its bytes are spliced
 in.  The digits of ``D`` come from a 4-digit lookup table, and one gather
 per value lays them out as ``%g`` does: fixed notation for -4 <= e < 17,
-else ``d.ddde+XX``, trailing zeros stripped, a leading ``-`` when negative.
+else ``d.ddde+XX``, trailing zeros stripped, a leading ``-`` when negative,
+padded to a fixed width with NUL bytes that one ``bytes.translate`` drops.
 
 The tables are built on first use, never at import.
 """
@@ -30,15 +31,17 @@ _D_MAX = 10 ** 17
 
 # Per-value source row of 28 bytes, a layout being a row of indices into
 # it: constants, the 17 digits (the last 16 as four aligned uint32 groups),
-# the separator, and the exponent's sign and three digits (the sign
-# overwrites the leading '0' of its four-digit group).
-_MINUS, _POINT, _ZERO, _DIGITS, _E, _SEP, _ESIGN = 0, 1, 2, 3, 20, 21, 24
+# the separator, a NUL that pads a layout to _OUT bytes and is dropped from
+# the text, and the exponent's sign and three digits (the sign overwrites
+# the leading '0' of its four-digit group).
+_MINUS, _POINT, _ZERO, _DIGITS, _E, _SEP, _NUL, _ESIGN = \
+    0, 1, 2, 3, 20, 21, 22, 24
 _SRC = 28
 _CONST = b"-.0" + b"0" * 17 + b"e," + b"\0" * 6
 _OUT = 25  # "-d.dddddddddddddddde-ddd" is 24 bytes, then the separator
 _FIXED = range(-4, 17)  # exponents printed in fixed notation
 _NCLS = len(_FIXED) + 2  # fixed e, then e+dd, then e+ddd
-_GATHER = 256  # values per gather: 50 kB of byte indices
+_GATHER = 1024  # values per gather: 200 kB of intp byte indices
 
 
 def _layout(neg, ecls, nd):
@@ -85,8 +88,9 @@ def _powers():
 @functools.cache
 def _layouts():
     """The digits of "%04d" % i as one uint32 of four bytes and their count
-    of trailing zeros, for i < 10000; the source indices of every layout
-    and which of its _OUT bytes are printed; each exponent's layout class."""
+    of trailing zeros, for i < 10000; the source indices of every layout,
+    padded with _NUL; each exponent's layout class; the offset of each
+    value's source row within one gather."""
     q = (np.arange(10000, dtype=np.int16)[:, None]
          // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
     digits4 = (q + np.uint8(ord("0"))).view(np.uint32).ravel()
@@ -95,14 +99,13 @@ def _layouts():
     layouts = [_layout(neg, ecls, nd)
                for neg in (0, 1) for ecls in range(_NCLS)
                for nd in range(1, 18)]
-    index = np.full((len(layouts), _OUT), _SEP, dtype=np.uint8)
+    index = np.full((len(layouts), _OUT), _NUL, dtype=np.intp)
     for row, lay in zip(index, layouts):
         row[:len(lay)] = lay
-    keep = np.arange(_OUT) < np.array([len(lay) for lay in layouts])[:, None]
     e = np.arange(_K_MIN, _K_MAX + 1)
     ecls = np.where((e >= _FIXED[0]) & (e <= _FIXED[-1]), e - _FIXED[0],
                     len(_FIXED) + (np.abs(e) >= 100)) * 17
-    return digits4, zeros4, index, keep, ecls
+    return digits4, zeros4, index, ecls, _SRC * np.arange(_GATHER)[:, None]
 
 
 def _significand(a):
@@ -113,29 +116,40 @@ def _significand(a):
     # Next to a power of ten the rounded log10 may land on the wrong side
     # of the integer (below it too, where numpy's log10 is not correctly
     # rounded), so both neighbours are checked.
-    e = np.floor(np.log10(a)).astype(np.intp)
+    e = np.log10(a)
+    e = np.floor(e, out=e).astype(np.intp)
     i = e - _K_MIN
     e += a >= ceil.take(i + 1)
     e -= a < ceil.take(i)
 
     # a * 10**(16 - e) = p + s to within ~1e-15, with p an integer-valued
-    # double in [1e16, 1e17] and |s| < 20
-    i = 16 - e - _K_MIN
-    p = a * hi.take(i)
-    c = _SPLIT * a
-    a_h = c - (c - a)
+    # double in [1e16, 1e17] and |s| < 20: s sums, in this order,
+    # a_h t_h - p, a_h t_l, a_l t_h, a_l t_l and a lo, each product formed
+    # in place in an array it no longer needs
+    np.subtract(16 - _K_MIN, e, out=i)
+    p = hi.take(i)
+    p *= a
+    a_h = _SPLIT * a
+    a_h -= a_h - a
     a_l = a - a_h
     t_h = hi_h.take(i)
     t_l = hi_l.take(i)
-    s = (((a_h * t_h - p) + a_h * t_l + a_l * t_h) + a_l * t_l) \
-        + a * lo.take(i)
-    s_int = np.floor(s)
-    frac = s - s_int
-    d = p.astype(np.int64) + s_int.astype(np.int64) + (frac > 0.5)
+    s = a_h * t_h
+    s -= p
+    s += np.multiply(a_h, t_l, out=a_h)
+    s += np.multiply(a_l, t_h, out=t_h)
+    s += np.multiply(a_l, t_l, out=t_l)
+    s += a * lo.take(i)
+    d = p.astype(np.int64)
+    np.floor(s, out=p)
+    d += p.astype(np.int64)
+    s -= p  # the fraction
+    d += s > 0.5
     carry = d == _D_MAX  # rounded up to the next power of ten
     d[carry] = _D_MAX // 10
     e += carry
-    return e, d, np.abs(frac - 0.5) >= _TIE
+    s -= 0.5
+    return e, d, np.abs(s, out=s) >= _TIE
 
 
 def _source(e, d, cols):
@@ -163,11 +177,12 @@ def _source(e, d, cols):
 
 
 def _laid_out(v, cols):
-    """Each value's bytes in the layout of its class, padded to _OUT bytes,
-    which of them are printed, and the indices of the values whose bytes
-    are left to Python.  The gather runs a slice of values at a time, so
-    that the byte indices stay small."""
-    index, keep, ecls = _layouts()[2:]
+    """Each value's bytes in the layout of its class, padded to _OUT bytes
+    with NUL, and the indices of the values whose bytes are left to
+    Python.  The gather runs a slice of values at a time, so that the byte
+    indices stay small; they are in range by construction, so the take
+    clips instead of checking them."""
+    index, ecls, offsets = _layouts()[2:]
     a = np.abs(v)
     ok = (a >= _LOW) & (a <= _HIGH)  # false for zero, nan and inf
     a[~ok] = 1.0
@@ -178,28 +193,39 @@ def _laid_out(v, cols):
     out = np.empty((v.size, _OUT), dtype=np.uint8)
     flat_src = src.ravel()
     for lo in range(0, v.size, _GATHER):
-        part = cls[lo:lo + _GATHER]
-        flat = index.take(part, axis=0) \
-            + _SRC * np.arange(lo, lo + part.size)[:, None]
-        flat_src.take(flat, out=out[lo:lo + _GATHER])
-    return out, keep.take(cls, axis=0), np.flatnonzero(~ok)
+        flat = index.take(cls[lo:lo + _GATHER], axis=0)
+        flat += offsets[:len(flat)]
+        flat_src[lo * _SRC:].take(flat, out=out[lo:lo + _GATHER],
+                                  mode="clip")
+    return out, np.flatnonzero(~ok)
 
 
-def format_rows(block):
+def format_rows(block, order=None):
     """Bytes of a 2-D float64 block as CSV: each value as ``'%.17g' % v``,
     values joined by ``,`` and every row ended by ``\\n``.
+
+    With ``order``, the bytes are those of ``block[:, order]``, but each
+    value of ``block`` is formatted once: ``order`` repeats the columns
+    that are printed more than once.  A row's ``\\n`` is laid out with the
+    block's last column, so ``order`` must end with it and name it nowhere
+    else.
 
     -0.0 prints as ``-0``, as Python's does; fold it first if unwanted.
     """
     v = block.ravel()
     cols = block.shape[1]
-    out, mask, hard = _laid_out(v, cols)
+    if order is not None:
+        order = np.asarray(order, dtype=np.intp)
+        if order[-1] != cols - 1 or np.count_nonzero(order == cols - 1) > 1:
+            raise ValueError("order must end with the block's last column, "
+                             "and name it only there")
+    out, hard = _laid_out(v, cols)
     if hard.size:
-        text = ["%.17g" % x for x in v[hard].tolist()]
-        out[hard, :_OUT - 1] = np.array(text, dtype="S%d" % (_OUT - 1)) \
-            .view(np.uint8).reshape(-1, _OUT - 1)
-        width = np.array([len(t) for t in text])
-        out[hard, width] = np.where(hard % cols == cols - 1, ord("\n"),
-                                    ord(","))
-        mask[hard] = np.arange(_OUT) <= width[:, None]
-    return out[mask].tobytes()
+        # each value's text and separator, padded with NUL by "S25"
+        text = ["%.17g%s" % (x, "\n" if i % cols == cols - 1 else ",")
+                for x, i in zip(v[hard].tolist(), hard.tolist())]
+        out[hard] = np.array(text, dtype="S%d" % _OUT).view(np.uint8) \
+            .reshape(-1, _OUT)
+    if order is not None:
+        out = out.reshape(-1, cols, _OUT).take(order, axis=1)
+    return out.tobytes().translate(None, b"\0")

@@ -164,6 +164,7 @@ def build_context(nl, cls, rho0, rho_max, M):
     phi = np.asarray(nl.F_inv(sigma), dtype=float)
     if phi[0] <= nl.s_min:
         raise GridError("phi(rho0) <= s_min; increase rho0")
+    phi.flags.writeable = False  # to_radial hands it out as tilde_u
 
     d1 = np.asarray(nl.deficit_fpF(phi), dtype=float)
     d2 = np.asarray(nl.deficit_fF(phi), dtype=float)
@@ -348,7 +349,7 @@ def to_radial(ctx, eta, deta):
     return SolutionProfile(
         ctx=ctx,
         r=r,
-        tilde_u=phi.copy(),
+        tilde_u=phi,
         theta=eta.copy(),
         rtheta_prime=-deta,
         u=u,

@@ -516,6 +516,40 @@ def test_write_profile_csv_golden_bytes(tmp_path):
     assert "-0," not in body and ",-0\n" not in body
 
 
+@pytest.mark.parametrize("case", ["tilde_u_is_phi", "tilde_u_copy",
+                                  "shared_nan_and_minus_zero"])
+def test_write_profile_csv_shared_columns_golden_bytes(tmp_path, case):
+    # more than two blocks, not a multiple of the block; a column array
+    # shared by two CSV columns is formatted once and printed twice
+    n = 2500
+    assert n > 2 * cli._CSV_BLOCK and n % cli._CSV_BLOCK
+    rng = np.random.default_rng(11)
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            for _ in range(10)]
+    cols[4] = cols[6]  # eta is theta
+    if case == "tilde_u_copy":
+        cols[8] = cols[2].copy()  # equal values, a distinct array
+    else:
+        cols[8] = cols[2]
+    if case == "shared_nan_and_minus_zero":
+        for j in (2, 6):
+            cols[j][rng.permutation(n)[:40]] = [np.nan, -0.0] * 20
+    ctx = SimpleNamespace(rho=cols[0], phi=cols[2], I=cols[3])
+    prof = SimpleNamespace(ctx=ctx, r=cols[1], theta=cols[6],
+                           rtheta_prime=-cols[5], u=cols[7],
+                           tilde_u=cols[8], residual=cols[9])
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, prof)
+    expected = ["rho,r,phi,I,eta,eta_prime,theta,u,tilde_u,residual\n"]
+    for i in range(n):
+        expected.append(",".join(format(float(c[i]) + 0.0, ".17g")
+                                 for c in cols) + "\n")
+    assert path.read_bytes() == "".join(expected).encode("ascii")
+    if case == "shared_nan_and_minus_zero":
+        body = path.read_text()
+        assert "nan" in body and "-0," not in body
+
+
 def test_sweep_small_grid(tmp_path):
     code = main(["sweep", "--N", "5", "--family", "power_sum", "--p", "2",
                  "--r", "1", "--pairs", "1e-4:1e-4,2e-4:2e-4",

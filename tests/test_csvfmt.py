@@ -1,6 +1,7 @@
 """The profile CSV formatter prints every float64 exactly as '%.17g' does."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,56 @@ def test_format_rows_random_bit_patterns(case):
 def test_format_rows_random_floats(case):
     values, cols = case
     _check(values, cols)
+
+
+@st.composite
+def _ordered_blocks(draw):
+    """A folded block and an order that repeats any of its columns but the
+    last, which ends it."""
+    cols = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 30))
+    bits = st.integers(0, 2 ** 64 - 1).map(
+        lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+    values = draw(st.lists(st.floats() | bits, min_size=rows * cols,
+                           max_size=rows * cols))
+    head = draw(st.lists(st.integers(0, max(cols - 2, 0)), max_size=12)) \
+        if cols > 1 else []
+    block = np.array(values, dtype=np.float64).reshape(rows, cols) + 0.0
+    return block, head + [cols - 1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_ordered_blocks())
+def test_format_rows_order_repeats_columns(case):
+    block, order = case
+    assert format_rows(block, order) == _expected(block[:, order])
+
+
+def _mixed_values(n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    special = _special_values()
+    values[rng.permutation(n)[:n // 8]] = rng.choice(special, n // 8)
+    return values + 0.0
+
+
+@pytest.mark.parametrize("n", [_csvfmt._GATHER + 1, 2 * _csvfmt._GATHER + 1])
+def test_format_rows_across_gather_chunks(n):
+    # 1025 and 2049 values: one and two full gathers, then a single value
+    block = _mixed_values(n, n).reshape(n, 1)
+    assert format_rows(block) == _expected(block)
+    assert format_rows(block, [0]) == _expected(block)
+    wide = _mixed_values(3 * n, n + 1).reshape(n, 3)
+    order = [1, 0, 1, 0, 2]
+    assert format_rows(wide, order) == _expected(wide[:, order])
+
+
+@pytest.mark.parametrize("order", [[0, 1], [2, 0, 2], [0, 1, 2, 2]])
+def test_format_rows_order_must_end_with_the_last_column_alone(order):
+    # the row's newline is laid out with the block's last column
+    block = np.ones((2, 3))
+    with pytest.raises(ValueError):
+        format_rows(block, order)
 
 
 def test_format_rows_powers_of_ten_notation_switches_and_edges():

@@ -186,6 +186,20 @@ def test_to_radial_boundary_data():
     assert_allclose(prof.u, prof.tilde_u * (1.0 + eta), rtol=1e-14)
 
 
+def test_to_radial_shares_the_read_only_phi():
+    # tilde_u is the context's own phi, which no caller can write into
+    nl = PowerSum(2.0, 1.0)
+    cls = classify(nl, 5)
+    ctx = build_context(nl, cls, 3.0, 23.0, 513)
+    z = np.zeros(513)
+    prof = to_radial(ctx, z, z)
+    assert prof.tilde_u is ctx.phi
+    with pytest.raises(ValueError):
+        ctx.phi[0] = 1.0
+    with pytest.raises(ValueError):
+        prof.tilde_u += 1.0
+
+
 GENERIC_POWER_SUM = Generic(
     lambda u: u * u + u ** 1.5,
     lambda u: 2.0 * u + 1.5 * u ** 0.5,

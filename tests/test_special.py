@@ -129,6 +129,17 @@ def test_upper_gamma_against_50_digit_reference(a):
         assert _max_rel_err(upper_gamma(a, GAMMA_X), ref) <= GAMMA_BOUND[a]
 
 
+@pytest.mark.parametrize("a", [0.51, 0.6, 0.75, 0.9, 0.99])
+def test_upper_gamma_series_below_the_switch_for_orders_under_one(a):
+    # 1/2 < a < 1 and x up to a + 1, where the series loses to the
+    # cancellation in Gamma(a) - x^a e^-x sum: worst measured 6.7e-15
+    # (a = 0.6 near x = 1.56), bound 1.5 times that
+    x = np.linspace(0.05, a + 1.0, 400, endpoint=False)
+    with mp.workdps(50):
+        ref = [mp.gammainc(mp.mpf(a), mp.mpf(v)) for v in x]
+        assert _max_rel_err(upper_gamma(a, x), ref) <= 1e-14
+
+
 @pytest.mark.parametrize("a", [1e-9, 1e-5, -1e-5, -1.00001, -2.0 + 1e-7])
 def test_upper_gamma_near_nonpositive_integer_orders(a):
     # no division by an order near 0: a recursion through one lost up to
