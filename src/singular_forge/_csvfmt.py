@@ -160,20 +160,24 @@ def _source(e, d, cols):
     src = np.empty((n, _SRC), dtype=np.uint8)
     src[:] = np.frombuffer(_CONST, dtype=np.uint8)
     src[cols - 1::cols, _SEP] = ord("\n")
-    lead, rest = np.divmod(d, 10 ** 16)
-    # the 16 digits after the first as four groups of four, one per row
-    groups = np.empty((4, n), dtype=np.int64)
-    groups[0], rest = np.divmod(rest, 10 ** 12)
-    groups[1], rest = np.divmod(rest, 10 ** 8)
-    groups[2], groups[3] = np.divmod(rest, 10 ** 4)
     words = src.view(np.uint32)
-    words[:, 1:5] = digits4.take(groups).T
     words[:, 6] = digits4.take(np.abs(e))
-    src[:, _DIGITS] = lead + ord("0")
     src[:, _ESIGN] = np.where(e < 0, ord("-"), ord("+"))
-    z = zeros4.take(groups)  # trailing zeros, group by group from the right
-    return src, 17 - (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (
-        z[1] + (z[1] == 4) * z[0])))
+    # the 16 digits after the first as four groups of four, from the right,
+    # counting trailing zeros while every group to the right is all zeros
+    rest, group = np.divmod(d, 10 ** 4)
+    words[:, 4] = digits4.take(group)
+    zeros = zeros4.take(group)
+    all_zero = zeros == 4
+    for j in (3, 2, 1):
+        rest, group = np.divmod(rest, 10 ** 4)
+        words[:, j] = digits4.take(group)
+        z = zeros4.take(group)
+        z *= all_zero
+        zeros += z
+        all_zero &= z == 4
+    src[:, _DIGITS] = rest + ord("0")
+    return src, 17 - zeros
 
 
 def _laid_out(v, cols):
@@ -181,21 +185,28 @@ def _laid_out(v, cols):
     with NUL, and the indices of the values whose bytes are left to
     Python.  The gather runs a slice of values at a time, so that the byte
     indices stay small; they are in range by construction, so the take
-    clips instead of checking them."""
+    clips instead of checking them.  Each array is dropped once read, so
+    that the gather does not hold the digit arithmetic's."""
     index, ecls, offsets = _layouts()[2:]
     a = np.abs(v)
     ok = (a >= _LOW) & (a <= _HIGH)  # false for zero, nan and inf
     a[~ok] = 1.0
     e, d, settled = _significand(a)
+    del a
     ok &= settled
     src, nd = _source(e, d, cols)
-    cls = ecls.take(e - _K_MIN) + np.signbit(v) * (_NCLS * 17) + (nd - 1)
+    cls = ecls.take(e - _K_MIN)
+    cls += np.signbit(v) * (_NCLS * 17) + (nd - 1)
+    del e, d, nd
     out = np.empty((v.size, _OUT), dtype=np.uint8)
     flat_src = src.ravel()
+    flat = np.empty((min(v.size, _GATHER), _OUT), dtype=np.intp)
     for lo in range(0, v.size, _GATHER):
-        flat = index.take(cls[lo:lo + _GATHER], axis=0)
-        flat += offsets[:len(flat)]
-        flat_src[lo * _SRC:].take(flat, out=out[lo:lo + _GATHER],
+        part = cls[lo:lo + _GATHER]
+        chunk = flat[:len(part)]
+        index.take(part, axis=0, out=chunk, mode="clip")
+        chunk += offsets[:len(part)]
+        flat_src[lo * _SRC:].take(chunk, out=out[lo:lo + _GATHER],
                                   mode="clip")
     return out, np.flatnonzero(~ok)
 
@@ -228,4 +239,6 @@ def format_rows(block, order=None):
             .reshape(-1, _OUT)
     if order is not None:
         out = out.reshape(-1, cols, _OUT).take(order, axis=1)
-    return out.tobytes().translate(None, b"\0")
+    text = out.tobytes()
+    del out
+    return text.translate(None, b"\0")

@@ -37,7 +37,15 @@ from .errors import (
 
 
 class Nonlinearity:
-    """Base class; concrete families override the evaluation methods."""
+    """Base class; concrete families override the evaluation methods.
+
+    ``exponents`` is (a_1, a_2, ...) when f(s) = sum_j s^{a_j}, leading
+    exponent p first: (p,) for PurePower, (p, r) for PowerSum.  profile
+    then sums the quadratic remainder as a series in eta, to a degree set by
+    a tail bound and capped at 40, and takes the Gauss rule over f'' past
+    the cap.  It is None for every other family, Generic included, which
+    always takes the Gauss rule.
+    """
 
     name = "base"
     p = None
@@ -46,6 +54,7 @@ class Nonlinearity:
     s_min = 0.0
     #: exact classification limit, or None when it must be estimated
     qf_exact = None
+    exponents = None
 
     # -- evaluation ---------------------------------------------------------
     def f(self, s):
@@ -145,6 +154,7 @@ class PurePower(Nonlinearity):
         self.p = float(p)
         self.s_min = 0.0
         self.qf_exact = self.p / (self.p - 1.0)
+        self.exponents = (self.p,)
 
     def f(self, s):
         return np.asarray(s, float) ** self.p
@@ -192,6 +202,7 @@ class PowerSum(Nonlinearity):
         self.r = float(r)
         self.s_min = 0.0
         self.qf_exact = self.p / (self.p - 1.0)
+        self.exponents = (self.p, self.r)
         self._c = (self.p - 1.0) / (self.p - self.r)
         # below this the deficit series converges too slowly; evaluate direct
         self._s_series = max(2.0, 0.85 ** (-1.0 / (self.p - self.r)))

@@ -8,27 +8,55 @@ than re-evaluated.  The forcing and linear coefficients
     L1 = b [ (f'F - q_f) - (fF/phi - 1/(p_f-1)) ] + I
     L2 = 4 (fF/phi - 1/(p_f-1))
 
-are assembled from the nonlinearity's deficit evaluations, and the quadratic
-remainder N[eta] uses the exact integral form of the Taylor remainder
+are assembled from the nonlinearity's deficit evaluations.  The quadratic
+remainder is
+
+    N[eta] = b (F(phi)/phi) (f(phi(1+eta)) - f(phi) - f'(phi) phi eta),
+
+taken in a form that keeps it relatively accurate where the direct
+difference of near-equal f values would drown in rounding, with its
+derivative in eta, N'[eta] = b F(phi) (f'(phi(1+eta)) - f'(phi)), from the
+same pass.
+
+For a sum of powers f = sum_j s^{a_j} (``nl.exponents``, leading exponent
+p first) the remainder is a series in eta with coefficients fixed per grid,
+
+    N  = w eta^2 sum_{k>=2} a_k eta^(k-2),
+    N' = w eta sum_{k>=2} k a_k eta^(k-2),
+    w = b F(phi) phi^(p-1),   a_k = sum_j C(a_j, k) x_j,   x_j = phi^(a_j-p),
+
+summed by one Horner pass (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, Sec. 5.1) to the first degree n where a bound on the rest
+of both series is below 2^-54 of their leading terms at the call's largest
+|eta|.  With m_j = max over the grid of |x_j|/|a_2|, and k |C(a, k)|
+non-increasing for k >= a/2, the rest after degree n is at most
+
+    (n+1) |eta|^(n-1) / (2 (1-|eta|)) * sum_j m_j |C(a_j, n+1)|
+
+of the leading term of N' (and less for N), so N does not depend on
+whether N' is asked for.  The coefficient arrays are made on first use, up
+to the highest degree a call has needed.  A call whose degree would pass
+_SERIES_CAP (|eta| near 0.45 for the exponents here), whose |eta| is not
+below 1, or on a grid where w or a_2 is not finite or a_2 is zero, takes
+the Gauss rule below, as every other family does.
+
+The Gauss rule takes the exact integral form of the Taylor remainder
 
     f(phi(1+eta)) - f(phi) - f'(phi) phi eta
-        = (phi eta)^2 int_0^1 (1-t) f''(phi(1+t eta)) dt
+        = (phi eta)^2 int_0^1 (1-t) f''(phi(1+t eta)) dt,
 
-which keeps N[eta] relatively accurate where the direct difference of
-near-equal f values would drown in rounding.  Its derivative in eta,
-N'[eta] = b F(phi) phi eta int_0^1 f''(phi(1+t eta)) dt, comes from the
-same f'' values with the plain Gauss weights, so a Newton step pays for one
-pass and no difference of f' values.
-
-The integral is taken by a Gauss-Legendre rule of 4, 8 or 16 points, the
-fewest that serve every node of the call.  f'' is taken to be analytic off
-s_min, which phi(1 + t eta) reaches at t = -1/zeta, zeta = eta phi/(phi -
-s_min); the n-point rule serves while its Bernstein-ellipse bound rho^-2n
-is below 2^-60.  That is zeta up to z4 = 0.0223 for 4 points and z8 = 0.347
-for 8 (0.0219 and 0.258 for zeta < 0, whose singularity lies beyond t = 1,
-nearer the segment).  f'' is evaluated for several Gauss nodes in one call,
-as many as keep a call near _GROUP_POINTS points: a whole rule on a grid of
-up to 256 nodes, one node at a time on a 4096-node grid.
+and N' = b F(phi) phi eta int_0^1 f''(phi(1+t eta)) dt from the same f''
+values with the plain Gauss weights, so a Newton step pays for one pass and
+no difference of f' values.  The integral is taken by a Gauss-Legendre
+rule of 4, 8 or 16 points, the fewest that serve every node of the call.
+f'' is taken to be analytic off s_min, which phi(1 + t eta) reaches at
+t = -1/zeta, zeta = eta phi/(phi - s_min); the n-point rule serves while
+its Bernstein-ellipse bound rho^-2n is below 2^-60.  That is zeta up to
+z4 = 0.0223 for 4 points and z8 = 0.347 for 8 (0.0219 and 0.258 for
+zeta < 0, whose singularity lies beyond t = 1, nearer the segment).  f'' is
+evaluated for several Gauss nodes in one call, as many as keep a call near
+_GROUP_POINTS points: a whole rule on a grid of up to 256 nodes, one node
+at a time on a 4096-node grid.
 """
 
 import math
@@ -38,6 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from ._special import (
+    _SERIES_TOL,
     GL01_NODES,
     GL01_WEIGHTS,
     GL4_01_NODES,
@@ -73,6 +102,104 @@ _RULES = (
 # batch near this size stays in cache; a full 16-row batch at M=4096 is
 # slower than one call per node
 _GROUP_POINTS = 4096
+# highest degree of the sum-of-powers series.  Degree 40 serves |eta| up to
+# 0.4-0.45 for the exponents here; at M=4096 it costs 170-270 us for N
+# (with N'), against 700-880 us for the 16-point rule those calls would
+# take.  Past it the degree climbs like log(2^-54)/log|eta| (near 60 at
+# 0.6, 100 at 0.7) while the Gauss rule's cost stays fixed, and each degree
+# keeps one more grid array in the context.
+_SERIES_CAP = 40
+
+
+def _coefficient(terms, k):
+    """a_k = sum_j C(a_j, k) x_j over (binomials, x_j) terms: a float when
+    every x_j with C(a_j, k) != 0 is 1, else a grid array."""
+    acc = 0.0
+    for binom, x in terms:
+        if binom[k] != 0.0:
+            acc = acc + binom[k] * x
+    return acc
+
+
+class _PowerSeries:
+    """The remainder of a sum of powers on one grid as a series in eta: the
+    weight w, the coefficient arrays a_k made as far as a call has needed,
+    and per degree n the tail factor (n+1)/2 sum_j m_j |C(a_j, n+1)|.
+    """
+
+    def __init__(self, w, terms, tail, a2):
+        self.w = w
+        self._terms = terms  # (binomials C(a_j, k) for k <= cap+1, x_j)
+        self._tail = tail
+        self._coef = [a2]  # a_2, a_3, ...
+
+    @classmethod
+    def of(cls, ctx):
+        """The series of ctx, or None when its family is not a sum of
+        powers or w, a_2 are not finite or a_2 vanishes on the grid."""
+        exponents = ctx.nl.exponents
+        if exponents is None:
+            return None
+        p = exponents[0]
+        with np.errstate(all="ignore"):
+            w = ctx.cls.b * ctx.Fphi * ctx.phi ** (p - 1.0)
+            terms = []
+            for a in exponents:
+                if a in (0.0, 1.0):
+                    continue  # linear in s: no remainder
+                binom = [1.0]
+                for k in range(_SERIES_CAP + 1):
+                    binom.append(binom[-1] * (a - k) / (k + 1))
+                terms.append((binom, 1.0 if a == p else ctx.phi ** (a - p)))
+            a2 = _coefficient(terms, 2)
+            m = [float(np.max(np.abs(x) / np.abs(a2))) for _, x in terms]
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a2))
+                and np.all(a2 != 0.0)):
+            return None
+        tail = [(n + 1) / 2.0 * sum(mj * abs(binom[n + 1])
+                                    for mj, (binom, _) in zip(m, terms))
+                if 2 * (n + 1) >= max(exponents) else math.inf
+                for n in range(_SERIES_CAP + 1)]
+        return cls(w, terms, tail, a2)
+
+    def coefficients(self, n):
+        """[a_2, ..., a_n], each a float or a grid array."""
+        while len(self._coef) < n - 1:
+            self._coef.append(_coefficient(self._terms, len(self._coef) + 2))
+        return self._coef[:n - 1]
+
+    def degree(self, eta_max):
+        """The first degree whose tail bound at |eta| <= eta_max is below
+        _SERIES_TOL, or None past _SERIES_CAP or when eta_max >= 1."""
+        if not eta_max < 1.0:
+            return None
+        scale = 1.0 / (1.0 - eta_max)
+        for n in range(2, _SERIES_CAP + 1):
+            if self._tail[n] * eta_max ** (n - 1) * scale <= _SERIES_TOL:
+                return n
+        return None
+
+    def remainder(self, nodes, eta, n, derivative):
+        """N[eta] (and N'[eta]) to degree n at the grid nodes ``nodes``."""
+        coef = [c if np.ndim(c) == 0 else c[nodes]
+                for c in self.coefficients(n)]
+        w = self.w[nodes]
+        s = np.empty(np.broadcast_shapes(np.shape(w), eta.shape))
+        s[...] = coef[-1]
+        ds = np.zeros_like(s) if derivative else None
+        for c in reversed(coef[:-1]):
+            if derivative:
+                ds *= eta
+                ds += s
+            s *= eta
+            s += c
+        w_eta = w * eta
+        value = w_eta * eta * s
+        if not derivative:
+            return value
+        ds *= eta
+        ds += 2.0 * s
+        return value, w_eta * ds
 
 
 @dataclass(frozen=True)
@@ -128,6 +255,11 @@ class ProfileContext:
         denominator is delta times the first plus the second."""
         return (super_kernel(self.cls, self.rho - self.grid.rho0, 0.0),
                 convolve_Q_cumulative(self.ks, self.rho, np.abs(self.I)))
+
+    @cached_property
+    def power_series(self):
+        """The remainder's series in eta for a sum of powers, else None."""
+        return _PowerSeries.of(self)
 
     @cached_property
     def case_tag(self):
@@ -238,14 +370,24 @@ def _gauss_rule(ctx, phi, eta):
 def _remainder(ctx, nodes, eta, derivative=False):
     """N[eta] at the grid nodes selected by ``nodes`` (an index, an index
     array or a slice), eta broadcasting against them; with ``derivative``
-    the pair (N[eta], N'[eta]).
-
-    One f2 call takes a group of Gauss nodes, a (group, points) array; the
-    rows are summed in node order, so the value does not depend on the
-    grouping.  Raises DomainError when phi(1+eta) leaves (s_min, inf).
+    the pair (N[eta], N'[eta]).  A sum of powers sums its series where the
+    degree stays within _SERIES_CAP; otherwise the Gauss rule.  Raises
+    DomainError when phi(1+eta) leaves (s_min, inf).
     """
     eta = np.asarray(eta, dtype=float)
     check_domain(ctx, nodes, eta)
+    series = ctx.power_series
+    if series is not None:
+        n = series.degree(float(np.max(np.abs(eta), initial=0.0)))
+        if n is not None:
+            return series.remainder(nodes, eta, n, derivative)
+    return _gauss_remainder(ctx, nodes, eta, derivative)
+
+
+def _gauss_remainder(ctx, nodes, eta, derivative):
+    """_remainder by the Gauss rule.  One f2 call takes a group of Gauss
+    nodes, a (group, points) array; the rows are summed in node order, so
+    the value does not depend on the grouping."""
     phi = ctx.phi[nodes]
     phi_b, eta_b = np.broadcast_arrays(phi, eta)
     shape = phi_b.shape
@@ -279,9 +421,10 @@ def nonlinear_term(ctx, eta):
 
 
 def nonlinear_term_and_derivative(ctx, eta):
-    """(N[eta], N'[eta]) nodewise from one pass of f2 over the Gauss nodes,
-    N'[eta] = b F(phi) (f'(phi(1+eta)) - f'(phi)) the derivative of N in
-    eta.  Raises DomainError when phi(1+eta) leaves (s_min, inf).
+    """(N[eta], N'[eta]) nodewise from one pass of the series or of f2
+    over the Gauss nodes, N'[eta] = b F(phi) (f'(phi(1+eta)) - f'(phi))
+    the derivative of N in eta.  Raises DomainError when phi(1+eta) leaves
+    (s_min, inf).
     """
     return _remainder(ctx, slice(None), eta, derivative=True)
 

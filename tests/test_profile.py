@@ -21,7 +21,12 @@ from singular_forge import (
     tilde_u,
     to_radial,
 )
-from singular_forge.profile import _RULES, _gauss_rule, _remainder
+from singular_forge.profile import (
+    _RULES,
+    _SERIES_CAP,
+    _gauss_rule,
+    _remainder,
+)
 
 
 def test_tilde_u_pure_power_closed_form():
@@ -200,12 +205,18 @@ def test_to_radial_shares_the_read_only_phi():
         prof.tilde_u += 1.0
 
 
-GENERIC_POWER_SUM = Generic(
-    lambda u: u * u + u ** 1.5,
-    lambda u: 2.0 * u + 1.5 * u ** 0.5,
-    lambda u: 2.0 + 0.75 * u ** -0.5,
-    qf=2.0,
-)
+def _generic_power_sum():
+    # s^2 + s^1.5 without declared exponents: it keeps the Gauss rule, and
+    # s_min = 0, so zeta = eta
+    return Generic(
+        lambda u: u * u + u ** 1.5,
+        lambda u: 2.0 * u + 1.5 * u ** 0.5,
+        lambda u: 2.0 + 0.75 * u ** -0.5,
+        qf=2.0,
+    )
+
+
+GENERIC_POWER_SUM = _generic_power_sum()
 REMAINDER_FAMILIES = [
     PurePower(2.0),
     PowerSum(1.75, 1.7),
@@ -243,9 +254,19 @@ def _per_node_remainder(ctx, nodes, eta):
     return ctx.cls.b * ctx.Fphi[nodes] * phi * eta * eta * acc
 
 
+def _gauss_twin(nl):
+    """nl itself, or for a sum of powers, which sums its remainder as a
+    series, a Generic with the same f, f', f'' and q_f, which takes the
+    Gauss rule and the same f'' calls."""
+    if nl.exponents is None:
+        return nl
+    return Generic(nl.f, nl.f1, nl.f2, qf=nl.qf_exact)
+
+
 @pytest.mark.parametrize("nl", REMAINDER_FAMILIES,
                          ids=lambda nl: nl.name)
 def test_grouped_remainder_equals_per_node_loop_bitwise(nl):
+    nl = _gauss_twin(nl)
     cls = classify(nl, 5)
     for M in (9, 192, 256, 257, 801, 4096):
         ctx = build_context(nl, cls, 3.0, 43.0, M)
@@ -324,7 +345,8 @@ def test_remainder_against_50_digit_taylor_remainder(nl):
 
 
 def _count_f2(nl, M, eta):
-    """Sizes of the f2 calls one nonlinear_term makes at constant eta."""
+    """Sizes of the f2 calls one nonlinear_term makes at constant eta; nl
+    is an instance of the test's own."""
     ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, M)
     seen = []
 
@@ -342,7 +364,7 @@ def test_nonlinear_term_groups_f2_calls(M, calls):
     # the 16 Gauss nodes in groups of about 4096 points: one call at
     # M <= 256, one call per node at M=4096, where a 16-row batch falls
     # out of cache
-    seen = _count_f2(PowerSum(1.75, 1.7), M, 0.4)
+    seen = _count_f2(_generic_power_sum(), M, 0.4)
     assert len(seen) == calls
     assert sum(seen) == 16 * M
 
@@ -354,7 +376,7 @@ def test_nonlinear_term_groups_f2_calls(M, calls):
 def test_nonlinear_term_rule_follows_eta(eta, points):
     # s_min = 0, so zeta = eta: 4 points up to 0.0223 (0.0219 below 0),
     # 8 up to 0.347 (0.258), else 16; one f2 call per point at M=4096
-    seen = _count_f2(PowerSum(1.75, 1.7), 4096, eta)
+    seen = _count_f2(_generic_power_sum(), 4096, eta)
     assert seen == [4096] * points
 
 
@@ -375,3 +397,154 @@ def test_nonlinear_term_derivative_from_the_same_pass(nl):
     assert_allclose(dn[big], direct[big], rtol=1e-12, atol=0.0)
     with pytest.raises(DomainError):
         nonlinear_term_and_derivative(ctx, np.full_like(eta, -2.0))
+
+
+SERIES_FAMILIES = [PurePower(1.8), PowerSum(1.75, 1.7), PowerSum(1.75, 1.0),
+                   PowerSum(2.0, 0.5)]
+
+
+def _series_reach(series):
+    """The largest |eta| (to rounding) whose degree stays within the cap."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if series.degree(mid) is None else (mid, hi)
+    return lo
+
+
+# measured at most 4.5e-16 relative (power_sum 1.75,1.7, N at eta = -1e-4;
+# 3.8e-16 for N') at every |eta| below, degrees up to 40; twice that
+SERIES_RTOL = 8.9e-16
+
+
+@pytest.mark.parametrize("nl", SERIES_FAMILIES, ids=repr)
+def test_series_remainder_against_50_digit_sum_of_powers(nl):
+    # N and N' of f = sum_j s^{a_j} at |eta| from 1e-6 to the cap, both
+    # signs, against sum_j s^{a_j} ((1+eta)^{a_j} - 1 - a_j eta) at 50
+    # digits; power_sum 1.75,1 has a linear s^r, and power_sum 2,0.5 a
+    # negative C(r, 2)
+    cls = classify(nl, 5)
+    ctx = build_context(nl, cls, 3.0, 43.0, 257)
+    series = ctx.power_series
+    reach = _series_reach(series)
+    assert 0.4 < reach < 1.0
+    nodes = np.linspace(0, 256, 9).astype(int)
+    phi = ctx.phi[nodes]
+    mags = [1e-6, 1e-4, 1e-2, 0.1, 0.2, 0.3, 0.4, reach]
+    with mp.workdps(50):
+        a = [mp.mpf(e) for e in nl.exponents]
+        for mag in mags:
+            for eta in (mag, -mag):
+                assert series.degree(mag) <= _SERIES_CAP
+                n, dn = _remainder(ctx, nodes, np.full(9, eta),
+                                   derivative=True)
+                e = mp.mpf(eta)
+                for k, node in enumerate(nodes):
+                    s = mp.mpf(phi[k])
+                    scale = mp.mpf(cls.b) * mp.mpf(ctx.Fphi[node]) / s
+                    want = scale * sum(
+                        s ** aj * ((1 + e) ** aj - 1 - aj * e) for aj in a)
+                    dwant = scale * sum(
+                        aj * s ** aj * ((1 + e) ** (aj - 1) - 1) for aj in a)
+                    for got, ref in ((n[k], want), (dn[k], dwant)):
+                        assert abs(got - ref) <= SERIES_RTOL * abs(ref), (
+                            eta, node)
+
+
+@pytest.mark.parametrize("nl", [PurePower(2.0), PowerSum(2.0, 1.0)],
+                         ids=repr)
+def test_series_is_exact_at_degree_two(monkeypatch, nl):
+    # C(2, k) = 0 past k = 2 and s^1 leaves no remainder: N = b F phi eta^2
+    # and N' = 2 b F phi eta for every |eta| < 1, with no f'' call
+    cls = classify(nl, 5)
+    ctx = build_context(nl, cls, 3.0, 43.0, 257)
+    monkeypatch.setattr(nl, "f2", None)
+    eta = 0.9 * np.sin(ctx.rho)
+    assert ctx.power_series.degree(0.999) == 2
+    n, dn = nonlinear_term_and_derivative(ctx, eta)
+    w = cls.b * ctx.Fphi * ctx.phi
+    assert n.tobytes() == (w * eta * eta).tobytes()
+    assert dn.tobytes() == (w * eta * 2.0).tobytes()
+    assert len(ctx.power_series._coef) == 1  # a_2 alone was made
+
+
+def test_series_coefficients_are_made_as_far_as_calls_need():
+    nl = PowerSum(1.75, 1.7)
+    ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, 257)
+    series = ctx.power_series
+    made = series._coef
+    assert len(made) == 1  # a_2, which the tail bound reads
+    for eta, more in ((1e-3, True), (0.2, True), (0.05, False),
+                      (0.4, True)):
+        before = len(made)
+        nonlinear_term(ctx, np.full(257, eta))
+        assert len(made) == max(before, series.degree(eta) - 1)
+        assert (len(made) > before) == more
+    assert len(made) <= _SERIES_CAP - 1
+
+
+@pytest.mark.parametrize("eta, calls", [
+    (0.3, 0), (-0.3, 0), (0.6, 16), (-0.5, 16), (1.5, 16), (np.nan, 16),
+])
+def test_series_past_its_reach_takes_the_gauss_rule(monkeypatch, eta, calls):
+    # the series serves |eta| up to about 0.45 here; past the cap, at
+    # |eta| >= 1 or for a nan, the call is the Gauss rule's 16 f'' calls
+    # of 4096 points
+    nl = PowerSum(1.75, 1.7)
+    ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, 4096)
+    seen = []
+    monkeypatch.setattr(nl, "f2", lambda s: seen.append(np.size(s))
+                        or type(nl).f2(nl, s))
+    e = np.full(4096, 0.01)
+    e[17] = eta
+    n = nonlinear_term(ctx, e)
+    assert seen == [4096] * calls
+    assert np.isnan(eta) == np.isnan(n[17])
+
+
+@pytest.mark.parametrize("nl", SERIES_FAMILIES[:2], ids=repr)
+def test_series_value_does_not_depend_on_the_derivative(nl):
+    cls = classify(nl, 5)
+    ctx = build_context(nl, cls, 3.0, 43.0, 801)
+    rng = np.random.default_rng(3)
+    tail = rng.integers(400, 801, size=2000)
+    for mag in (1e-6, 1e-3, 0.05, 0.3, 0.44):
+        eta = mag * np.sin(ctx.rho)
+        n, _ = nonlinear_term_and_derivative(ctx, eta)
+        assert n.tobytes() == nonlinear_term(ctx, eta).tobytes()
+        e = rng.uniform(-mag, mag, tail.size)
+        n, _ = _remainder(ctx, tail, e, derivative=True)
+        assert n.tobytes() == _remainder(ctx, tail, e).tobytes()
+
+
+def test_series_at_the_shapes_lipschitz_check_passes():
+    nl = PowerSum(1.75, 1.7)
+    ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, 801)
+    rng = np.random.default_rng(7)
+    ii = rng.integers(400, 801, size=2000)
+    e = rng.uniform(-0.1, 0.1, size=2000)
+    got = nonlinear_term_at(ctx, ii, e)
+    assert got.shape == (2000,)
+    one = [nonlinear_term_at(ctx, int(i), float(v)) for i, v in zip(ii, e)]
+    assert all(np.shape(v) == () for v in one)
+    assert_allclose(got, one, rtol=SERIES_RTOL, atol=0.0)
+    # at one degree a node's value is the full grid's, bitwise
+    full = nonlinear_term(ctx, np.full(801, 0.07))
+    assert nonlinear_term_at(ctx, 600, 0.07) == full[600]
+    assert (nonlinear_term_at(ctx, ii, 0.07).tobytes()
+            == full[ii].tobytes())
+
+
+def test_series_domain_error_as_before():
+    nl = PowerSum(1.75, 1.7)
+    ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, 257)
+    eta = np.full(257, 0.01)
+    eta[5] = -1.0  # phi (1 + eta) = 0 = s_min
+    for call in (nonlinear_term, nonlinear_term_and_derivative):
+        with pytest.raises(DomainError, match="node 5:"):
+            call(ctx, eta)
+    with pytest.raises(DomainError, match="node 9:"):
+        nonlinear_term_at(ctx, np.array([3, 9, 9]),
+                          np.array([0.1, -1.5, 0.2]))
+    with pytest.raises(DomainError, match="node 200:"):
+        nonlinear_term_at(ctx, 200, -2.0)
