@@ -41,7 +41,7 @@ from .verify import (
     ode_residual_radial,
     resolve_grid,
     run_cell,
-    table_report,
+    table_cell,
 )
 
 DEFAULT_CELLS = [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0), (2.0, 1.0), (2.0, 1.9)]
@@ -135,8 +135,8 @@ class RunConfig:
                 self.r is None or not 0.0 < self.r < self.p
             ):
                 raise ConfigError("r: must satisfy 0 < r < p")
-            if self.family == "power_sum_log" and self.log_exp is None:
-                raise ConfigError("log_exp: required for power_sum_log")
+        if self.family == "power_sum_log" and self.log_exp is None:
+            raise ConfigError("log_exp: required for power_sum_log")
         for p, r in self.cells:
             if p <= 1.0 or not 0.0 < r < p:
                 raise ConfigError(f"cells: bad cell p={p}, r={r}")
@@ -264,6 +264,10 @@ def load_config(args):
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
+    if (cfg.command == "tables" and args.family is None
+            and base.get("family") is None):
+        # the table's own default: the sum family, not RunConfig's "power"
+        cfg.family = "power_sum"
     if cfg.log_exp is not None and cfg.family != "power_sum_log":
         raise ConfigError("--log-exp: only family power_sum_log reads it")
     if cfg.command == "tables":
@@ -305,9 +309,7 @@ def load_config(args):
 def _check_table_flags(args, cfg):
     """ConfigError naming the first tables flag that would go unread: one
     of _TABLE_FIXED, a list of _TABLE_FOREIGN (by flag or config file), or
-    a family without a predicted decay rate, given by --family or the
-    config file (RunConfig's default "power" stands for power_sum when
-    neither sets one)."""
+    a family without a predicted decay rate, by --family or config file."""
     for key, flag in _TABLE_FIXED.items():
         if getattr(args, key) is not None:
             raise ConfigError(
@@ -319,8 +321,7 @@ def _check_table_flags(args, cfg):
             raise ConfigError(f"{flag}: tables does not read it; {reader} "
                               "does")
     names = [c.name for c in RATE_FAMILIES]
-    if cfg.family not in names and (args.family is not None
-                                    or cfg.family != "power"):
+    if cfg.family not in names:
         raise ConfigError(
             f"--family: tables needs a family with a predicted decay rate, "
             f"one of {names}")
@@ -516,29 +517,25 @@ def cmd_sweep(cfg):
     return 0 if result.solutions else 2
 
 
+def _report_cell(cfg, i, p, r):
+    """Cell i's report, its profile CSV written while its context lives."""
+    cell, solved = table_cell(cfg.N, p, r, cfg.family, cfg.log_exp, cfg.M,
+                              cfg.tol, cfg.max_iter)
+    if solved is not None and "csv" in cfg.formats:
+        ctx, sol = solved
+        write_profile_csv(os.path.join(cfg.out, f"cell_{i:02d}_profile.csv"),
+                          to_radial(ctx, sol.eta, sol.deta))
+    return cell
+
+
 def cmd_tables(cfg):
     cells = cfg.cells or DEFAULT_CELLS
-    # without --family (RunConfig's "power") the table is the sum family's
-    family = "power_sum" if cfg.family == "power" else cfg.family
-    dump_csv = "csv" in cfg.formats
-    reports = table_report(
-        cfg.N, cells, family=family,
-        log_exp=cfg.log_exp or 0.0, M=cfg.M, tol=cfg.tol,
-        max_iter=cfg.max_iter, keep_solutions=dump_csv,
-    )
     os.makedirs(cfg.out, exist_ok=True)
-    if dump_csv:
-        for i, cell in enumerate(reports):
-            handle = cell.pop("_solution", None)
-            if handle is None:
-                continue
-            ctx, sol = handle
-            path = os.path.join(cfg.out, f"cell_{i:02d}_profile.csv")
-            write_profile_csv(path, to_radial(ctx, sol.eta, sol.deta))
+    reports = [_report_cell(cfg, i, p, r) for i, (p, r) in enumerate(cells)]
     # the config records the family and cells the run solved
     config = {k: v for k, v in cfg.as_dict().items()
               if k not in _TABLE_FIXED and k not in _TABLE_FOREIGN}
-    config.update(family=family, cells=cells)
+    config["cells"] = cells
     payload = {"config": config, "cells": reports}
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, "tables.json"), payload)

@@ -310,6 +310,12 @@ def build_context(nl, cls, rho0, rho_max, M):
                           L1, L2, d1, d2)
 
 
+def dyadic_edges(rho):
+    """Edges of the last three dyadic windows of the grid rho."""
+    rho0, span = rho[0], rho[-1] - rho[0]
+    return [rho0 + w * span for w in (0.5, 0.75, 0.875, 1.0)]
+
+
 def case_classify(ctx):
     """Tag A when J(rho) = int e^{Lambda tau}|I| has geometrically decaying
     per-width increments over the last three dyadic windows, else B.
@@ -321,8 +327,7 @@ def case_classify(ctx):
     weight = np.exp(ctx.cls.Lambda * (rho - rho0)) * np.abs(ctx.I)
     pieces = 0.5 * (weight[1:] + weight[:-1]) * h
     J_total = float(np.sum(pieces))
-    bounds = [rho0 + w * span for w in (0.5, 0.75, 0.875, 1.0)]
-    idx = [min(int(np.searchsorted(rho, bv)), len(rho) - 1) for bv in bounds]
+    idx = np.minimum(np.searchsorted(rho, dyadic_edges(rho)), len(rho) - 1)
     if idx[3] - idx[2] < 4:
         raise InconclusiveError("grid too short for three dyadic windows")
     # window increments summed directly (a converged J would cancel to

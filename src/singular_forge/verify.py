@@ -17,7 +17,8 @@ import numpy as np
 from .classification import REGIME_COMPLEX, REGIME_DOUBLE, classify
 from .errors import ConfigError, FitError, SingularForgeError
 from .nonlinearity import PowerSum, PowerSumLog, from_spec
-from .profile import build_context, nonlinear_term, nonlinear_term_at
+from .profile import (build_context, dyadic_edges, nonlinear_term,
+                      nonlinear_term_at)
 from .solver import picard_solve, select_rho0
 
 # a fitted decay rate within this fraction of the predicted one matches it
@@ -68,7 +69,7 @@ def limit_diagnostics(ctx):
     evaluated for ctx.
     """
     rho = ctx.rho
-    rho0, span = rho[0], rho[-1] - rho[0]
+    span = rho[-1] - rho[0]
     dI = np.gradient(ctx.I, rho)
     quantities = {
         "fpF_minus_qf": ctx.deficit_fpF,
@@ -76,7 +77,7 @@ def limit_diagnostics(ctx):
         "I": ctx.I,
         "dI_drho": dI,
     }
-    edges = [rho0 + w * span for w in (0.5, 0.75, 0.875, 1.0)]
+    edges = dyadic_edges(rho)
     bounds = list(zip(edges[:-1], edges[1:]))
     out = {}
     for name, vals in quantities.items():
@@ -307,64 +308,61 @@ def run_cell(nl, cls, alpha=1e-3, beta=2e-3, rho0=3.0, rho_max=None, *,
     return ctx, picard_solve(ctx, alpha, beta, tol=tol, max_iter=max_iter)
 
 
-def table_report(N, cells, family="power_sum", log_exp=0.0, M=4096,
-                 tol=1e-10, max_iter=200, keep_solutions=False):
-    """Reproduce decay-rate table cells: for each (p, r) build the family's
-    nonlinearity by from_spec, run the pipeline from run_cell's defaults,
-    solving to tol within max_iter, and compare the fitted exponent with
-    the corrected-threshold prediction by rate_report.
+def table_cell(N, p, r, family, log_exp, M, tol, max_iter):
+    """One decay-rate table cell: the family's nonlinearity for (p, r) by
+    from_spec, solved from run_cell's defaults to tol within max_iter, its
+    fitted rate against rate_report's prediction, and which r* candidate
+    the rate supports.  Returns (cell, solved): the JSON-ready dict, and
+    (ctx, sol), or None when the cell recorded its error (a family without
+    a predicted rate among them) instead of raising it."""
+    cell = {"p": p, "r": r}
+    try:
+        nl = from_spec({"family": family, "p": p, "r": r,
+                        "log_exp": log_exp})
+        cls = classify(nl, N)
+        if not cls.in_scope:
+            cell["error"] = f"out of scope: {cls.regime.reason}"
+            return cell, None
+        if predicted_decay(nl, cls) is None:
+            raise ConfigError(
+                f"family: {family!r} has no predicted decay rate")
+        ctx, sol = run_cell(nl, cls, M=M, tol=tol, max_iter=max_iter)
+        fit = decay_fit(sol, ctx)
+    except SingularForgeError as exc:  # per-cell isolation
+        cell["error"] = f"{type(exc).__name__}: {exc}"
+        return cell, None
+    rep = rate_report(nl, cls, fit)
+    # the rate the literal threshold would have predicted
+    lam_lit = (cls.Lambda if r < rep["r_star_literal"]
+               else 2.0 * (p - r) / (p - 1.0))
+    corrected = (abs(fit.lambda_fit - rep["lambda_pred"])
+                 <= abs(fit.lambda_fit - lam_lit))
+    faster = rep.pop("faster")
+    cell.update(
+        rep,
+        rho0=ctx.grid.rho0,
+        rho_max=ctx.grid.rho_max,
+        lambda_pred_literal=lam_lit,
+        case=sol.case_tag,
+        iterations=sol.iterations,
+        weighted_norm=sol.weighted_norm_value,
+        supports="corrected" if corrected else "literal",
+        degenerate_p_minus_r_1=nl.degenerate_leading_term,
+        label=("consistent with bound (faster decay)" if faster
+               else "matches predicted rate"),
+    )
+    if nl.degenerate_leading_term:
+        # forcing decays at the k=2 series rate, twice the nominal one
+        cell["I_rate_annotation"] = 4.0 * (p - r) / (p - 1.0)
+    return cell, (ctx, sol)
 
-    Returns a list of per-cell dicts; per-cell failures are recorded, not
-    raised, a family without a predicted rate among them.  Also evaluates
-    which r* candidate the measured rate supports.
-    With keep_solutions the (ctx, sol) handles ride along under the
-    non-serializable key "_solution" (for profile dumps).
-    """
-    reports = []
-    for (p, r) in cells:
-        cell = {"p": p, "r": r}
-        try:
-            nl = from_spec({"family": family, "p": p, "r": r,
-                            "log_exp": log_exp})
-            cls = classify(nl, N)
-            if not cls.in_scope:
-                cell["error"] = f"out of scope: {cls.regime.reason}"
-                reports.append(cell)
-                continue
-            if predicted_decay(nl, cls) is None:
-                raise ConfigError(
-                    f"family: {family!r} has no predicted decay rate")
-            ctx, sol = run_cell(nl, cls, M=M, tol=tol, max_iter=max_iter)
-            fit = decay_fit(sol, ctx)
-            rep = rate_report(nl, cls, fit)
-            # the rate the literal threshold would have predicted
-            lam_lit = (cls.Lambda if r < rep["r_star_literal"]
-                       else 2.0 * (p - r) / (p - 1.0))
-            corrected = (abs(fit.lambda_fit - rep["lambda_pred"])
-                         <= abs(fit.lambda_fit - lam_lit))
-            faster = rep.pop("faster")
-            cell.update(
-                rep,
-                rho0=ctx.grid.rho0,
-                rho_max=ctx.grid.rho_max,
-                lambda_pred_literal=lam_lit,
-                case=sol.case_tag,
-                iterations=sol.iterations,
-                weighted_norm=sol.weighted_norm_value,
-                supports="corrected" if corrected else "literal",
-                degenerate_p_minus_r_1=nl.degenerate_leading_term,
-                label=("consistent with bound (faster decay)" if faster
-                       else "matches predicted rate"),
-            )
-            if nl.degenerate_leading_term:
-                # forcing decays at the k=2 series rate, twice the nominal one
-                cell["I_rate_annotation"] = 4.0 * (p - r) / (p - 1.0)
-            if keep_solutions:
-                cell["_solution"] = (ctx, sol)
-        except SingularForgeError as exc:  # per-cell isolation
-            cell["error"] = f"{type(exc).__name__}: {exc}"
-        reports.append(cell)
-    return reports
+
+def table_report(N, cells, family="power_sum", log_exp=0.0, M=4096,
+                 tol=1e-10, max_iter=200):
+    """table_cell's dict for each (p, r) of cells, in order; no cell's
+    context outlives its report."""
+    return [table_cell(N, p, r, family, log_exp, M, tol, max_iter)[0]
+            for p, r in cells]
 
 
 def appendix_check(nl, sigmas):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from singular_forge import cli
+from singular_forge import cli, verify
 from singular_forge.cli import (
     DEFAULT_CELLS,
     build_parser,
@@ -290,12 +290,49 @@ def test_tables_replays_its_config_and_rejects_other_families(tmp_path):
     cells = [json.loads((tmp_path / d / "tables.json").read_text())["cells"]
              for d in "ab"]
     assert cells[0] == cells[1]
-    # a family from the config file must have a predicted rate too
+    # a family from the config file must have a predicted rate too, and
+    # "power" named there is refused as --family power is
     data = json.loads(path.read_text())
-    data["config"]["family"] = "power_log"
-    path.write_text(json.dumps(data))
-    with pytest.raises(ConfigError, match="^--family: "):
-        _cfg(["tables", "--config", str(path)])
+    for family in ("power_log", "power"):
+        data["config"]["family"] = family
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="^--family: "):
+            _cfg(["tables", "--config", str(path)])
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_tables_power_sum_log_needs_log_exp(tmp_path, capsys, source):
+    if source == "flag":
+        argv = ["--family", "power_sum_log", "--cells", "2:1"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"family": "power_sum_log",
+                                    "cells": [[2, 1]]}))
+        argv = ["--config", str(path)]
+    code = main(["tables", "--M", "257", *argv,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: log_exp: required for power_sum_log\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_tables_writes_each_cell_before_solving_the_next(
+        tmp_path, monkeypatch):
+    events = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "run_cell", logged("solve", verify.run_cell))
+    monkeypatch.setattr(cli, "write_profile_csv",
+                        logged("write", cli.write_profile_csv))
+    assert main(["tables", "--N", "5", "--M", "257",
+                 "--out", str(tmp_path)]) == 0
+    assert events == ["solve", "write"] * len(DEFAULT_CELLS)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -542,6 +579,26 @@ def test_write_profile_csv_working_set(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= WRITER_PEAK_BYTES, peak
+
+
+# 2.22 MB measured, one cell's context alive at a time; holding the previous
+# cell's context through the next solve reads 2.69 MB, and holding all five
+# until the last is solved 4.53 MB
+TABLES_PEAK_BYTES = 2.5e6
+
+
+def test_tables_working_set(tmp_path, capsys):
+    # tracemalloc's peak for a second in-process `tables --N 5`, the first
+    # having filled every cache
+    argv = ["tables", "--N", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TABLES_PEAK_BYTES, peak
 
 
 @pytest.mark.parametrize("case", ["tilde_u_is_phi", "tilde_u_copy",
