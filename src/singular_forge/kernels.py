@@ -10,22 +10,23 @@ in the shifted difference d = rho - tau, with e = e^{-mu d}:
 KernelSet is the only place that reads the regime.  It turns it into mode
 data: the exponents mu (real, or one complex), a confluent flag for the
 double root's d e^{-mu d} column, coefficient rows that map the mode
-columns to K and dK over a common denominator, a row that maps the
-columns of Lambda to the super-kernel Q, and the constants a, b, Lambda
-and W(0).  Every public function is regime-free algebra on that
-data, and every evaluation uses d, so nothing over- or underflows for
-large rho.  The common denominator keeps the diagonal exact: at d = 0
-every column is 1 or 0, so the rows give exactly 0 for K and exactly
-the denominator for dK, and K(rho, rho) = 0, dK(rho, rho) = 1 hold
-bitwise.
+columns to K and dK over a common denominator, a row that maps the columns
+of Lambda to the super-kernel Q, and the constants a, b, Lambda and W(0).
+Every public function is regime-free algebra on that data, and every
+evaluation uses d, so nothing over- or underflows for large rho.  The
+common denominator keeps the diagonal exact: at d = 0 every column is 1 or
+0, so the rows give exactly 0 for K and exactly the denominator for dK,
+and K(rho, rho) = 0, dK(rho, rho) = 1 hold bitwise.
 
 In every regime the mode sums are two reals: (A_1, A_2), (A, B) or
-(Re A, Im A).  KernelSet.march_data gives the 2x2 transition T of that
-state over one step, the state e0 a unit drive adds at its own node, and
-the real (K, dK) readout rows R; on the drive the K row has weight 0 and
-the dK row weight denom.  The cumulative convolution implements the
-trapezoid rule exactly: with c = h / denom and P_i the state plus the
-node's own half-drive,
+(Re A, Im A).  KernelSet.step(h), built once per h, holds the 2x2
+transition T of that state over one step, the state e0 a unit drive adds
+at its own node, the real (K, dK) readout rows R (on the drive the K row
+has weight 0 and the dK row weight denom), the drive weight c = h / denom,
+and the scan plans; both convolutions and the march read only that, and
+every trapezoid end weight is _END_WEIGHT.  The cumulative convolution
+implements the trapezoid rule exactly: with P_i the state plus the node's
+own half-drive,
 
     P_0 = (c/2) e0 g_0,    P_{i+1} = T P_i + c e0 g_{i+1},
 
@@ -41,11 +42,10 @@ their applications", 1990): per call, one matrix product with cached
 B x B blocks of R T^m e0 gives every block's readouts from its own drive,
 one with the columns T^m e0 its own end state, a Python loop over the M/B
 blocks carries the state by T^B, and one more product adds each entering
-state's readouts.  The plan is cached by its numbers (T, e0, R, c).  Re mu
-> 0 in every regime, so T^m decays and the result stays within rounding
-of the sequential two-state loop, with the same form of error bound.
-The per-node loops left are solve_linear_volterra's march and the
-downward sum of _special.tail_integrals.
+state's readouts.  Re mu > 0 in every regime, so T^m decays and the
+result stays within rounding of the sequential two-state loop, with the
+same form of error bound.  The per-node loops left are the march below
+and the downward sum of _special.tail_integrals.
 
 The same two-state solves the linear Volterra equation with nodewise
 coefficients, eta = Phi - int K (c + p eta + l2 eta'), by one forward
@@ -54,17 +54,19 @@ solves one scalar linear equation (Linz, Analytical and Numerical Methods
 for Volterra Equations, 1985, ch. 7).
 """
 
-import functools
+from collections import namedtuple
 
 import numpy as np
 
 from .classification import REGIME_DOUBLE, REGIME_TWO_REAL
 from .errors import OrderError
 
+Step = namedtuple("Step", "state c plan Q_plan")
+
 
 class KernelSet:
     """Mode data of the kernel for a Classification (immutable but for the
-    memo of march_data).
+    memo of step).
 
     mu: mode exponents of the K/dK columns; confluent: a d e^{-mu d}
     column follows (double root); rows: the (K, dK) coefficients of the
@@ -107,22 +109,21 @@ class KernelSet:
         self.Lambda = cls.Lambda
         self.a = (roots[0] + roots[1]).real
         self.b = (roots[0] * roots[1]).real
-        self._march = {}
+        self._steps = {}
 
-    def march_data(self, h):
-        """The mode sums as a real two-state over a step h: (T, e0, R).
-
-        T (2x2) carries the state from one node to the next, e0 is the state
-        a unit drive adds at its own node (the columns at d = 0), and R
-        (2x2) reads the (K, dK) sums over denom off the state.  A complex
-        mode's state is its real and imaginary part.  Nested tuples,
-        computed once per step h.
-        """
-        data = self._march.get(h)
-        if data is None:
-            data = self._march[h] = _two_state(self.mu, self.confluent,
-                                               self.rows, h)
-        return data
+    def step(self, h):
+        """What a step h fixes, built once per h: the Step of the real
+        two-state (T, e0, R), its drive weight c = h / denom and _scan_plan,
+        and the _scan_plan of the super-kernel's two-state with weight h."""
+        step = self._steps.get(h)
+        if step is None:
+            kd, q = (_two_state(mu, self.confluent, rows, h)
+                     for mu, rows in ((self.mu, self.rows),
+                                      ((self.Lambda,), [self.Q_row])))
+            c = h / self.denom
+            step = self._steps[h] = Step(kd, c, _scan_plan(*kd, c),
+                                         _scan_plan(*q, h))
+        return step
 
 
 def _two_state(mu, confluent, rows, h):
@@ -251,20 +252,22 @@ _BLOCK = 6
 # from about 2^20 multiply-adds, which there costs up to milliseconds per
 # call; 2048 blocks of 6 nodes stay far below that.
 _CHUNK = 2048
+# The trapezoid end weight, a fraction of the drive weight: the drive at
+# node 0 and each node's own drive, in the scan and in the march alike.
+_END_WEIGHT = 0.5
 
 
-@functools.lru_cache(maxsize=64)
 def _scan_plan(T, e0, R, c):
     """The block matrices of the scan of the two-state (T, e0, R) with drive
-    weight c, keyed by those numbers: (W, E, P, T^B).
+    weight c: (W, E, P, T^B).
 
     W[o] (B x B) maps the drive of one block to its readouts o,
-    W[o][s, r] = c (R T^(r-s) e0)_o for s < r, half that at s = r (the
-    node's own trapezoid weight) and 0 for s > r; E (B x 2) maps it to the
-    block's own end state, E[s] = c T^(B-1-s) e0; P[o] (2 x B) maps the
+    W[o][s, r] = c (R T^(r-s) e0)_o for s < r, _END_WEIGHT of that at s = r
+    (the node's own trapezoid weight) and 0 for s > r; E (B x 2) maps it to
+    the block's own end state, E[s] = c T^(B-1-s) e0; P[o] (2 x B) maps the
     state entering a block to its readouts, P[o][:, r] = (R T^(r+1))_o.
     Powers by repeated multiplication; the arrays carry a unit chunk axis
-    and are read-only, as they are shared.
+    and are read-only, as KernelSet.step shares them.
     """
     Tm = np.array(T)
     powers = [np.eye(2)]
@@ -274,7 +277,7 @@ def _scan_plan(T, e0, R, c):
     R = np.array(R)
     drive = powers[:_BLOCK] @ (c * np.array(e0))
     read = R @ drive.T
-    read[:, 0] *= 0.5
+    read[:, 0] *= _END_WEIGHT
     lag = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
     W = np.where(lag >= 0, read[:, np.maximum(lag, 0)], 0.0)[:, None]
     E = drive[::-1].copy()
@@ -290,7 +293,7 @@ def _scan(plan, g):
     whose first column is 0: the trapezoid sums of the readouts' kernels
     against g on nodes 0..i.
 
-    Blocked (Blelloch, 1990): g, with node 0 at half weight, is padded to
+    Blocked (Blelloch, 1990): g, with node 0 at _END_WEIGHT, is padded to
     chunks of blocks of B nodes.  One product with W gives every block's
     readouts from its own drive and one with E its own end state; a
     Python loop over the blocks carries the state by T^B, and one product
@@ -309,7 +312,7 @@ def _scan(plan, g):
     v = np.zeros((chunks, per, _BLOCK))
     flat = v.reshape(-1)
     flat[:n] = g
-    flat[0] *= 0.5
+    flat[0] *= _END_WEIGHT
     y = v @ W
     a = b = 0.0
     carry = []
@@ -331,8 +334,7 @@ def convolve_cumulative(ks, rho, g):
     Returns grid functions y1(rho_i) = int_{rho_0}^{rho_i} K(rho_i, tau) g
     and y2 with the dK kernel, in O(M) total work.
     """
-    h = float(rho[1] - rho[0])
-    sums = _scan(_scan_plan(*ks.march_data(h), h / ks.denom), g)
+    sums = _scan(ks.step(float(rho[1] - rho[0])).plan, g)
     return sums[0], sums[1]
 
 
@@ -349,14 +351,14 @@ def solve_linear_volterra(ks, rho, homogeneous, c, p, l2):
     The state carried across a step is the mode sums plus the node's own
     half-drive.  At the next node the K readout of the carried state is
     eta (the K row weighs the new drive by 0), and eta' solves
-    eta' = Phi' - dK readout - (h/2) g, one scalar linear equation.
+    eta' = Phi' - dK readout - (h/2) g, one scalar linear equation.  The
+    two-state, its drive weight and the end weight are the scan's.
     """
     h = float(rho[1] - rho[0])
-    ((t00, t01), (t10, t11)), (ea, eb), (k_row, dk_row) = ks.march_data(h)
-    scale = h / ks.denom
-    ka, kb = (scale * v for v in k_row)
-    da, db = (scale * v for v in dk_row)
-    hh = 0.5 * h
+    step = ks.step(h)
+    ((t00, t01), (t10, t11)), (ea, eb), rows = step.state
+    (ka, kb), (da, db) = ([step.c * v for v in row] for row in rows)
+    hh = _END_WEIGHT * h
     phi, dphi, c, p, l2 = (np.asarray(v, dtype=float)
                            for v in (*homogeneous, c, p, l2))
     # eta'_{i+1} = (u_i - dK readout - v_i eta_{i+1}) w_i
@@ -365,7 +367,7 @@ def solve_linear_volterra(ks, rho, homogeneous, c, p, l2):
     w = 1.0 / (1.0 + hh * l2)
     e, de = float(phi[0]), float(dphi[0])
     g = float(c[0] + p[0] * e + l2[0] * de)
-    sa, sb = 0.5 * g * ea, 0.5 * g * eb
+    sa, sb = _END_WEIGHT * g * ea, _END_WEIGHT * g * eb
     eta, deta = [e], [de]
     for ph, ui, vi, wi, ci, pi, li in zip(
             *(x[1:].tolist() for x in (phi, u, v, w, c, p, l2))):
@@ -383,6 +385,4 @@ def solve_linear_volterra(ks, rho, homogeneous, c, p, l2):
 
 def convolve_Q_cumulative(ks, rho, g):
     """Cumulative trapezoid of the super-kernel: int_{rho0}^rho Q(rho,tau) g."""
-    h = float(rho[1] - rho[0])
-    data = _two_state((ks.Lambda,), ks.confluent, [ks.Q_row], h)
-    return _scan(_scan_plan(*data, h), g)[0]
+    return _scan(ks.step(float(rho[1] - rho[0])).Q_plan, g)[0]

@@ -299,27 +299,26 @@ class PowerSum(Nonlinearity):
         d = p - r
         return d / ((p - 1.0 + k * d) * (p - 1.0 + (k - 1) * d))
 
-    def deficit_fpF(self, s):
+    def _deficit(self, s, direct, coef):
+        """direct(s) below _s_series, the series of coef at and above it."""
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         small = s < self._s_series
         if np.any(small):
-            ss = s[small]
-            out[small] = self.f1(ss) * self.F(ss) - self.qf_exact
+            out[small] = direct(s[small])
         if np.any(~small):
-            out[~small] = self._deficit_series(s[~small], self._coef_fpF)
+            out[~small] = self._deficit_series(s[~small], coef)
         return out
 
+    def deficit_fpF(self, s):
+        return self._deficit(
+            s, lambda t: self.f1(t) * self.F(t) - self.qf_exact,
+            self._coef_fpF)
+
     def deficit_fF(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        small = s < self._s_series
-        if np.any(small):
-            ss = s[small]
-            out[small] = self.f(ss) * self.F(ss) / ss - 1.0 / (self.p - 1.0)
-        if np.any(~small):
-            out[~small] = self._deficit_series(s[~small], self._coef_fF)
-        return out
+        return self._deficit(
+            s, lambda t: self.f(t) * self.F(t) / t - 1.0 / (self.p - 1.0),
+            self._coef_fF)
 
 
 class PowerLog(Nonlinearity):

@@ -81,16 +81,15 @@ class RemainderSolution:
     newton_steps: int = 0
 
 
-def apply_T(ctx, alpha, beta, eta, deta, *, homogeneous=None):
+def apply_T(ctx, homogeneous, eta, deta):
     """One application of the fixed-point map; returns (T eta, (T eta)').
 
-    ``homogeneous`` is the pair (Phi, Phi') for (alpha, beta) on this grid,
-    which is the same at every step; picard_solve passes the pair it starts
-    from, and without it the pair is recomputed.  An iterate that takes
-    phi (1 + eta) out of the nonlinearity's domain raises
-    IterateOutOfDomainError.  The linear part of T alone (N off) is one
-    kernels.convolve_cumulative of I + L1 eta + L2 eta', and its fixed
-    point is kernels.solve_linear_volterra.
+    ``homogeneous`` is the pair (Phi, Phi') of the boundary data on this
+    grid, the same at every step (picard_solve passes the pair it starts
+    from).  An iterate that takes phi (1 + eta) out of the nonlinearity's
+    domain raises IterateOutOfDomainError.  The linear part of T alone
+    (N off) is one kernels.convolve_cumulative of I + L1 eta + L2 eta', and
+    its fixed point is kernels.solve_linear_volterra.
     """
     g = ctx.I + ctx.L1 * eta + ctx.L2 * deta
     try:
@@ -98,9 +97,6 @@ def apply_T(ctx, alpha, beta, eta, deta, *, homogeneous=None):
     except DomainError as exc:
         raise IterateOutOfDomainError(str(exc)) from exc
     ik, idk = convolve_cumulative(ctx.ks, ctx.rho, g)
-    if homogeneous is None:
-        delta_rho = ctx.rho - ctx.grid.rho0
-        homogeneous = homogeneous_pair(ctx.cls, delta_rho, alpha, beta)
     phi_h, dphi_h = homogeneous
     return phi_h - ik, dphi_h - idk
 
@@ -171,8 +167,7 @@ def picard_solve(ctx, alpha, beta, tol=1e-10, max_iter=200, *,
 
     for it in range(1, max_iter + 1):
         try:
-            new_eta, new_deta = apply_T(
-                ctx, alpha, beta, eta, deta, homogeneous=homogeneous)
+            new_eta, new_deta = apply_T(ctx, homogeneous, eta, deta)
         except IterateOutOfDomainError as exc:
             sol.eta, sol.deta, sol.iterations = eta, deta, it
             sol.ratios = ratios

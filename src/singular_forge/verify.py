@@ -357,10 +357,11 @@ def table_cell(N, p, r, family, log_exp, M, tol, max_iter):
     return cell, (ctx, sol)
 
 
-def table_report(N, cells, family="power_sum", log_exp=0.0, M=4096,
+def table_report(N, cells, family="power_sum", log_exp=None, M=4096,
                  tol=1e-10, max_iter=200):
     """table_cell's dict for each (p, r) of cells, in order; no cell's
-    context outlives its report."""
+    context outlives its report.  Without log_exp, every power_sum_log cell
+    records from_spec's ConfigError."""
     return [table_cell(N, p, r, family, log_exp, M, tol, max_iter)[0]
             for p, r in cells]
 

@@ -25,6 +25,7 @@ from singular_forge import (
     weight_P,
     wronskian,
 )
+from singular_forge import kernels
 from singular_forge.kernels import _BLOCK, _CHUNK, _scan, _scan_plan
 
 from direct_sums import convolve_cumulative_direct
@@ -431,17 +432,23 @@ def test_recurrences_match_direct_sums(case, M, rho0, span, seed):
     assert np.max(np.abs(q1 - q2)) <= 1e-12 * scale
 
 
+def _linear_problem(cls, M=257):
+    """A grid, the homogeneous pair of (1e-3, 2e-3), and seeded nodewise
+    c, p, l2 for solve_linear_volterra."""
+    rho = np.linspace(3.0, 23.0, M)
+    rng = np.random.default_rng(5)
+    c = 1e-3 * rng.standard_normal(M)
+    p = 0.3 * rng.standard_normal(M)
+    l2 = 0.1 * rng.standard_normal(M)
+    return rho, homogeneous_pair(cls, rho - rho[0], 1e-3, 2e-3), c, p, l2
+
+
 @pytest.mark.parametrize("cls", ALL_CLS, ids=lambda c: c.regime.kind)
 def test_march_solves_the_linear_scheme(cls):
     # the march's (eta, eta') reproduce themselves through the direct
     # O(M^2) trapezoid sum of g = c + p eta + l2 eta'
     ks = KernelSet(cls)
-    rho = np.linspace(3.0, 23.0, 257)
-    rng = np.random.default_rng(5)
-    c = 1e-3 * rng.standard_normal(rho.size)
-    p = 0.3 * rng.standard_normal(rho.size)
-    l2 = 0.1 * rng.standard_normal(rho.size)
-    phi, dphi = homogeneous_pair(cls, rho - rho[0], 1e-3, 2e-3)
+    rho, (phi, dphi), c, p, l2 = _linear_problem(cls)
     eta, deta = solve_linear_volterra(ks, rho, (phi, dphi), c, p, l2)
     assert eta[0] == 1e-3 and deta[0] == 2e-3
     ik, idk = convolve_cumulative_direct(ks, rho, c + p * eta + l2 * deta)
@@ -449,10 +456,45 @@ def test_march_solves_the_linear_scheme(cls):
     assert np.max(np.abs(dphi - idk - deta)) <= 1e-12
 
 
-def test_march_data_reads_K_and_dK_off_the_drive():
+def test_step_reads_K_and_dK_off_the_drive():
     # a unit drive at its own node adds 0 to K and denom to dK
     for cls in ALL_CLS:
         ks = KernelSet(cls)
-        T, e0, R = ks.march_data(0.01)
+        T, e0, R = ks.step(0.01).state
         assert np.dot(R[0], e0) == 0.0
         assert np.dot(R[1], e0) == ks.denom
+
+
+def test_one_step_memo_serves_both_convolutions_and_the_march(monkeypatch):
+    # what a step fixes is built once: one two-state for (K, dK), one for
+    # Q, and their plans, however often the three readers are called
+    counts = {"_two_state": 0, "_scan_plan": 0}
+    for name in counts:
+        original = getattr(kernels, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    ks = KernelSet(CLS_COMPLEX)
+    rho, pair, c, p, l2 = _linear_problem(CLS_COMPLEX)
+    for _ in range(2):
+        convolve_cumulative(ks, rho, c)
+        convolve_Q_cumulative(ks, rho, c)
+        solve_linear_volterra(ks, rho, pair, c, p, l2)
+    assert counts["_two_state"] == 2
+    assert counts["_scan_plan"] <= 2
+
+
+@pytest.mark.parametrize("cls", ALL_CLS, ids=lambda c: c.regime.kind)
+def test_scan_and_march_read_one_end_weight(cls, monkeypatch):
+    # under another end weight the march still solves the scan's scheme,
+    # which holds only if both read the same constant
+    monkeypatch.setattr(kernels, "_END_WEIGHT", 0.3)
+    ks = KernelSet(cls)
+    rho, (phi, dphi), c, p, l2 = _linear_problem(cls)
+    eta, deta = solve_linear_volterra(ks, rho, (phi, dphi), c, p, l2)
+    ik, idk = convolve_cumulative(ks, rho, c + p * eta + l2 * deta)
+    assert np.max(np.abs(phi - ik - eta)) <= 1e-12
+    assert np.max(np.abs(dphi - idk - deta)) <= 1e-12

@@ -56,7 +56,8 @@ def test_apply_T_preserves_boundary_for_any_input():
     rng = np.random.default_rng(3)
     eta = 1e-3 * rng.standard_normal(ctx.grid.M)
     deta = 1e-3 * rng.standard_normal(ctx.grid.M)
-    Te, Td = apply_T(ctx, 5e-4, 8e-4, eta, deta)
+    pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 5e-4, 8e-4)
+    Te, Td = apply_T(ctx, pair, eta, deta)
     assert Te[0] == 5e-4 and Td[0] == 8e-4
 
 
@@ -73,18 +74,6 @@ def test_picard_computes_the_homogeneous_part_once(monkeypatch):
     sol = picard_solve(ctx, 1e-3, 2e-3)
     assert sol.iterations > 1
     assert len(calls) == 1
-
-
-def test_apply_T_with_given_homogeneous_part_is_bitwise_equal():
-    cls, ctx, ks = _setup(PowerSum(2.0, 1.0))
-    rng = np.random.default_rng(4)
-    eta = 1e-3 * rng.standard_normal(ctx.grid.M)
-    deta = 1e-3 * rng.standard_normal(ctx.grid.M)
-    pair = homogeneous_pair(cls, ctx.rho - ctx.grid.rho0, 5e-4, 8e-4)
-    plain = apply_T(ctx, 5e-4, 8e-4, eta, deta)
-    given = apply_T(ctx, 5e-4, 8e-4, eta, deta, homogeneous=pair)
-    for a, b in zip(plain, given):
-        assert a.tobytes() == b.tobytes()
 
 
 def test_power_sum_contraction_metadata():

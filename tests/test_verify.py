@@ -263,6 +263,16 @@ def test_table_report_needs_a_family_with_a_predicted_rate():
         "ConfigError: family: 'power_log' has no predicted decay rate")
 
 
+def test_table_report_power_sum_log_needs_log_exp():
+    # no silent log power 0: the cell records what the CLI refuses
+    (cell,) = table_report(5, [(2.0, 1.0)], family="power_sum_log", M=257)
+    assert cell == {"p": 2.0, "r": 1.0, "error": (
+        "ConfigError: log_exp: required for family 'power_sum_log'")}
+    (cell,) = table_report(5, [(2.0, 1.0)], family="power_sum_log",
+                           log_exp=1.0, M=257)
+    assert "error" not in cell
+
+
 def test_radial_residual_refinement_on_fixed_point():
     # full fixed-point solution: residual decays at least quadratically
     # under refinement (the 5-point stencil component starts at O(h^4),
