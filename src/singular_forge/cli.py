@@ -98,9 +98,7 @@ class RunConfig:
     def validate(self):
         """Check every field's type and range (a config file is outside
         input too); pairs and cells come out as lists of tuples."""
-        if self.command not in (
-            "classify", "construct", "verify", "sweep", "tables", "appendix"
-        ):
+        if self.command not in _COMMANDS:
             raise ConfigError(f"command: unknown subcommand {self.command!r}")
         for key in ("rho0", "tol", "alpha", "beta"):
             if not _is_finite(getattr(self, key)):
@@ -196,8 +194,7 @@ def build_parser():
         "-Laplace(u) = f(u) near the origin.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("classify", "construct", "verify", "sweep", "tables",
-                 "appendix"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file (flags override)")
         sp.add_argument("--N", type=int, default=None)
@@ -566,21 +563,20 @@ def cmd_appendix(cfg):
     return 0
 
 
+# the subcommands in the parser's order, each with its handler
+_COMMANDS = {
+    "classify": cmd_classify,
+    "construct": cmd_construct,
+    "verify": functools.partial(cmd_construct, full_verify=True),
+    "sweep": cmd_sweep,
+    "tables": cmd_tables,
+    "appendix": cmd_appendix,
+}
+
+
 def run(cfg):
     """Dispatch a validated RunConfig; returns the process exit code."""
-    if cfg.command == "classify":
-        return cmd_classify(cfg)
-    if cfg.command == "construct":
-        return cmd_construct(cfg)
-    if cfg.command == "verify":
-        return cmd_construct(cfg, full_verify=True)
-    if cfg.command == "sweep":
-        return cmd_sweep(cfg)
-    if cfg.command == "tables":
-        return cmd_tables(cfg)
-    if cfg.command == "appendix":
-        return cmd_appendix(cfg)
-    raise ConfigError(f"command: unknown subcommand {cfg.command!r}")
+    return _COMMANDS[cfg.command](cfg)
 
 
 @functools.cache

@@ -18,6 +18,14 @@ common denominator keeps the diagonal exact: at d = 0 every column is 1 or
 0, so the rows give exactly 0 for K and exactly the denominator for dK,
 and K(rho, rho) = 0, dK(rho, rho) = 1 hold bitwise.
 
+The regime alone fixes that data, and kernel_set(cls) owns the one shared
+KernelSet of cls.regime, built on first use: every context, select_rho0
+probe and run of a regime reads its step memo.  It keeps _SHARED_REGIMES
+regimes (about 8.6 KB each with two steps) and each KernelSet
+_SHARED_STEPS steps, dropping the oldest past either bound.  A step is a
+pure function of (regime, h), so no result depends on what the caches
+hold.
+
 In every regime the mode sums are two reals: (A_1, A_2), (A, B) or
 (Re A, Im A).  KernelSet.step(h), built once per h, holds the 2x2
 transition T of that state over one step, the state e0 a unit drive adds
@@ -65,8 +73,8 @@ Step = namedtuple("Step", "state c plan Q_plan")
 
 
 class KernelSet:
-    """Mode data of the kernel for a Classification (immutable but for the
-    memo of step).
+    """Mode data of the kernel of a Classification's regime (immutable but
+    for the memo of step); kernel_set(cls) hands out the shared instance.
 
     mu: mode exponents of the K/dK columns; confluent: a d e^{-mu d}
     column follows (double root); rows: the (K, dK) coefficients of the
@@ -80,7 +88,6 @@ class KernelSet:
     def __init__(self, cls):
         if not cls.in_scope:
             raise ValueError("kernels undefined out of scope")
-        self.cls = cls
         reg = cls.regime
         if reg.kind == REGIME_TWO_REAL:
             l1, l2 = reg.lam1, reg.lam2
@@ -115,15 +122,34 @@ class KernelSet:
         """What a step h fixes, built once per h: the Step of the real
         two-state (T, e0, R), its drive weight c = h / denom and _scan_plan,
         and the _scan_plan of the super-kernel's two-state with weight h."""
-        step = self._steps.get(h)
-        if step is None:
-            kd, q = (_two_state(mu, self.confluent, rows, h)
-                     for mu, rows in ((self.mu, self.rows),
-                                      ((self.Lambda,), [self.Q_row])))
-            c = h / self.denom
-            step = self._steps[h] = Step(kd, c, _scan_plan(*kd, c),
-                                         _scan_plan(*q, h))
-        return step
+        return _memo(self._steps, h, _SHARED_STEPS, self._build_step)
+
+    def _build_step(self, h):
+        kd, q = (_two_state(mu, self.confluent, rows, h)
+                 for mu, rows in ((self.mu, self.rows),
+                                  ((self.Lambda,), [self.Q_row])))
+        c = h / self.denom
+        return Step(kd, c, _scan_plan(*kd, c), _scan_plan(*q, h))
+
+
+_SHARED_REGIMES = 64
+_SHARED_STEPS = 16
+_KERNEL_SETS = {}
+
+
+def _memo(cache, key, bound, build):
+    """cache[key], or build(key) stored there, dropping the oldest at bound."""
+    if key not in cache:
+        if len(cache) >= bound:
+            del cache[next(iter(cache))]
+        cache[key] = build(key)
+    return cache[key]
+
+
+def kernel_set(cls):
+    """The shared KernelSet of cls.regime (hashable, unlike cls)."""
+    return _memo(_KERNEL_SETS, cls.regime, _SHARED_REGIMES,
+                 lambda _: KernelSet(cls))
 
 
 def _two_state(mu, confluent, rows, h):
@@ -165,7 +191,7 @@ def _real_parts(col):
 def fundamental_pair(cls, rho):
     """(Phi1, Phi2, Phi1', Phi2') at rho: the real mode columns, a complex
     column split into its real and imaginary parts."""
-    ks = KernelSet(cls)
+    ks = kernel_set(cls)
     rho = np.asarray(rho, dtype=float)
     cols = _columns(ks.mu, ks.confluent, rho)
     dcols = [-m * col for m, col in zip(ks.mu, cols)]
@@ -177,7 +203,7 @@ def fundamental_pair(cls, rho):
 
 
 def wronskian(cls, tau):
-    ks = KernelSet(cls)
+    ks = kernel_set(cls)
     return ks.W0 * np.exp(-ks.a * np.asarray(tau, dtype=float))
 
 
@@ -196,14 +222,14 @@ def kernel_values(cls, rho, tau):
     """(K, dK/drho) for rho >= tau; K(rho, rho) = 0, dK at tau = rho is 1."""
     _check_order(rho, tau)
     d = np.asarray(rho, dtype=float) - np.asarray(tau, dtype=float)
-    return _kernel(KernelSet(cls), d)
+    return _kernel(kernel_set(cls), d)
 
 
 def super_kernel(cls, rho, tau):
     """Positive envelope Q dominating |K| + |dK| (Case A/B weight)."""
     _check_order(rho, tau)
     d = np.asarray(rho, dtype=float) - np.asarray(tau, dtype=float)
-    ks = KernelSet(cls)
+    ks = kernel_set(cls)
     return _combine(ks.Q_row, _columns((ks.Lambda,), ks.confluent, d), 1.0)
 
 
@@ -234,7 +260,7 @@ def homogeneous_pair(cls, delta, alpha, beta):
     the coefficients of homogeneous_coeffs; at delta = 0 returns exactly
     (alpha, beta).
     """
-    ks = KernelSet(cls)
+    ks = kernel_set(cls)
     K, dK = _kernel(ks, np.asarray(delta, dtype=float))
     return alpha * (dK + ks.a * K) + beta * K, alpha * (-ks.b * K) + beta * dK
 

@@ -75,7 +75,7 @@ from ._special import (
     GL8_01_WEIGHTS,
 )
 from .errors import DomainError, GridError, InconclusiveError
-from .kernels import KernelSet, convolve_Q_cumulative, super_kernel
+from .kernels import convolve_Q_cumulative, kernel_set, super_kernel
 
 
 def _rule(points, nodes, weights):
@@ -229,12 +229,13 @@ class Grid:
 @dataclass(frozen=True)
 class ProfileContext:
     """One Emden grid of one nonlinearity: the cached profile arrays, the
-    kernel of the classification, and what a solver derives from them
-    alone, each computed on first use and kept for every later solve."""
+    shared KernelSet of the classification's regime (kernels.kernel_set),
+    and what a solver derives from them alone, each computed on first use
+    and kept for every later solve."""
 
     nl: object
     cls: object
-    ks: KernelSet
+    ks: object
     grid: Grid
     phi: np.ndarray
     dphi: np.ndarray
@@ -282,7 +283,7 @@ def tilde_u(nl, cls, r):
 
 
 def build_context(nl, cls, rho0, rho_max, M):
-    """Cache phi, phi', I, L1, L2 on the uniform rho-grid."""
+    """Cache phi, phi', I, L1, L2 on the uniform rho-grid; ks is shared."""
     if not cls.in_scope:
         raise GridError(f"regime out of scope: {cls.regime.reason}")
     grid = Grid(float(rho0), float(rho_max), int(M))
@@ -306,7 +307,7 @@ def build_context(nl, cls, rho0, rho_max, M):
     L1 = b * (d1 - d2) + I
     L2 = 4.0 * d2
     dphi = 2.0 * phi * fF_over_phi
-    return ProfileContext(nl, cls, KernelSet(cls), grid, phi, dphi, sigma, I,
+    return ProfileContext(nl, cls, kernel_set(cls), grid, phi, dphi, sigma, I,
                           L1, L2, d1, d2)
 
 

@@ -154,78 +154,54 @@ def picard_solve(ctx, alpha, beta, tol=1e-10, max_iter=200, *,
         raise ValueError("alpha and beta must be nonnegative")
     delta = max(4.0 * (alpha + beta), 1e-6)
 
-    delta_rho = ctx.rho - ctx.grid.rho0
-    eta, deta = homogeneous_pair(ctx.cls, delta_rho, alpha, beta)
-    eta = np.asarray(eta, dtype=float)
-    deta = np.asarray(deta, dtype=float)
-    homogeneous = (eta, deta)
-
-    ratios = []
-    prev_change = None
-    noncontract = 0
-    sol = RemainderSolution(eta, deta, alpha, beta, delta)
-
-    for it in range(1, max_iter + 1):
+    homogeneous = homogeneous_pair(ctx.cls, ctx.rho - ctx.grid.rho0,
+                                   alpha, beta)
+    # every exit hands back sol, which holds the solve's state as it stands
+    sol = RemainderSolution(*homogeneous, alpha, beta, delta)
+    ratios = sol.ratios
+    change, prev_change, noncontract = math.inf, None, 0
+    for sol.iterations in range(1, max_iter + 1):
         try:
-            new_eta, new_deta = apply_T(ctx, homogeneous, eta, deta)
+            eta, deta = apply_T(ctx, homogeneous, sol.eta, sol.deta)
         except IterateOutOfDomainError as exc:
-            sol.eta, sol.deta, sol.iterations = eta, deta, it
-            sol.ratios = ratios
             raise IterateOutOfDomainError(
                 f"iterate left the nonlinearity domain: {exc}",
                 solution=sol, ratios=ratios,
             )
-        change = _sup_change(new_eta, new_deta, eta, deta)
-        eta, deta = new_eta, new_deta
+        change = _sup_change(eta, deta, sol.eta, sol.deta)
+        sol.eta, sol.deta = eta, deta
         if prev_change is not None and prev_change > 0.0:
-            ratio = change / prev_change
-            ratios.append(ratio)
-            if ratio >= 1.0:
-                noncontract += 1
-                if noncontract >= 3:
-                    sol.eta, sol.deta = eta, deta
-                    sol.iterations, sol.ratios = it, ratios
-                    sol.final_change = change
-                    raise ConvergenceError(
-                        f"no contraction after {it} iterations "
-                        f"(last ratios {ratios[-3:]})",
-                        solution=sol, ratios=ratios,
-                    )
-            else:
-                noncontract = 0
+            ratios.append(change / prev_change)
+            noncontract = noncontract + 1 if ratios[-1] >= 1.0 else 0
+            if noncontract >= 3:
+                break
         prev_change = change
-        if change < tol:
-            sol.eta, sol.deta = eta, deta
-            sol.iterations = it
-            sol.final_change = change
-            sol.ratios = ratios
-            sol.converged = True
+        sol.converged = change < tol
+        if sol.converged:
             break
-        if _newton and len(ratios) >= _TRANSIENT and it < max_iter \
+        if _newton and len(ratios) >= _TRANSIENT \
+                and sol.iterations < max_iter \
                 and _SWITCH_RATIO < ratios[-1] < 1.0:
             _newton = False  # one Newton phase per solve
             found, sol.newton_steps = _newton_phase(
                 ctx, homogeneous, eta, deta, tol)
             if found is not None:
                 # the next T step certifies; its change has no T predecessor
-                eta, deta = found
+                sol.eta, sol.deta = found
                 prev_change = None
-    else:
-        sol.eta, sol.deta = eta, deta
-        sol.iterations, sol.ratios = max_iter, ratios
-        sol.final_change = prev_change if prev_change is not None else math.inf
+    sol.final_change = change
+    if not sol.converged:
         raise ConvergenceError(
+            f"no contraction after {sol.iterations} iterations "
+            f"(last ratios {ratios[-3:]})" if noncontract >= 3 else
             f"tolerance {tol} not reached in {max_iter} iterations",
             solution=sol, ratios=ratios,
         )
 
     # reported contraction ratio: worst ratio once the transient has passed
     # and while changes are still meaningfully above the noise floor
-    meaningful = [r for r in ratios[2:] if r > 0.0]
-    if meaningful:
-        sol.contraction_ratio = max(meaningful)
-    elif ratios:
-        sol.contraction_ratio = max(ratios)
+    sol.contraction_ratio = max([r for r in ratios[2:] if r > 0.0] or ratios,
+                                default=math.nan)
     sol.weighted_norm_value = weighted_norm(sol, ctx)
     sol.case_tag = ctx.case_tag
     return sol

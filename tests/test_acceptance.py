@@ -196,7 +196,7 @@ def test_criterion_8_kernel_suite():
             g = np.sin(1.3 * rho) + 0.2 * rng.standard_normal(M)
             ks = KernelSet(cls)
             i1, d1 = convolve_cumulative(ks, rho, g)
-            i2, d2 = convolve_cumulative_direct(ks, rho, g)
+            i2, d2 = convolve_cumulative_direct(cls, rho, g)
             scale = max(np.max(np.abs(i2)), np.max(np.abs(d2)))
             match_ok &= np.max(np.abs(i1 - i2)) <= 1e-12 * scale
             match_ok &= np.max(np.abs(d1 - d2)) <= 1e-12 * scale

@@ -13,6 +13,7 @@ from singular_forge import (
     OrderError,
     PurePower,
     PowerSum,
+    build_context,
     classify,
     convolve_cumulative,
     convolve_Q_cumulative,
@@ -25,7 +26,7 @@ from singular_forge import (
     weight_P,
     wronskian,
 )
-from singular_forge import kernels
+from singular_forge import cli, kernels
 from singular_forge.kernels import _BLOCK, _CHUNK, _scan, _scan_plan
 
 from direct_sums import convolve_cumulative_direct
@@ -171,7 +172,7 @@ def test_recurrence_matches_direct():
             g = np.sin(1.7 * rho) + 0.25 * rng.standard_normal(M)
             ks = KernelSet(cls)
             i1, d1 = convolve_cumulative(ks, rho, g)
-            i2, d2 = convolve_cumulative_direct(ks, rho, g)
+            i2, d2 = convolve_cumulative_direct(cls, rho, g)
             scale = max(np.max(np.abs(i2)), np.max(np.abs(d2)))
             assert np.max(np.abs(i1 - i2)) <= 1e-12 * scale
             assert np.max(np.abs(d1 - d2)) <= 1e-12 * scale
@@ -424,7 +425,7 @@ def test_recurrences_match_direct_sums(case, M, rho0, span, seed):
     rho = np.linspace(rho0, rho0 + span, M)
     g = np.random.default_rng(seed).standard_normal(M)
     i1, d1 = convolve_cumulative(ks, rho, g)
-    i2, d2 = convolve_cumulative_direct(ks, rho, g)
+    i2, d2 = convolve_cumulative_direct(cls, rho, g)
     q1 = convolve_Q_cumulative(ks, rho, g)
     q2, scale = _direct_Q_and_scale(cls, rho, g)
     assert np.max(np.abs(i1 - i2)) <= 1e-12 * scale
@@ -451,7 +452,7 @@ def test_march_solves_the_linear_scheme(cls):
     rho, (phi, dphi), c, p, l2 = _linear_problem(cls)
     eta, deta = solve_linear_volterra(ks, rho, (phi, dphi), c, p, l2)
     assert eta[0] == 1e-3 and deta[0] == 2e-3
-    ik, idk = convolve_cumulative_direct(ks, rho, c + p * eta + l2 * deta)
+    ik, idk = convolve_cumulative_direct(cls, rho, c + p * eta + l2 * deta)
     assert np.max(np.abs(phi - ik - eta)) <= 1e-12
     assert np.max(np.abs(dphi - idk - deta)) <= 1e-12
 
@@ -498,3 +499,47 @@ def test_scan_and_march_read_one_end_weight(cls, monkeypatch):
     ik, idk = convolve_cumulative(ks, rho, c + p * eta + l2 * deta)
     assert np.max(np.abs(phi - ik - eta)) <= 1e-12
     assert np.max(np.abs(dphi - idk - deta)) <= 1e-12
+
+
+def test_one_shared_kernel_set_per_regime(tmp_path, monkeypatch):
+    # contexts, probes and runs of a regime share its KernelSet, so a
+    # second tables run in one process builds no KernelSet and no plan
+    kernels._KERNEL_SETS.clear()
+    counts = {"KernelSet": 0, "_scan_plan": 0}
+    init, plan = kernels.KernelSet.__init__, kernels._scan_plan
+
+    def counted_init(self, cls):
+        counts["KernelSet"] += 1
+        init(self, cls)
+
+    def counted_plan(*args):
+        counts["_scan_plan"] += 1
+        return plan(*args)
+
+    monkeypatch.setattr(kernels.KernelSet, "__init__", counted_init)
+    monkeypatch.setattr(kernels, "_scan_plan", counted_plan)
+    runs = []
+    for i in range(2):
+        assert cli.main(["tables", "--N", "5", "--out",
+                         str(tmp_path / str(i))]) == 0
+        runs.append(dict(counts))
+        counts.update(KernelSet=0, _scan_plan=0)
+    # the five default cells fall in three regimes, one per p
+    assert runs[0]["KernelSet"] == 3 and 0 < runs[0]["_scan_plan"] <= 16
+    assert runs[1] == {"KernelSet": 0, "_scan_plan": 0}
+
+
+def test_shared_kernel_sets_stay_within_their_bounds():
+    kernels._KERNEL_SETS.clear()
+    exponents = np.linspace(1.7, 2.3, kernels._SHARED_REGIMES + 3)
+    for p in exponents:
+        nl = PurePower(p)
+        build_context(nl, classify(nl, 5), 3.0, 13.0, 9)
+    assert len(kernels._KERNEL_SETS) == kernels._SHARED_REGIMES
+    assert classify(PurePower(exponents[-1]), 5).regime in kernels._KERNEL_SETS
+    assert classify(PurePower(exponents[0]), 5).regime \
+        not in kernels._KERNEL_SETS
+    ks = KernelSet(CLS_COMPLEX)
+    for h in np.linspace(0.01, 0.02, kernels._SHARED_STEPS + 3):
+        ks.step(h)
+    assert len(ks._steps) == kernels._SHARED_STEPS

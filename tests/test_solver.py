@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +9,7 @@ from singular_forge import (
     ConvergenceError,
     DomainError,
     GridError,
+    IterateOutOfDomainError,
     KernelSet,
     NoContractionError,
     PowerExpLog,
@@ -169,6 +173,59 @@ def test_picard_failure_carries_diagnostics():
     with pytest.raises(ConvergenceError) as err:
         picard_solve(ctx, 2.0, 2.0, max_iter=50)
     assert err.value.solution is not None
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float)).hexdigest()
+
+
+# per failing exit: (alpha, beta, max_iter), the error it raises, and the
+# partial solution's fields, with sha256 digests of eta and eta'
+_PARTIAL_SOLUTIONS = {
+    "domain": ((2.0, 2.0, 50), IterateOutOfDomainError, dict(
+        iterations=2, ratios=[], final_change=math.inf, newton_steps=0,
+        eta="aa6408dfe523f74922ce61e63f47b9804651c58de97adfead6494997eafbd8a3",
+        deta="27edb71bcf30b6119506dd1b96d4e7ab0e3a020c10ee4d8c0ddbc0d88c69d780",
+    )),
+    "max_iter": ((0.05, 0.05, 3), ConvergenceError, dict(
+        iterations=3, ratios=[0.047271539898775555, 0.023733739700227432],
+        final_change=5.974809276980452e-06, newton_steps=0,
+        eta="d511b79b7ddf88c5dd06e7f44f5c823a81538a8d6b213d401aff8133304ac18d",
+        deta="3c60e09a66ec7a962ce8ed0f6c1201de4cf1b1e602109be238011d8e5fab3b9a",
+    )),
+    "no_contraction": ((1e-3, 2e-3, 200), ConvergenceError, dict(
+        iterations=4, ratios=[2.0, 1.9999999999999525, 2.0],
+        final_change=1.600000000000001e-05, newton_steps=0,
+        eta="e7e3cc628f5bbe47bcab45a5b1ceef9244c2c3dc73f67de03ed708c771534601",
+        deta="83819899823d6dcafa6169f59292d403260eb155ab631158903abe8fa3c7559c",
+    )),
+}
+
+
+@pytest.mark.parametrize("exit_", sorted(_PARTIAL_SOLUTIONS))
+def test_picard_failures_hand_back_their_partial_solution(exit_, monkeypatch):
+    # each failing exit returns the state the solve had when it stopped:
+    # the iterate it last accepted, its counts and ratios, and the last
+    # change (inf when T left the domain)
+    (alpha, beta, max_iter), error, want = _PARTIAL_SOLUTIONS[exit_]
+    nl = PowerSum(2.0, 1.0)
+    ctx = build_context(nl, classify(nl, 5), 3.0, 23.0, 257)
+    if exit_ == "no_contraction":
+        # no natural case is known: a map whose change doubles each step
+        def doubling(ctx, homogeneous, eta, deta):
+            doubling.calls += 1
+            return eta + 1e-6 * 2.0 ** doubling.calls, deta
+
+        doubling.calls = 0
+        monkeypatch.setattr(solver, "apply_T", doubling)
+    with pytest.raises(ConvergenceError) as err:
+        picard_solve(ctx, alpha, beta, max_iter=max_iter)
+    assert type(err.value) is error and err.value.ratios == want["ratios"]
+    sol = err.value.solution
+    got = dict(iterations=sol.iterations, ratios=sol.ratios,
+               final_change=sol.final_change, newton_steps=sol.newton_steps,
+               eta=_digest(sol.eta), deta=_digest(sol.deta))
+    assert got == want and not sol.converged
 
 
 def test_weighted_norm_trivial_cases():
