@@ -93,6 +93,16 @@ _PANEL_RATE = 8.0
 _LOG_MAX = math.ceil(math.log(np.finfo(float).max))
 
 
+def horner(coefs, x):
+    """sum_k coefs[k] x^k at each point of the float array x, by Horner
+    from the last coefficient down."""
+    acc = np.full_like(x, coefs[-1])
+    for c in reversed(coefs[:-1]):
+        acc *= x
+        acc += c
+    return acc
+
+
 def _pfaff_sum(c, w):
     """sum_n n!/(c+1)_n w^n for 0 <= w < 1 (nonempty, 1-d), c + 1 not zero
     or a negative integer.
@@ -112,11 +122,7 @@ def _pfaff_sum(c, w):
             rest = abs(b[-1]) * wmax ** n * q
             if q < 1.0 and rest <= _SERIES_TOL * (1.0 - q):
                 break
-    acc = np.full_like(w, b[-1])
-    for bn in reversed(b[:-1]):
-        acc *= w
-        acc += bn
-    return acc
+    return horner(b, w)
 
 
 def _hyp2f1_1c_pfaff(c, x):
@@ -283,11 +289,7 @@ def _upper_gamma_small(a, x):
     head = -S / (1.0 + a * S) - (np.expm1(a * lx) / a if a != 0.0 else lx)
     coefs = [(-1.0) ** k / (math.factorial(k) * (a + k))
              for k in range(1, _SMALL_ORDER_TERMS + 1)]
-    acc = np.full_like(x, coefs[-1])
-    for coef in reversed(coefs[:-1]):
-        acc *= x
-        acc += coef
-    return head - np.exp(a * lx) * (acc * x)
+    return head - np.exp(a * lx) * (horner(coefs, x) * x)
 
 
 def _upper_gamma_series(a, x):

@@ -97,13 +97,14 @@ class RunConfig:
 
     def validate(self):
         """Check every field's type and range (a config file is outside
-        input too); pairs and cells come out as lists of tuples."""
+        input too), the nonlinearity's by building each one the run uses
+        through from_spec; pairs and cells come out as lists of tuples."""
         if self.command not in _COMMANDS:
             raise ConfigError(f"command: unknown subcommand {self.command!r}")
         for key in ("rho0", "tol", "alpha", "beta"):
             if not _is_finite(getattr(self, key)):
                 raise ConfigError(f"{key}: must be a finite number")
-        for key in ("p", "r", "log_exp", "rho_max"):
+        for key in (*nl_mod.PARAMS, "rho_max"):
             value = getattr(self, key)
             if value is not None and not _is_finite(value):
                 raise ConfigError(f"{key}: must be a finite number")
@@ -125,19 +126,6 @@ class RunConfig:
             raise ConfigError(f"formats: must be a list among {_FORMATS}")
         if not _is_finite(self.N) or int(self.N) != self.N or self.N < 3:
             raise ConfigError("N: must be an integer >= 3")
-        if self.command != "tables":
-            # tables cells carry their own (p, r)
-            if self.p is None or self.p <= 1.0:
-                raise ConfigError("p must exceed 1")
-            if self.family in ("power_sum", "power_sum_log") and (
-                self.r is None or not 0.0 < self.r < self.p
-            ):
-                raise ConfigError("r: must satisfy 0 < r < p")
-        if self.family == "power_sum_log" and self.log_exp is None:
-            raise ConfigError("log_exp: required for power_sum_log")
-        for p, r in self.cells:
-            if p <= 1.0 or not 0.0 < r < p:
-                raise ConfigError(f"cells: bad cell p={p}, r={r}")
         if not _is_int(self.M) or self.M < 9:
             raise ConfigError("M: needs an integer of at least 9 nodes")
         if not _is_int(self.max_iter) or self.max_iter < 1:
@@ -151,15 +139,24 @@ class RunConfig:
         for a, b in self.pairs:
             if a < 0.0 or b < 0.0:
                 raise ConfigError("pairs: entries must be nonnegative")
+        if self.command != "tables":
+            self.nonlinearity()
+            return self
+        for p, r in self.cells or DEFAULT_CELLS:
+            try:
+                self.nonlinearity(p=p, r=r)
+            except ConfigError as exc:
+                if not isinstance(exc.__cause__, ValueError):
+                    raise  # a parameter missing or unread, not the cell's
+                raise ConfigError(
+                    f"cells: bad cell p={p}, r={r}: {exc}") from exc
         return self
 
-    def nonlinearity(self):
-        spec = {"family": self.family, "p": self.p}
-        if self.r is not None:
-            spec["r"] = self.r
-        if self.log_exp is not None:
-            spec["log_exp"] = self.log_exp
-        return nl_mod.from_spec(spec)
+    def nonlinearity(self, **cell):
+        """from_spec of the family and its parameter fields; a tables cell
+        passes its own p and r."""
+        spec = {key: getattr(self, key) for key in ("family", *nl_mod.PARAMS)}
+        return nl_mod.from_spec({**spec, **cell})
 
     def as_dict(self):
         return asdict(self)
@@ -198,10 +195,7 @@ def build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file (flags override)")
         sp.add_argument("--N", type=int, default=None)
-        sp.add_argument("--family", default=None, choices=[
-            "power", "power_sum", "power_log", "power_exp_log",
-            "power_sum_log",
-        ])
+        sp.add_argument("--family", default=None, choices=nl_mod.FAMILIES)
         # comma lists are accepted by the tables subcommand (cross product)
         sp.add_argument("--p", type=str, default=None)
         sp.add_argument("--r", type=str, default=None)
@@ -265,8 +259,6 @@ def load_config(args):
             and base.get("family") is None):
         # the table's own default: the sum family, not RunConfig's "power"
         cfg.family = "power_sum"
-    if cfg.log_exp is not None and cfg.family != "power_sum_log":
-        raise ConfigError("--log-exp: only family power_sum_log reads it")
     if cfg.command == "tables":
         _check_table_flags(args, cfg)
     p_list = _parse_floats(args.p, "p") if args.p is not None else None

@@ -26,7 +26,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._special import _SERIES_TOL, hyp2f1_1c, tail_integrals, upper_gamma
+from ._special import (
+    _SERIES_TOL,
+    horner,
+    hyp2f1_1c,
+    tail_integrals,
+    upper_gamma,
+)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -45,9 +51,13 @@ class Nonlinearity:
     a tail bound and capped at 40, and takes the Gauss rule over f'' past
     the cap.  It is None for every other family, Generic included, which
     always takes the Gauss rule.
+
+    ``params`` names the spec keys a family's constructor reads, in spec
+    order; ``spec()``, ``repr`` and ``from_spec`` read it.
     """
 
     name = "base"
+    params = ()
     p = None
     r = None
     log_exp = None
@@ -119,20 +129,20 @@ class Nonlinearity:
         return s
 
     def spec(self):
-        out = {"family": self.name}
-        for key in ("p", "r", "log_exp"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key] = v
-        return out
+        return {"family": self.name,
+                **{k: getattr(self, k) for k in self.params}}
 
     def __repr__(self):
-        parts = ", ".join(
-            f"{k}={getattr(self, k)}"
-            for k in ("p", "r", "log_exp")
-            if getattr(self, k) is not None
-        )
+        parts = ", ".join(f"{k}={getattr(self, k)}" for k in self.params)
         return f"{type(self).__name__}({parts})"
+
+    def _set_p(self, p):
+        """The leading exponent p > 1 of a built-in family, which fixes
+        its classification limit q_f = p/(p-1)."""
+        if p <= 1.0:
+            raise ValueError("p must exceed 1")
+        self.p = float(p)
+        self.qf_exact = self.p / (self.p - 1.0)
 
     def _validate_positive(self, samples):
         for s in samples:
@@ -147,13 +157,10 @@ class PurePower(Nonlinearity):
     """f(s) = s^p, the model nonlinearity; all deficits vanish identically."""
 
     name = "power"
+    params = ("p",)
 
     def __init__(self, p):
-        if p <= 1.0:
-            raise ValueError("p must exceed 1")
-        self.p = float(p)
-        self.s_min = 0.0
-        self.qf_exact = self.p / (self.p - 1.0)
+        self._set_p(p)
         self.exponents = (self.p,)
 
     def f(self, s):
@@ -192,16 +199,13 @@ class PowerSum(Nonlinearity):
     """
 
     name = "power_sum"
+    params = ("p", "r")
 
     def __init__(self, p, r):
-        if p <= 1.0:
-            raise ValueError("p must exceed 1")
+        self._set_p(p)
         if not 0.0 < r < p:
-            raise ValueError("r must satisfy 0 < r < p")
-        self.p = float(p)
+            raise ValueError("r: must satisfy 0 < r < p")
         self.r = float(r)
-        self.s_min = 0.0
-        self.qf_exact = self.p / (self.p - 1.0)
         self.exponents = (self.p, self.r)
         self._c = (self.p - 1.0) / (self.p - self.r)
         # below this the deficit series converges too slowly; evaluate direct
@@ -283,11 +287,7 @@ class PowerSum(Nonlinearity):
             rest = m * d / (p - 1.0 + k * d) * xmax ** (k + 1) / (1.0 - xmax)
             if rest <= _SERIES_TOL * lead:
                 break
-        acc = np.full_like(x, b[-1])
-        for bk in reversed(b[:-1]):
-            acc *= x
-            acc += bk
-        return acc * x
+        return horner(b, x) * x
 
     def _coef_fpF(self, k):
         p, r = self.p, self.r
@@ -330,15 +330,13 @@ class PowerLog(Nonlinearity):
     """
 
     name = "power_log"
+    params = ("p", "r")
 
     def __init__(self, p, r):
-        if p <= 1.0:
-            raise ValueError("p must exceed 1")
-        self.p = float(p)
+        self._set_p(p)
         self.r = float(r)
         # keep f' = s^(p-1)(log s)^(r-1)(p log s + r) positive
         self.s_min = max(2.0, math.exp(-self.r / self.p) * (1.0 + 1e-9))
-        self.qf_exact = self.p / (self.p - 1.0)
         self._validate_positive(
             [self.s_min * 1.0001, self.s_min + 1.0, 10.0, 1e4, 1e8]
         )
@@ -369,16 +367,14 @@ class PowerExpLog(Nonlinearity):
     """f(s) = s^p exp((log s)^r) for s > 1, p > 1, 0 < r < 1."""
 
     name = "power_exp_log"
+    params = ("p", "r")
 
     def __init__(self, p, r):
-        if p <= 1.0:
-            raise ValueError("p must exceed 1")
+        self._set_p(p)
         if not 0.0 < r < 1.0:
-            raise ValueError("r must satisfy 0 < r < 1")
-        self.p = float(p)
+            raise ValueError("r: must satisfy 0 < r < 1")
         self.r = float(r)
         self.s_min = 1.0
-        self.qf_exact = self.p / (self.p - 1.0)
 
     def f(self, s):
         s = np.asarray(s, float)
@@ -423,17 +419,15 @@ class PowerSumLog(Nonlinearity):
     """
 
     name = "power_sum_log"
+    params = ("p", "r", "log_exp")
 
     def __init__(self, p, r, log_exp):
-        if p <= 1.0:
-            raise ValueError("p must exceed 1")
+        self._set_p(p)
         if not 0.0 < r < p:
-            raise ValueError("r must satisfy 0 < r < p")
-        self.p = float(p)
+            raise ValueError("r: must satisfy 0 < r < p")
         self.r = float(r)
         self.log_exp = float(log_exp)
         self.s_min = 2.0
-        self.qf_exact = self.p / (self.p - 1.0)
         self._validate_positive(
             [self.s_min * 1.0001, self.s_min + 1.0, 10.0, 1e4, 1e8]
         )
@@ -697,30 +691,34 @@ def estimate_qf(nl):
     return QfEstimate(0.5 * (a1 + a2), converged, hist)
 
 
-_FAMILIES = {
-    "power": (PurePower, ("p",)),
-    "power_sum": (PowerSum, ("p", "r")),
-    "power_log": (PowerLog, ("p", "r")),
-    "power_exp_log": (PowerExpLog, ("p", "r")),
-    "power_sum_log": (PowerSumLog, ("p", "r", "log_exp")),
-}
+#: the built-in families by name, each declaring the parameters it reads
+FAMILIES = {c.name: c for c in (PurePower, PowerSum, PowerLog, PowerExpLog,
+                                PowerSumLog)}
+#: every parameter some family reads, in spec order
+PARAMS = tuple(dict.fromkeys(k for c in FAMILIES.values() for k in c.params))
 
 
 def from_spec(spec):
     """Build a Nonlinearity from a config mapping like
-    {"family": "power_sum", "p": 2.0, "r": 1.0}."""
+    {"family": "power_sum", "p": 2.0, "r": 1.0}.
+
+    ConfigError, naming the field, unless the family is known, each of
+    PARAMS it reads is set, none it does not read is (a None value counts
+    as unset), and its constructor takes the values; keys outside PARAMS
+    are not read."""
     kind = spec.get("family")
-    if kind not in _FAMILIES:
+    if kind not in FAMILIES:
         raise ConfigError(
             f"family: unknown family {kind!r}; expected one of "
-            f"{sorted(_FAMILIES)}"
+            f"{sorted(FAMILIES)}"
         )
-    cls, keys = _FAMILIES[kind]
-    kwargs = {}
-    for key in keys:
-        if spec.get(key) is None:
+    cls = FAMILIES[kind]
+    for key in PARAMS:
+        if key in cls.params and spec.get(key) is None:
             raise ConfigError(f"{key}: required for family {kind!r}")
-        kwargs[key] = float(spec[key])
+        if key not in cls.params and spec.get(key) is not None:
+            raise ConfigError(f"{key}: family {kind!r} does not read it")
+    kwargs = {key: float(spec[key]) for key in cls.params}
     try:
         return cls(**kwargs)
     except ValueError as exc:

@@ -1,8 +1,9 @@
 """Emden-side profile context and conversion back to radial variables.
 
-The approximate solution in Emden variables is phi(rho) = F^{-1}(e^{-2rho}/b);
-by construction F(phi) = e^{-2rho}/b exactly, so that value is cached rather
-than re-evaluated.  The forcing and linear coefficients
+The approximate solution in Emden variables is phi(rho) = F^{-1}(sigma),
+sigma = e^{-2rho}/b.  Where F(phi) is needed, sigma stands in for it: F^{-1}
+stops once |F(phi) - sigma| <= 1e-13 sigma, so the two agree to that bound,
+not exactly.  The forcing and linear coefficients
 
     I  = 4 (fF/phi) (f'F - q_f)
     L1 = b [ (f'F - q_f) - (fF/phi - 1/(p_f-1)) ] + I
@@ -283,7 +284,9 @@ def tilde_u(nl, cls, r):
 
 
 def build_context(nl, cls, rho0, rho_max, M):
-    """Cache phi, phi', I, L1, L2 on the uniform rho-grid; ks is shared."""
+    """Cache phi, phi', I, L1, L2 on the uniform rho-grid; ks is shared.
+    Fphi is sigma = e^{-2rho}/b, which F(phi) matches within F_inv's stop
+    test."""
     if not cls.in_scope:
         raise GridError(f"regime out of scope: {cls.regime.reason}")
     grid = Grid(float(rho0), float(rho_max), int(M))

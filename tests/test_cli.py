@@ -102,10 +102,12 @@ _CONSTRUCT = ["construct", "--N", "5", "--family", "power_sum", "--p", "2",
     (None, ["--format", "xml"], "formats"),
     (None, ["--pairs", "1e-4:nan"], "pairs"),
     ([1, 2], [], "config"),
+    (None, ["--family", "power"], "r"),
 ], ids=["file_M_str", "file_alpha_nan", "file_pairs_short", "file_cells_str",
         "file_sigmas_inf", "file_formats_str", "file_auto_rho0_int",
         "alpha_nan", "rho0_inf", "rho_max_nan", "tol_nan", "max_iter_0",
-        "max_iter_neg", "format_xml", "pairs_nan", "file_list"])
+        "max_iter_neg", "format_xml", "pairs_nan", "file_list",
+        "power_reads_no_r"])
 def test_bad_input_exits_1_with_config_error(tmp_path, capsys, config,
                                              flags, field):
     # unchecked, each of these crashes with a traceback, ends as a
@@ -313,7 +315,7 @@ def test_tables_power_sum_log_needs_log_exp(tmp_path, capsys, source):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "config error: log_exp: required for power_sum_log\n")
+        "config error: log_exp: required for family 'power_sum_log'\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -372,15 +374,26 @@ def test_log_exp_is_refused_without_power_sum_log(tmp_path, capsys, argv):
     code = main([*argv, "--N", "5", "--log-exp", "3", "--M", "257",
                  "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("config error: --log-exp: ")
+    assert capsys.readouterr().err.startswith("config error: log_exp: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "sweep"])
+def test_r_in_a_config_file_is_refused_for_power(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"family": "power", "p": 2, "r": 1.5}))
+    code = main([command, "--N", "5", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: r: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_log_exp_in_a_config_file_is_refused_without_power_sum_log(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"family": "power_sum", "p": 2, "r": 1,
                                 "log_exp": 3}))
-    with pytest.raises(ConfigError, match="^--log-exp: "):
+    with pytest.raises(ConfigError, match="^log_exp: "):
         _cfg(["verify", "--N", "5", "--config", str(path)])
 
 

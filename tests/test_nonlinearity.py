@@ -25,7 +25,8 @@ from singular_forge import (
     from_spec,
 )
 from singular_forge._special import upper_gamma
-from singular_forge.nonlinearity import _invert_F
+from singular_forge.errors import ConfigError
+from singular_forge.nonlinearity import FAMILIES, PARAMS, _invert_F
 
 ALL_FAMILIES = [
     PurePower(2.0),
@@ -648,6 +649,25 @@ def test_from_spec_roundtrip():
     nl = from_spec({"family": "power_sum", "p": 2.0, "r": 1.0})
     assert isinstance(nl, PowerSum)
     assert nl.spec() == {"family": "power_sum", "p": 2.0, "r": 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_from_spec_round_trips_every_family_and_checks_its_parameters(name):
+    nl = next(n for n in ALL_FAMILIES if n.name == name)
+    spec = nl.spec()
+    back = from_spec(spec)
+    assert type(back) is FAMILIES[name]
+    assert back.spec() == spec and repr(back) == repr(nl)
+    unread = [k for k in PARAMS if k not in FAMILIES[name].params]
+    for key in unread:
+        with pytest.raises(ConfigError,
+                           match=f"^{key}: family '{name}' does not read"):
+            from_spec({**spec, key: 1.0})
+        # a None value counts as unset
+        assert from_spec({**spec, key: None}).spec() == spec
+    for key in FAMILIES[name].params:
+        with pytest.raises(ConfigError, match=f"^{key}: required for"):
+            from_spec({k: v for k, v in spec.items() if k != key})
 
 
 def test_powerlog_smin_guards_f_prime_positivity():
