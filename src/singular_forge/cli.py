@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 config/validation error, 2 convergence failure,
 3 out of regime, 4 verification failed (``verify`` could not fit the decay
 rate; summary.json still records the fit error).  All file output is
 deterministic: identical inputs give byte-identical CSV/JSON (17
-significant digits, LF endings, sorted keys), and the summary JSON embeds
-the resolved config so it can be re-fed via --config to reproduce the run.
+significant digits, LF endings, sorted keys), and every JSON embeds the
+resolved fields its subcommand reads (``_READS``), so it can be re-fed via
+--config to reproduce the run.  A flag or config-file value the subcommand
+does not read exits 1.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,15 +49,6 @@ from .verify import (
 DEFAULT_CELLS = [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0), (2.0, 1.0), (2.0, 1.9)]
 DEFAULT_SIGMAS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 _FORMATS = ("csv", "json")
-# what tables does not read, by field and flag: every cell is solved at
-# (alpha, beta) = (1e-3, 2e-3) from rho0 = 3, with select_rho0 and the
-# default grid end
-_TABLE_FIXED = {"alpha": "--alpha", "beta": "--beta", "rho0": "--rho0",
-                "rho_max": "--rho-max", "auto_rho0": "--no-auto-rho0"}
-# the lists of other subcommands, refused by tables from flags or a config
-# file alike: by field, its flag and the subcommand that reads it
-_TABLE_FOREIGN = {"pairs": ("--pairs", "sweep"),
-                  "sigmas": ("--sigmas", "appendix")}
 
 
 def _is_int(v):
@@ -95,11 +88,14 @@ class RunConfig:
     out: str = "out"
     formats: list = field(default_factory=lambda: ["csv", "json"])
 
-    def validate(self):
+    def validate(self, flags=()):
         """Check every field's type and range (a config file is outside
-        input too), the nonlinearity's by building each one the run uses
-        through from_spec; pairs and cells come out as lists of tuples."""
-        if self.command not in _COMMANDS:
+        input too); then refuse a field the subcommand does not read (see
+        _READS) that a flag set, whatever its value, or that differs from
+        its default; then the nonlinearity, by building each one the run
+        uses through from_spec.  pairs and cells come out as lists of
+        tuples."""
+        if self.command not in _READS:
             raise ConfigError(f"command: unknown subcommand {self.command!r}")
         for key in ("rho0", "tol", "alpha", "beta"):
             if not _is_finite(getattr(self, key)):
@@ -139,9 +135,20 @@ class RunConfig:
         for a, b in self.pairs:
             if a < 0.0 or b < 0.0:
                 raise ConfigError("pairs: entries must be nonnegative")
+        default = RunConfig(self.command)
+        for key in _FIELDS:
+            if key not in _READS[self.command] and (
+                    key in flags or getattr(self, key) != getattr(default, key)):
+                raise ConfigError(f"{_FLAGS[key]}: {self.command} does not "
+                                  "read it")
         if self.command != "tables":
             self.nonlinearity()
             return self
+        names = [c.name for c in RATE_FAMILIES]
+        if self.family not in names:
+            raise ConfigError(
+                f"--family: tables needs a family with a predicted decay rate, "
+                f"one of {names}")
         for p, r in self.cells or DEFAULT_CELLS:
             try:
                 self.nonlinearity(p=p, r=r)
@@ -159,7 +166,15 @@ class RunConfig:
         return nl_mod.from_spec({**spec, **cell})
 
     def as_dict(self):
-        return asdict(self)
+        """The command and the fields it reads, as its JSON records them."""
+        return {key: getattr(self, key)
+                for key in ("command", *_READS[self.command])}
+
+
+# the settings, each with a flag on every subcommand; dest is the field
+_FIELDS = [f.name for f in fields(RunConfig) if f.name != "command"]
+_FLAGS = {**{key: "--" + key.replace("_", "-") for key in _FIELDS},
+          "auto_rho0": "--no-auto-rho0", "formats": "--format"}
 
 
 def _parse_pairs(text, name):
@@ -184,7 +199,36 @@ def _parse_floats(text, name):
         raise ConfigError(f"{name}: cannot parse {text!r}") from exc
 
 
+def _parse_exponent(text, name):
+    values = _parse_floats(text, name)
+    if len(values) != 1:
+        raise ConfigError(f"{name}: a list is only valid for tables")
+    return values[0]
+
+
+# the flags given as text, by field; the others argparse has converted
+_PARSERS = {
+    "p": _parse_exponent, "r": _parse_exponent,
+    "pairs": _parse_pairs, "cells": _parse_pairs, "sigmas": _parse_floats,
+    "formats": lambda text, _: [f.strip() for f in text.split(",")
+                                if f.strip()],
+}
+
+
+_HELP = {
+    "rho_max": "end of the grid (default rho0 + grid_span: the span the "
+    "decay fit needs)",
+    "pairs": "alpha:beta comma list, e.g. 1e-4:1e-4,2e-4:1e-4",
+    "cells": "p:r comma list for the tables subcommand",
+    "sigmas": "comma list of sigma values for appendix",
+    "formats": "comma list among csv,json",
+}
+
+
 def build_parser():
+    """One subparser per subcommand, each with a flag for every RunConfig
+    field: of the field's type, or text when _PARSERS reads it (--p and --r
+    take comma lists for tables, the cross product defining its cells)."""
     ap = argparse.ArgumentParser(
         prog="singular-forge",
         description="Construct and verify singular radial solutions of "
@@ -194,126 +238,58 @@ def build_parser():
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file (flags override)")
-        sp.add_argument("--N", type=int, default=None)
-        sp.add_argument("--family", default=None, choices=nl_mod.FAMILIES)
-        # comma lists are accepted by the tables subcommand (cross product)
-        sp.add_argument("--p", type=str, default=None)
-        sp.add_argument("--r", type=str, default=None)
-        sp.add_argument("--log-exp", dest="log_exp", type=float, default=None)
-        sp.add_argument("--rho0", type=float, default=None)
-        sp.add_argument("--rho-max", dest="rho_max", type=float, default=None,
-                        help="end of the grid (default rho0 + grid_span: the "
-                        "span the decay fit needs)")
-        sp.add_argument("--M", type=int, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        sp.add_argument("--no-auto-rho0", dest="auto_rho0",
-                        action="store_false", default=None)
-        sp.add_argument("--pairs", default=None,
-                        help="alpha:beta comma list, e.g. 1e-4:1e-4,2e-4:1e-4")
-        sp.add_argument("--cells", default=None,
-                        help="p:r comma list for the tables subcommand")
-        sp.add_argument("--sigmas", default=None,
-                        help="comma list of sigma values for appendix")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", dest="formats", default=None,
-                        help="comma list among csv,json")
+        for f in fields(RunConfig)[1:]:  # every field after command
+            if f.type is bool:
+                sp.add_argument(_FLAGS[f.name], dest=f.name,
+                                action="store_false", default=None)
+            else:
+                sp.add_argument(
+                    _FLAGS[f.name], dest=f.name, help=_HELP.get(f.name),
+                    type=None if f.name in _PARSERS else f.type,
+                    choices=nl_mod.FAMILIES if f.name == "family" else None)
     return ap
 
 
 def load_config(args):
-    """Merge an optional JSON config file with CLI flags (flags win)."""
-    base = {}
-    if getattr(args, "config", None):
-        path = args.config
-        if not os.path.exists(path):
-            raise ConfigError(f"config: file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
+    """Merge an optional JSON config file with CLI flags (flags win), and
+    validate the result against the flags given; a config key that names
+    no field is refused."""
+    cfg = RunConfig(command=args.command)
+    if cfg.command == "tables":
+        cfg.family = "power_sum"  # the table's own default family
+    if args.config is not None:
+        if not os.path.exists(args.config):
+            raise ConfigError(f"config: file not found: {args.config}")
+        with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except ValueError as exc:
                 raise ConfigError(f"config: not JSON: {exc}") from exc
-        # a previously written summary embeds its config
+        # a previously written JSON output embeds its config
         base = data.get("config", data) if isinstance(data, dict) else None
         if not isinstance(base, dict):
             raise ConfigError("config: must hold a JSON object")
-    cfg = RunConfig(command=args.command)
-    for key, value in base.items():
-        if key == "command":
-            continue
-        if hasattr(cfg, key) and value is not None:
-            setattr(cfg, key, value)
-    overrides = {
-        "N": args.N, "family": args.family,
-        "log_exp": args.log_exp, "rho0": args.rho0, "rho_max": args.rho_max,
-        "M": args.M, "alpha": args.alpha, "beta": args.beta, "tol": args.tol,
-        "max_iter": args.max_iter, "out": args.out,
-        "auto_rho0": args.auto_rho0,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if (cfg.command == "tables" and args.family is None
-            and base.get("family") is None):
-        # the table's own default: the sum family, not RunConfig's "power"
-        cfg.family = "power_sum"
-    if cfg.command == "tables":
-        _check_table_flags(args, cfg)
-    p_list = _parse_floats(args.p, "p") if args.p is not None else None
-    r_list = _parse_floats(args.r, "r") if args.r is not None else None
-    if cfg.command == "tables" and (p_list is not None or r_list is not None):
-        # cross product of exponent lists defines the cells
-        if p_list is None:
+        for key, value in base.items():
+            if key not in _FIELDS and key != "command":
+                raise ConfigError(f"{key}: not a setting")
+            if key in _FIELDS and value is not None:
+                setattr(cfg, key, value)
+    flags = {key: getattr(args, key) for key in _FIELDS
+             if getattr(args, key) is not None}
+    if cfg.command == "tables" and ("p" in flags or "r" in flags):
+        # the cells, unless --cells is given: the cross product of the two
+        # lists (--r defaults to 1), keeping those with 0 < r < p
+        p_text, r_text = flags.pop("p", None), flags.pop("r", "1")
+        if p_text is None:
             raise ConfigError("--r: tables needs --p beside it")
-        cfg.cells = [
-            (p, r)
-            for p in p_list
-            for r in (r_list if r_list is not None else [1.0])
-            if 0.0 < r < p
-        ]
+        cfg.cells = [(p, r) for p in _parse_floats(p_text, "p")
+                     for r in _parse_floats(r_text, "r") if 0.0 < r < p]
         if not cfg.cells:
             raise ConfigError("--p/--r: no cell with 0 < r < p")
-    else:
-        if p_list is not None:
-            if len(p_list) != 1:
-                raise ConfigError("p: a list is only valid for tables")
-            cfg.p = p_list[0]
-        if r_list is not None:
-            if len(r_list) != 1:
-                raise ConfigError("r: a list is only valid for tables")
-            cfg.r = r_list[0]
-    if args.pairs is not None:
-        cfg.pairs = _parse_pairs(args.pairs, "pairs")
-    if args.cells is not None:
-        cfg.cells = _parse_pairs(args.cells, "cells")
-    if args.sigmas is not None:
-        cfg.sigmas = _parse_floats(args.sigmas, "sigmas")
-    if args.formats is not None:
-        cfg.formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-    return cfg.validate()
-
-
-def _check_table_flags(args, cfg):
-    """ConfigError naming the first tables flag that would go unread: one
-    of _TABLE_FIXED, a list of _TABLE_FOREIGN (by flag or config file), or
-    a family without a predicted decay rate, by --family or config file."""
-    for key, flag in _TABLE_FIXED.items():
-        if getattr(args, key) is not None:
-            raise ConfigError(
-                f"{flag}: tables solves every cell at (alpha, beta) = "
-                "(1e-3, 2e-3) from rho0 = 3, with select_rho0 and the "
-                "default grid end")
-    for key, (flag, reader) in _TABLE_FOREIGN.items():
-        if getattr(args, key) is not None or getattr(cfg, key):
-            raise ConfigError(f"{flag}: tables does not read it; {reader} "
-                              "does")
-    names = [c.name for c in RATE_FAMILIES]
-    if cfg.family not in names:
-        raise ConfigError(
-            f"--family: tables needs a family with a predicted decay rate, "
-            f"one of {names}")
+    for key, value in flags.items():
+        setattr(cfg, key, _PARSERS[key](value, key) if key in _PARSERS
+                else value)
+    return cfg.validate(flags)
 
 
 def _clean(obj):
@@ -471,7 +447,7 @@ def cmd_sweep(cfg):
         (a, b)
         for a in (1e-4, 3e-4, 1e-3)
         for b in (1e-4, 3e-4, 1e-3)
-    ][:10]
+    ]
     rho0, rho_max = resolve_grid(
         nl, cls, max(a for a, _ in pairs), max(b for _, b in pairs),
         cfg.rho0, cfg.rho_max, cfg.auto_rho0,
@@ -521,11 +497,7 @@ def cmd_tables(cfg):
     cells = cfg.cells or DEFAULT_CELLS
     os.makedirs(cfg.out, exist_ok=True)
     reports = [_report_cell(cfg, i, p, r) for i, (p, r) in enumerate(cells)]
-    # the config records the family and cells the run solved
-    config = {k: v for k, v in cfg.as_dict().items()
-              if k not in _TABLE_FIXED and k not in _TABLE_FOREIGN}
-    config["cells"] = cells
-    payload = {"config": config, "cells": reports}
+    payload = {"config": {**cfg.as_dict(), "cells": cells}, "cells": reports}
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, "tables.json"), payload)
     for c in reports:
@@ -555,6 +527,22 @@ def cmd_appendix(cfg):
     return 0
 
 
+_CLASSIFY_READS = ("N", "family", *nl_mod.PARAMS, "out", "formats")
+_SOLVE_READS = (*_CLASSIFY_READS, "rho0", "rho_max", "M", "tol", "max_iter",
+                "auto_rho0")
+# the RunConfig fields each subcommand reads: the only ones a flag or a
+# config file may set, and the ones its JSON records.  tables' --p and --r
+# set its cells; it solves every cell at (alpha, beta) = (1e-3, 2e-3) from
+# rho0 = 3, with select_rho0 and the default grid end
+_READS = {
+    "classify": _CLASSIFY_READS,
+    "construct": (*_SOLVE_READS, "alpha", "beta"),
+    "verify": (*_SOLVE_READS, "alpha", "beta"),
+    "sweep": (*_SOLVE_READS, "pairs"),
+    "tables": ("N", "family", "log_exp", "M", "tol", "max_iter", "cells",
+               "out", "formats"),
+    "appendix": ("family", *nl_mod.PARAMS, "sigmas", "out", "formats"),
+}
 # the subcommands in the parser's order, each with its handler
 _COMMANDS = {
     "classify": cmd_classify,

@@ -103,15 +103,18 @@ _CONSTRUCT = ["construct", "--N", "5", "--family", "power_sum", "--p", "2",
     (None, ["--pairs", "1e-4:nan"], "pairs"),
     ([1, 2], [], "config"),
     (None, ["--family", "power"], "r"),
+    ({"alhpa": 1e-3}, [], "alhpa"),
+    ({"m": 1025}, [], "m"),
 ], ids=["file_M_str", "file_alpha_nan", "file_pairs_short", "file_cells_str",
         "file_sigmas_inf", "file_formats_str", "file_auto_rho0_int",
         "alpha_nan", "rho0_inf", "rho_max_nan", "tol_nan", "max_iter_0",
         "max_iter_neg", "format_xml", "pairs_nan", "file_list",
-        "power_reads_no_r"])
+        "power_reads_no_r", "file_misspelt_key", "file_lower_case_M"])
 def test_bad_input_exits_1_with_config_error(tmp_path, capsys, config,
                                              flags, field):
     # unchecked, each of these crashes with a traceback, ends as a
-    # "convergence failure" (exit 2) or exits 0 having written nothing
+    # "convergence failure" (exit 2) or exits 0 having written nothing, or
+    # (a config key that names no setting) is dropped without a word
     argv = _CONSTRUCT + flags + ["--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -182,21 +185,6 @@ def test_construct_trivial_theta_columns(tmp_path):
     assert summary["solver"]["iterations"] == 1
 
 
-def test_summary_roundtrip_reproduces_run(tmp_path):
-    out1 = tmp_path / "a"
-    args = ["construct", "--N", "5", "--family", "power_sum", "--p", "2",
-            "--r", "1", "--M", "257", "--rho-max", "18",
-            "--out", str(out1)]
-    assert main(args) == 0
-    d1 = _digest(out1 / "profile.csv")
-    s1 = (out1 / "summary.json").read_bytes()
-    # re-feed the summary as config into the same output directory
-    assert main(["construct", "--config", str(out1 / "summary.json"),
-                 "--out", str(out1)]) == 0
-    assert _digest(out1 / "profile.csv") == d1
-    assert (out1 / "summary.json").read_bytes() == s1
-
-
 def test_construct_out_of_regime_exit3(tmp_path):
     code = main(["construct", "--N", "5", "--family", "power", "--p", "2.4",
                  "--out", str(tmp_path)])
@@ -252,7 +240,7 @@ def test_tables_single_p_and_r_define_one_cell(tmp_path):
     assert code == 0
     data = json.loads((tmp_path / "tables.json").read_text())
     assert data["config"]["cells"] == [[2.0, 1.0]]
-    assert data["config"]["p"] is None and data["config"]["r"] is None
+    assert {"p", "r"}.isdisjoint(data["config"])
     (cell,) = data["cells"]
     assert (cell["p"], cell["r"]) == (2.0, 1.0)
     # p - r = 1: the degenerate cell carries the forcing-rate annotation
@@ -269,17 +257,49 @@ def test_tables_single_p_and_r_define_one_cell(tmp_path):
             "auto_rho0"}.isdisjoint(data["config"])
 
 
+# a valid run of each subcommand, without --out
+_VALID = {
+    "classify": ["classify", "--N", "5", "--family", "power_sum", "--p", "2",
+                 "--r", "1"],
+    "construct": [*_CONSTRUCT, "--M", "257", "--rho-max", "18"],
+    "verify": ["verify", "--N", "5", "--family", "power_sum", "--p", "2",
+               "--r", "1", "--M", "1025"],
+    "sweep": ["sweep", "--N", "5", "--family", "power_sum", "--p", "2",
+              "--r", "1", "--pairs", "1e-4:1e-4,2e-4:1e-4", "--M", "257",
+              "--rho-max", "18"],
+    "tables": ["tables", "--N", "5", "--cells", "2:1", "--M", "513"],
+    "appendix": ["appendix", "--family", "power_sum", "--p", "2", "--r",
+                 "1"],
+}
+
+
+def _assert_refused(tmp_path, capsys, argv, flag):
+    # exit 1, the error names the flag, and nothing is written
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--alpha", "1e-3"], ["--beta", "5e-3"], ["--rho0", "3"],
     ["--rho-max", "60"], ["--no-auto-rho0"], ["--family", "power_log"],
     ["--family", "power"], ["--sigmas", "1e-3"], ["--pairs", "1e-4:1e-4"],
 ], ids="=".join)
 def test_tables_rejects_flags_it_does_not_read(tmp_path, capsys, flags):
-    code = main(["tables", "--N", "5", "--cells", "2:1", *flags,
-                 "--out", str(tmp_path)])
-    assert code == 1
-    assert capsys.readouterr().err.startswith(f"config error: {flags[0]}: ")
-    assert not (tmp_path / "tables.json").exists()
+    _assert_refused(tmp_path, capsys, ["tables", "--N", "5", "--cells", "2:1",
+                                       *flags], flags[0])
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("sweep", ["--alpha", "0.5"]), ("sweep", ["--cells", "9:9"]),
+    ("construct", ["--pairs", "1e-4:1e-4"]), ("verify", ["--sigmas", "1e-3"]),
+    ("classify", ["--M", "99999"]), ("classify", ["--rho0", "7"]),
+    ("appendix", ["--N", "9"]),
+], ids=lambda v: "=".join(v) if isinstance(v, list) else v)
+def test_every_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys,
+                                                        command, flags):
+    # a flag counts as set whatever its value, as tables' do
+    _assert_refused(tmp_path, capsys, [*_VALID[command], *flags], flags[0])
 
 
 def test_tables_replays_its_config_and_rejects_other_families(tmp_path):
@@ -346,6 +366,74 @@ def test_tables_rejects_lists_of_other_subcommands_in_config(
     path.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigError, match=f"^--{key}: "):
         _cfg(["tables", "--N", "5", "--config", str(path)])
+
+
+@pytest.mark.parametrize("command,config,flag", [
+    ("tables", {"p": 2}, "--p"), ("tables", {"rho0": 9}, "--rho0"),
+    ("tables", {"alpha": 0.5, "rho0": 9, "auto_rho0": False}, "--rho0"),
+    ("sweep", {"alpha": 0.5}, "--alpha"), ("sweep", {"cells": [[9, 9]]},
+                                           "--cells"),
+    ("construct", {"sigmas": [1e-3]}, "--sigmas"),
+    ("classify", {"M": 99999}, "--M"), ("appendix", {"N": 9}, "--N"),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else str(v))
+def test_every_subcommand_rejects_unread_fields_in_config(
+        tmp_path, capsys, command, config, flag):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    _assert_refused(tmp_path, capsys,
+                    [*_VALID[command], "--config", str(path)], flag)
+
+
+# the fields each subcommand's JSON records: command and those it reads
+_FAMILY = {"family", "p", "r", "log_exp"}
+_SOLVE = {"N", *_FAMILY, "rho0", "rho_max", "M", "tol", "max_iter",
+          "auto_rho0", "out", "formats"}
+_RECORDED = {
+    "classify": {"N", *_FAMILY, "out", "formats"},
+    "construct": {*_SOLVE, "alpha", "beta"},
+    "verify": {*_SOLVE, "alpha", "beta"},
+    "sweep": {*_SOLVE, "pairs"},
+    "tables": {"N", "family", "log_exp", "M", "tol", "max_iter", "cells",
+               "out", "formats"},
+    "appendix": {*_FAMILY, "sigmas", "out", "formats"},
+}
+_JSON = {"classify": "summary.json", "construct": "summary.json",
+         "verify": "summary.json", "sweep": "sweep.json",
+         "tables": "tables.json", "appendix": "appendix.json"}
+
+
+def _replay(tmp_path, command, edit=lambda config: None):
+    # run, re-feed the JSON (its config edited by ``edit``) with the same
+    # --out, and compare every file's bytes
+    out = tmp_path / "out"
+    code = main([*_VALID[command], "--out", str(out)])
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    data = json.loads(first[_JSON[command]])
+    edit(data["config"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--config", str(path), "--out", str(out)]) == code
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    return code, json.loads(first[_JSON[command]])["config"]
+
+
+@pytest.mark.parametrize("command", list(_VALID))
+def test_every_subcommand_replays_its_json_and_records_what_it_reads(
+        tmp_path, capsys, command):
+    code, config = _replay(tmp_path, command)
+    assert code == 0
+    assert set(config) == {"command", *_RECORDED[command]}
+
+
+@pytest.mark.parametrize("command,unread", [
+    ("construct", {"pairs": [], "cells": [], "sigmas": []}),
+    ("sweep", {"alpha": 0.001, "beta": 0.001, "cells": [], "sigmas": []}),
+])
+def test_unread_fields_at_their_defaults_replay(tmp_path, capsys, command,
+                                                unread):
+    # a JSON written when every subcommand recorded every field
+    code, _ = _replay(tmp_path, command, lambda config: config.update(unread))
+    assert code == 0
 
 
 def test_tables_records_the_family_and_cells_it_solved(tmp_path):
