@@ -65,6 +65,7 @@ from .solver import (
 )
 from .verify import (
     FitResult,
+    RunReport,
     appendix_check,
     decay_fit,
     grid_span,
@@ -75,7 +76,8 @@ from .verify import (
     predicted_decay,
     rate_report,
     run_cell,
-    table_report,
+    run_report,
+    table_cell,
 )
 
 __version__ = "0.1.0"

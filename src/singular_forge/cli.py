@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: classify, construct, verify, sweep, tables, appendix.
-Exit codes: 0 success, 1 config/validation error, 2 convergence failure,
-3 out of regime, 4 verification failed (``verify`` could not fit the decay
-rate; summary.json still records the fit error).  All file output is
+Exit codes, each the verdict of a run: 0 success, 1 config/validation
+error, 2 convergence failure, 3 out of regime (for ``tables``, every cell),
+4 verification failed (``verify`` could not fit the decay rate;
+summary.json still records the fit error).  All file output is
 deterministic: identical inputs give byte-identical CSV/JSON (17
 significant digits, LF endings, sorted keys), and every JSON embeds the
 resolved fields its subcommand reads (``_READS``), so it can be re-fed via
@@ -17,13 +18,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import classification as cls_mod
 from . import nonlinearity as nl_mod
 from ._csvfmt import format_rows
+from .classification import classify
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -33,16 +34,14 @@ from .errors import (
 from .profile import build_context, to_radial
 from .solver import sweep
 from .verify import (
+    FAILED,
+    OK,
+    OUT_OF_SCOPE,
     RATE_FAMILIES,
+    UNVERIFIED,
     appendix_check,
-    build_report,
-    decay_fit,
-    limit_diagnostics,
-    lipschitz_check,
-    ode_residual_eta,
-    ode_residual_radial,
     resolve_grid,
-    run_cell,
+    run_report,
     table_cell,
 )
 
@@ -94,7 +93,7 @@ class RunConfig:
         _READS) that a flag set, whatever its value, or that differs from
         its default; then the nonlinearity, by building each one the run
         uses through from_spec.  pairs and cells come out as lists of
-        tuples."""
+        tuples, and tables' cells default to DEFAULT_CELLS."""
         if self.command not in _READS:
             raise ConfigError(f"command: unknown subcommand {self.command!r}")
         for key in ("rho0", "tol", "alpha", "beta"):
@@ -141,29 +140,34 @@ class RunConfig:
                     key in flags or getattr(self, key) != getattr(default, key)):
                 raise ConfigError(f"{_FLAGS[key]}: {self.command} does not "
                                   "read it")
+        if self.command == "tables":
+            names = [c.name for c in RATE_FAMILIES]
+            if self.family not in names:
+                raise ConfigError(
+                    f"--family: tables needs a family with a predicted decay "
+                    f"rate, one of {names}")
+            self.cells = self.cells or list(DEFAULT_CELLS)
+        self.nonlinearities  # built, and so checked, once
+        return self
+
+    @functools.cached_property
+    def nonlinearities(self):
+        """The run's nonlinearity, or one per tables cell with the cell's p
+        and r, each built by from_spec; validate builds them, and the run
+        reads them from here."""
+        spec = {key: getattr(self, key) for key in ("family", *nl_mod.PARAMS)}
         if self.command != "tables":
-            self.nonlinearity()
-            return self
-        names = [c.name for c in RATE_FAMILIES]
-        if self.family not in names:
-            raise ConfigError(
-                f"--family: tables needs a family with a predicted decay rate, "
-                f"one of {names}")
-        for p, r in self.cells or DEFAULT_CELLS:
+            return (nl_mod.from_spec(spec),)
+        nls = []
+        for p, r in self.cells:
             try:
-                self.nonlinearity(p=p, r=r)
+                nls.append(nl_mod.from_spec({**spec, "p": p, "r": r}))
             except ConfigError as exc:
                 if not isinstance(exc.__cause__, ValueError):
                     raise  # a parameter missing or unread, not the cell's
                 raise ConfigError(
                     f"cells: bad cell p={p}, r={r}: {exc}") from exc
-        return self
-
-    def nonlinearity(self, **cell):
-        """from_spec of the family and its parameter fields; a tables cell
-        passes its own p and r."""
-        spec = {key: getattr(self, key) for key in ("family", *nl_mod.PARAMS)}
-        return nl_mod.from_spec({**spec, **cell})
+        return tuple(nls)
 
     def as_dict(self):
         """The command and the fields it reads, as its JSON records them."""
@@ -346,108 +350,57 @@ def write_profile_csv(path, prof):
             fh.write(format_rows(block, order))
 
 
-def _classification_payload(cfg):
-    nl = cfg.nonlinearity()
-    cls = cls_mod.classify(nl, cfg.N)
-    return nl, cls
+# the exit code of each verdict
+_EXIT = {OK: 0, FAILED: 2, OUT_OF_SCOPE: 3, UNVERIFIED: 4}
+
+
+def _finish(cfg, body, verdict):
+    """Write the run's JSON, config and body, if json is among the formats;
+    return the verdict's exit code.  A run of one nonlinearity out of
+    regime, or a verify run that could not fit, says why on stderr."""
+    os.makedirs(cfg.out, exist_ok=True)
+    if "json" in cfg.formats:
+        write_json(os.path.join(cfg.out, _COMMANDS[cfg.command][1]),
+                   {"config": cfg.as_dict(), **body})
+    if verdict == OUT_OF_SCOPE and "classification" in body:
+        print(f"out of regime: {body['classification']['regime']['reason']}",
+              file=sys.stderr)
+    elif verdict == UNVERIFIED:
+        print(f"verification failed: {body['fit']['error']}", file=sys.stderr)
+    return _EXIT[verdict]
 
 
 def cmd_classify(cfg):
-    nl, cls = _classification_payload(cfg)
-    summary = {"config": cfg.as_dict(), "classification": cls.as_dict()}
-    os.makedirs(cfg.out, exist_ok=True)
-    if "json" in cfg.formats:
-        write_json(os.path.join(cfg.out, "summary.json"), summary)
+    cls = classify(*cfg.nonlinearities, cfg.N)
     print(json.dumps(_clean(cls.as_dict()), sort_keys=True, indent=2))
-    return 0 if cls.in_scope else 3
+    return _finish(cfg, {"classification": cls.as_dict()},
+                   OK if cls.in_scope else OUT_OF_SCOPE)
 
 
-def _solver_payload(sol):
-    return {
-        "alpha": sol.alpha,
-        "beta": sol.beta,
-        "delta": sol.delta,
-        "iterations": sol.iterations,
-        "newton_steps": sol.newton_steps,
-        "final_change": sol.final_change,
-        "contraction_ratio": sol.contraction_ratio,
-        "weighted_norm": sol.weighted_norm_value,
-        "case": sol.case_tag,
-        "converged": sol.converged,
-    }
-
-
-def cmd_construct(cfg, full_verify=False):
-    nl, cls = _classification_payload(cfg)
-    if not cls.in_scope:
+def cmd_construct(cfg):
+    """construct, and verify, which adds the full verification."""
+    (nl,) = cfg.nonlinearities
+    rep = run_report(nl, classify(nl, cfg.N), cfg.command == "verify",
+                     alpha=cfg.alpha, beta=cfg.beta, rho0=cfg.rho0,
+                     rho_max=cfg.rho_max, auto_rho0=cfg.auto_rho0, M=cfg.M,
+                     tol=cfg.tol, max_iter=cfg.max_iter)
+    if rep.solved is not None:
         os.makedirs(cfg.out, exist_ok=True)
-        summary = {"config": cfg.as_dict(), "classification": cls.as_dict()}
-        if "json" in cfg.formats:
-            write_json(os.path.join(cfg.out, "summary.json"), summary)
-        print(f"out of regime: {cls.regime.reason}", file=sys.stderr)
-        return 3
-    ctx, sol = run_cell(nl, cls, cfg.alpha, cfg.beta, cfg.rho0, cfg.rho_max,
-                        auto_rho0=cfg.auto_rho0, M=cfg.M, tol=cfg.tol,
-                        max_iter=cfg.max_iter)
-    prof = to_radial(ctx, sol.eta, sol.deta)
-    summary = {
-        "config": cfg.as_dict(),
-        "classification": cls.as_dict(),
-        "grid": {"rho0": ctx.grid.rho0, "rho_max": ctx.grid.rho_max,
-                 "M": ctx.grid.M},
-        "solver": _solver_payload(sol),
-        "residuals": {
-            "radial_max_relative": ode_residual_radial(prof),
-            "eta_equation_max": ode_residual_eta(sol, ctx),
-        },
-    }
-    try:
-        fit = decay_fit(sol, ctx)
-        summary["fit"] = {
-            "lambda": fit.lambda_fit, "power": fit.power_fit,
-            "stderr_lambda": fit.stderr_lambda,
-            "stderr_power": fit.stderr_power,
-            "n_points": fit.n_points,
-            "used_envelope_maxima": fit.used_envelope_maxima,
-        }
-    except SingularForgeError as exc:
-        summary["fit"] = {"error": str(exc)}
-    if full_verify:
-        summary["limit_diagnostics"] = limit_diagnostics(ctx)
-        summary["lipschitz"] = lipschitz_check(ctx, samples=2000)
-        if "error" not in summary["fit"]:
-            report = build_report(
-                nl, cls, sol, fit,
-                summary["residuals"]["radial_max_relative"],
-                summary["residuals"]["eta_equation_max"],
-            )
-            if report is not None:
-                summary["prediction"] = {"lambda": report["lambda_pred"],
-                                         "power": report["power_pred"]}
-                summary["verification"] = report
-    os.makedirs(cfg.out, exist_ok=True)
-    if "csv" in cfg.formats:
-        write_profile_csv(os.path.join(cfg.out, "profile.csv"), prof)
-    if "json" in cfg.formats:
-        write_json(os.path.join(cfg.out, "summary.json"), summary)
-    print(json.dumps(_clean(summary["solver"]), sort_keys=True, indent=2))
-    if full_verify and "error" in summary["fit"]:
-        print(f"verification failed: {summary['fit']['error']}",
-              file=sys.stderr)
-        return 4
-    return 0
+        if "csv" in cfg.formats:
+            write_profile_csv(os.path.join(cfg.out, "profile.csv"),
+                              rep.solved[2])
+        print(json.dumps(_clean(rep.body["solver"]), sort_keys=True,
+                         indent=2))
+    return _finish(cfg, rep.body, rep.verdict)
 
 
 def cmd_sweep(cfg):
-    nl, cls = _classification_payload(cfg)
+    (nl,) = cfg.nonlinearities
+    cls = classify(nl, cfg.N)
     if not cls.in_scope:
-        print(f"out of regime: {cls.regime.reason}", file=sys.stderr)
-        return 3
-    pairs = cfg.pairs or [
-        (a, b)
-        for a in (1e-4, 3e-4, 1e-3)
-        for b in (1e-4, 3e-4, 1e-3)
-    ]
+        return _finish(cfg, {"classification": cls.as_dict()}, OUT_OF_SCOPE)
+    pairs = cfg.pairs or [(a, b) for a in (1e-4, 3e-4, 1e-3)
+                          for b in (1e-4, 3e-4, 1e-3)]
     rho0, rho_max = resolve_grid(
         nl, cls, max(a for a, _ in pairs), max(b for _, b in pairs),
         cfg.rho0, cfg.rho_max, cfg.auto_rho0,
@@ -456,10 +409,8 @@ def cmd_sweep(cfg):
     result = sweep(ctx, pairs, tol=cfg.tol, max_iter=cfg.max_iter)
     os.makedirs(cfg.out, exist_ok=True)
     agg = {
-        "config": cfg.as_dict(),
         "classification": cls.as_dict(),
-        "grid": {"rho0": ctx.grid.rho0, "rho_max": ctx.grid.rho_max,
-                 "M": ctx.grid.M},
+        "grid": asdict(ctx.grid),
         "pairs": [list(p) for p in result.pairs],
         "failures": {f"{a}:{b}": msg
                      for (a, b), msg in sorted(result.failures.items())},
@@ -472,34 +423,29 @@ def cmd_sweep(cfg):
         if pair not in result.solutions:
             continue
         sol = result.solutions[pair]
-        agg["solutions"][f"{pair[0]}:{pair[1]}"] = _solver_payload(sol)
+        agg["solutions"][f"{pair[0]}:{pair[1]}"] = sol.as_dict()
         if "csv" in cfg.formats:
             write_profile_csv(os.path.join(cfg.out, f"profile_{i:03d}.csv"),
                               to_radial(ctx, sol.eta, sol.deta))
-    if "json" in cfg.formats:
-        write_json(os.path.join(cfg.out, "sweep.json"), agg)
     print(f"{len(result.solutions)}/{len(pairs)} pairs converged")
-    return 0 if result.solutions else 2
+    return _finish(cfg, agg, OK if result.solutions else FAILED)
 
 
-def _report_cell(cfg, i, p, r):
-    """Cell i's report, its profile CSV written while its context lives."""
-    cell, solved = table_cell(cfg.N, p, r, cfg.family, cfg.log_exp, cfg.M,
-                              cfg.tol, cfg.max_iter)
-    if solved is not None and "csv" in cfg.formats:
-        ctx, sol = solved
+def _report_cell(cfg, i, p, r, nl):
+    """Cell i's report and verdict, its profile CSV written while its
+    context lives."""
+    rep = table_cell(cfg.N, p, r, nl, cfg.M, cfg.tol, cfg.max_iter)
+    if rep.solved is not None and "csv" in cfg.formats:
         write_profile_csv(os.path.join(cfg.out, f"cell_{i:02d}_profile.csv"),
-                          to_radial(ctx, sol.eta, sol.deta))
-    return cell
+                          rep.solved[2])
+    return rep.body, rep.verdict
 
 
 def cmd_tables(cfg):
-    cells = cfg.cells or DEFAULT_CELLS
     os.makedirs(cfg.out, exist_ok=True)
-    reports = [_report_cell(cfg, i, p, r) for i, (p, r) in enumerate(cells)]
-    payload = {"config": {**cfg.as_dict(), "cells": cells}, "cells": reports}
-    if "json" in cfg.formats:
-        write_json(os.path.join(cfg.out, "tables.json"), payload)
+    reports, verdicts = zip(*[
+        _report_cell(cfg, i, p, r, nl)
+        for i, ((p, r), nl) in enumerate(zip(cfg.cells, cfg.nonlinearities))])
     for c in reports:
         if "error" in c:
             print(f"p={c['p']} r={c['r']}: ERROR {c['error']}")
@@ -509,22 +455,18 @@ def cmd_tables(cfg):
                 f"pred={c['lambda_pred']:.4f} case={c['case']} "
                 f"ok={c['within_tolerance']} supports={c['supports']}"
             )
-    n_ok = sum(1 for c in reports if "error" not in c)
-    return 0 if n_ok else 2
+    # any cell solved: 0; every cell out of regime: 3; else 2
+    verdict = (OK if OK in verdicts else OUT_OF_SCOPE
+               if set(verdicts) == {OUT_OF_SCOPE} else FAILED)
+    return _finish(cfg, {"cells": list(reports)}, verdict)
 
 
 def cmd_appendix(cfg):
     if cfg.family != "power_sum":
         raise ConfigError("family: appendix check needs family power_sum")
-    nl = cfg.nonlinearity()
-    sigmas = cfg.sigmas or DEFAULT_SIGMAS
-    result = appendix_check(nl, sigmas)
-    os.makedirs(cfg.out, exist_ok=True)
-    payload = {"config": cfg.as_dict(), "appendix": result}
-    if "json" in cfg.formats:
-        write_json(os.path.join(cfg.out, "appendix.json"), payload)
+    result = appendix_check(*cfg.nonlinearities, cfg.sigmas or DEFAULT_SIGMAS)
     print(json.dumps(_clean(result), sort_keys=True, indent=2))
-    return 0
+    return _finish(cfg, {"appendix": result}, OK)
 
 
 _CLASSIFY_READS = ("N", "family", *nl_mod.PARAMS, "out", "formats")
@@ -543,20 +485,21 @@ _READS = {
                "out", "formats"),
     "appendix": ("family", *nl_mod.PARAMS, "sigmas", "out", "formats"),
 }
-# the subcommands in the parser's order, each with its handler
+# the subcommands in the parser's order, each with its handler and the
+# JSON it writes
 _COMMANDS = {
-    "classify": cmd_classify,
-    "construct": cmd_construct,
-    "verify": functools.partial(cmd_construct, full_verify=True),
-    "sweep": cmd_sweep,
-    "tables": cmd_tables,
-    "appendix": cmd_appendix,
+    "classify": (cmd_classify, "summary.json"),
+    "construct": (cmd_construct, "summary.json"),
+    "verify": (cmd_construct, "summary.json"),
+    "sweep": (cmd_sweep, "sweep.json"),
+    "tables": (cmd_tables, "tables.json"),
+    "appendix": (cmd_appendix, "appendix.json"),
 }
 
 
 def run(cfg):
     """Dispatch a validated RunConfig; returns the process exit code."""
-    return _COMMANDS[cfg.command](cfg)
+    return _COMMANDS[cfg.command][0](cfg)
 
 
 @functools.cache

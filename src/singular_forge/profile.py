@@ -462,7 +462,8 @@ def radial_residual_grid(ctx, r, u, u_prime):
     radial profile (r, u, u') on the grid of ctx.
 
     Interior nodes use the 5-point second difference in rho; the two nodes
-    at each end copy the nearest interior value.
+    at each end copy the nearest interior value.  Where f(u) or e^{2 rho}
+    overflows a double (long grids) the residual is NaN, without a warning.
     """
     rho = ctx.rho
     h = ctx.grid.h
@@ -473,12 +474,13 @@ def radial_residual_grid(ctx, r, u, u_prime):
     u_rhorho[2:-2] = (
         -u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2] + 16.0 * u[1:-3] - u[:-4]
     ) / (12.0 * h * h)
-    fu = np.asarray(ctx.nl.f(u), dtype=float)
     res = np.empty_like(u)
-    core = np.exp(2.0 * rho[2:-2]) * (
-        (N - 2.0) * u_rho[2:-2] - u_rhorho[2:-2]
-    )
-    res[2:-2] = np.abs(core - fu[2:-2]) / fu[2:-2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fu = np.asarray(ctx.nl.f(u), dtype=float)
+        core = np.exp(2.0 * rho[2:-2]) * (
+            (N - 2.0) * u_rho[2:-2] - u_rhorho[2:-2]
+        )
+        res[2:-2] = np.abs(core - fu[2:-2]) / fu[2:-2]
     res[:2] = res[2]
     res[-2:] = res[-3]
     return res

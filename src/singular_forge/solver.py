@@ -80,6 +80,17 @@ class RemainderSolution:
     converged: bool = False
     newton_steps: int = 0
 
+    def as_dict(self):
+        """The solve as summary.json and sweep.json record it."""
+        return {
+            "alpha": self.alpha, "beta": self.beta, "delta": self.delta,
+            "iterations": self.iterations, "newton_steps": self.newton_steps,
+            "final_change": self.final_change,
+            "contraction_ratio": self.contraction_ratio,
+            "weighted_norm": self.weighted_norm_value, "case": self.case_tag,
+            "converged": self.converged,
+        }
+
 
 def apply_T(ctx, homogeneous, eta, deta):
     """One application of the fixed-point map; returns (T eta, (T eta)').

@@ -1,5 +1,5 @@
-"""Verification harness: ODE residuals, limit diagnostics, decay-rate fits
-and the expansion check for the sum family.
+"""Verification harness: run_report, the one report of a solved run; ODE
+residuals, limit diagnostics, decay-rate fits and the sum family's check.
 
 Residual conventions.  The radial operator is evaluated through the Emden
 chain rule, -u'' - (N-1)/r u' = e^{2 rho} ((N-2) u_rho - u_rhorho), with
@@ -10,15 +10,15 @@ grid refinement shows the solver's own O(h^2) rate.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .classification import REGIME_COMPLEX, REGIME_DOUBLE, classify
 from .errors import ConfigError, FitError, SingularForgeError
-from .nonlinearity import PowerSum, PowerSumLog, from_spec
+from .nonlinearity import PowerSum, PowerSumLog
 from .profile import (build_context, dyadic_edges, nonlinear_term,
-                      nonlinear_term_at)
+                      nonlinear_term_at, to_radial)
 from .solver import picard_solve, select_rho0
 
 # a fitted decay rate within this fraction of the predicted one matches it
@@ -241,34 +241,6 @@ def rate_report(nl, cls, fit):
     }
 
 
-def build_report(nl, cls, sol, fit, res_radial, res_eta):
-    """summary.json's verification block: rate_report with its flags among
-    the pass flags and notes, the residuals and the classification; None
-    when the family has no prediction.  The pass flags are recomputable
-    pure functions of the stored numbers and the stated tolerances."""
-    rep = rate_report(nl, cls, fit)
-    if rep is None:
-        return None
-    within, faster = rep.pop("within_tolerance"), rep.pop("faster")
-    rep.update(
-        classification=cls.as_dict(),
-        residual_radial=res_radial,
-        residual_eta=res_eta,
-        case=sol.case_tag,
-        passes={
-            "lambda_within_10pct": within,
-            "eta_residual_below_1e-5": bool(res_eta <= 1e-5),
-            "weighted_norm_at_most_2": bool(sol.weighted_norm_value <= 2.0),
-            "boundary_data_exact": bool(
-                sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta
-            ),
-        },
-        notes=(["consistent with bound (faster decay than predicted)"]
-               if faster else []),
-    )
-    return rep
-
-
 def grid_span(nl, cls):
     """Length S of the default grid [rho0, rho0 + S]: the largest of a
     per-regime floor; 22 pi/k for the complex pair, so decay_fit's window,
@@ -308,38 +280,115 @@ def run_cell(nl, cls, alpha=1e-3, beta=2e-3, rho0=3.0, rho_max=None, *,
     return ctx, picard_solve(ctx, alpha, beta, tol=tol, max_iter=max_iter)
 
 
-def table_cell(N, p, r, family, log_exp, M, tol, max_iter):
-    """One decay-rate table cell: the family's nonlinearity for (p, r) by
-    from_spec, solved from run_cell's defaults to tol within max_iter, its
+# a run's verdicts, each its own exit code in the CLI: solved (and, when
+# verified, fitted); not solved or fitted (a tables cell); out of regime,
+# nothing solved; and, when verified, solved but not fitted
+OK, FAILED = "ok", "failed"
+OUT_OF_SCOPE, UNVERIFIED = "out_of_scope", "unverified"
+
+
+@dataclass
+class RunReport:
+    """What a run found: ``body``, its JSON-ready report; ``verdict``;
+    ``solved``, the (ctx, sol, prof) the profile CSV is written from, or
+    None; and ``fit``, decay_fit's result, or None."""
+    body: dict
+    verdict: str = OK
+    solved: tuple = None
+    fit: FitResult = None
+
+
+def run_report(nl, cls, full_verify=False, **run):
+    """The report of run_cell(nl, cls, **run): out of regime, the
+    classification alone; else also the grid, the solve, both residuals
+    and decay_fit's rate or error.  ``full_verify`` adds the limit
+    diagnostics, lipschitz_check and, with a predicted rate, the prediction
+    and the verification (rate_report's flags among pass flags, each a pure
+    function of stored numbers, and notes); a failed fit is then UNVERIFIED.
+    A failed solve raises."""
+    body = {"classification": cls.as_dict()}
+    if not cls.in_scope:
+        return RunReport(body, OUT_OF_SCOPE)
+    ctx, sol = run_cell(nl, cls, **run)
+    prof = to_radial(ctx, sol.eta, sol.deta)
+    res_radial, res_eta = ode_residual_radial(prof), ode_residual_eta(sol, ctx)
+    body.update(grid=asdict(ctx.grid), solver=sol.as_dict(), residuals={
+        "radial_max_relative": res_radial, "eta_equation_max": res_eta})
+    rep = RunReport(body, solved=(ctx, sol, prof))
+    try:
+        fit = rep.fit = decay_fit(sol, ctx)
+        body["fit"] = {
+            "lambda": fit.lambda_fit, "power": fit.power_fit,
+            "stderr_lambda": fit.stderr_lambda,
+            "stderr_power": fit.stderr_power, "n_points": fit.n_points,
+            "used_envelope_maxima": fit.used_envelope_maxima,
+        }
+    except FitError as exc:
+        body["fit"] = {"error": str(exc)}
+        if full_verify:
+            rep.verdict = UNVERIFIED
+    if not full_verify:
+        return rep
+    body["limit_diagnostics"] = limit_diagnostics(ctx)
+    body["lipschitz"] = lipschitz_check(ctx, samples=2000)
+    rate = rep.fit and rate_report(nl, cls, rep.fit)
+    if rate:
+        within, faster = rate.pop("within_tolerance"), rate.pop("faster")
+        body["prediction"] = {"lambda": rate["lambda_pred"],
+                              "power": rate["power_pred"]}
+        body["verification"] = dict(
+            rate,
+            classification=body["classification"],
+            residual_radial=res_radial,
+            residual_eta=res_eta,
+            case=sol.case_tag,
+            passes={
+                "lambda_within_10pct": within,
+                "eta_residual_below_1e-5": bool(res_eta <= 1e-5),
+                "weighted_norm_at_most_2": bool(
+                    sol.weighted_norm_value <= 2.0),
+                "boundary_data_exact": bool(
+                    sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta),
+            },
+            notes=(["consistent with bound (faster decay than predicted)"]
+                   if faster else []),
+        )
+    return rep
+
+
+def table_cell(N, p, r, nl, M=4096, tol=1e-10, max_iter=200):
+    """One decay-rate table cell: run_report of nl, the family's
+    nonlinearity for (p, r), in dimension N from run_cell's defaults, its
     fitted rate against rate_report's prediction, and which r* candidate
-    the rate supports.  Returns (cell, solved): the JSON-ready dict, and
-    (ctx, sol), or None when the cell recorded its error (a family without
-    a predicted rate among them) instead of raising it."""
+    the rate supports, as a RunReport whose body is the cell.  A cell out of
+    regime, unsolved or unfitted (or of a family without a predicted rate)
+    records its error instead of raising it, and solved is then None."""
     cell = {"p": p, "r": r}
     try:
-        nl = from_spec({"family": family, "p": p, "r": r,
-                        "log_exp": log_exp})
-        cls = classify(nl, N)
-        if not cls.in_scope:
-            cell["error"] = f"out of scope: {cls.regime.reason}"
-            return cell, None
-        if predicted_decay(nl, cls) is None:
+        if not isinstance(nl, RATE_FAMILIES):
             raise ConfigError(
-                f"family: {family!r} has no predicted decay rate")
-        ctx, sol = run_cell(nl, cls, M=M, tol=tol, max_iter=max_iter)
-        fit = decay_fit(sol, ctx)
+                f"family: {nl.name!r} has no predicted decay rate")
+        cls = classify(nl, N)
+        rep = run_report(nl, cls, M=M, tol=tol, max_iter=max_iter)
     except SingularForgeError as exc:  # per-cell isolation
         cell["error"] = f"{type(exc).__name__}: {exc}"
-        return cell, None
-    rep = rate_report(nl, cls, fit)
+        return RunReport(cell, FAILED)
+    if rep.verdict == OUT_OF_SCOPE:
+        cell["error"] = f"out of scope: {cls.regime.reason}"
+        return RunReport(cell, OUT_OF_SCOPE)
+    if rep.fit is None:
+        cell["error"] = f"FitError: {rep.body['fit']['error']}"
+        return RunReport(cell, FAILED)
+    ctx, sol, _ = rep.solved
+    rate = rate_report(nl, cls, rep.fit)
     # the rate the literal threshold would have predicted
-    lam_lit = (cls.Lambda if r < rep["r_star_literal"]
+    lam_lit = (cls.Lambda if r < rate["r_star_literal"]
                else 2.0 * (p - r) / (p - 1.0))
-    corrected = (abs(fit.lambda_fit - rep["lambda_pred"])
-                 <= abs(fit.lambda_fit - lam_lit))
-    faster = rep.pop("faster")
+    corrected = (abs(rep.fit.lambda_fit - rate["lambda_pred"])
+                 <= abs(rep.fit.lambda_fit - lam_lit))
+    faster = rate.pop("faster")
     cell.update(
-        rep,
+        rate,
         rho0=ctx.grid.rho0,
         rho_max=ctx.grid.rho_max,
         lambda_pred_literal=lam_lit,
@@ -354,16 +403,8 @@ def table_cell(N, p, r, family, log_exp, M, tol, max_iter):
     if nl.degenerate_leading_term:
         # forcing decays at the k=2 series rate, twice the nominal one
         cell["I_rate_annotation"] = 4.0 * (p - r) / (p - 1.0)
-    return cell, (ctx, sol)
-
-
-def table_report(N, cells, family="power_sum", log_exp=None, M=4096,
-                 tol=1e-10, max_iter=200):
-    """table_cell's dict for each (p, r) of cells, in order; no cell's
-    context outlives its report.  Without log_exp, every power_sum_log cell
-    records from_spec's ConfigError."""
-    return [table_cell(N, p, r, family, log_exp, M, tol, max_iter)[0]
-            for p, r in cells]
+    rep.body = cell
+    return rep
 
 
 def appendix_check(nl, sigmas):

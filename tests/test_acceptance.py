@@ -25,7 +25,7 @@ from singular_forge import (
     ode_residual_radial,
     picard_solve,
     sweep,
-    table_report,
+    table_cell,
     to_radial,
 )
 
@@ -120,7 +120,7 @@ def test_criterion_5_table2_reproduction():
     ok_all = True
     for p, r, lam_expect, w_expect in TABLE2_CELLS:
         t0 = time.perf_counter()
-        (cell,) = table_report(5, [(p, r)], M=4096)
+        cell = table_cell(5, p, r, PowerSum(p, r), M=4096).body
         elapsed = time.perf_counter() - t0
         ok = "error" not in cell
         if ok:
@@ -144,7 +144,7 @@ def test_criterion_6_threshold_correction():
     # The crossover therefore sits at r* = 1.75 (Lambda relation), not at
     # the literal displayed value 0.75, which would place r = 1 above the
     # threshold and predict rate 2.
-    (cell,) = table_report(5, [(2.0, 1.0)], M=4096)
+    cell = table_cell(5, 2.0, 1.0, PowerSum(2.0, 1.0), M=4096).body
     lam = cell["lambda_fit"]
     ok = (
         abs(lam - 0.5) <= 0.05

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from singular_forge import cli, verify
+from singular_forge import nonlinearity as nl_mod
+from singular_forge.classification import classify
 from singular_forge.cli import (
     DEFAULT_CELLS,
     build_parser,
@@ -158,7 +160,8 @@ def test_profile_csv_cells_parse_back_bitwise(tmp_path, family):
             "--out", str(tmp_path)]
     assert main(args) == 0
     cfg = _cfg(args)
-    ctx, sol = run_cell(*cli._classification_payload(cfg), cfg.alpha,
+    (nl,) = cfg.nonlinearities
+    ctx, sol = run_cell(nl, classify(nl, cfg.N), cfg.alpha,
                         cfg.beta, cfg.rho0, cfg.rho_max,
                         auto_rho0=cfg.auto_rho0, M=cfg.M, tol=cfg.tol,
                         max_iter=cfg.max_iter)
@@ -183,12 +186,6 @@ def test_construct_trivial_theta_columns(tmp_path):
         assert cells[7] == cells[8]     # u == tilde_u
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["solver"]["iterations"] == 1
-
-
-def test_construct_out_of_regime_exit3(tmp_path):
-    code = main(["construct", "--N", "5", "--family", "power", "--p", "2.4",
-                 "--out", str(tmp_path)])
-    assert code == 3
 
 
 def test_sweep_writes_aggregate_and_profiles(tmp_path):
@@ -337,6 +334,91 @@ def test_tables_power_sum_log_needs_log_exp(tmp_path, capsys, source):
     assert capsys.readouterr().err == (
         "config error: log_exp: required for family 'power_sum_log'\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_tables_refuses_a_bad_cell(tmp_path, capsys):
+    # p <= 1 is rejected by the family constructor before any cell is solved
+    code = main(["tables", "--N", "5", "--cells", "0.5:0.25,1.75:1", "--M",
+                 "257", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: cells: bad cell p=0.5, r=0.25: p must exceed 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+_CLASSIFIED = {"config", "classification"}
+_SOLVED = {*_CLASSIFIED, "grid", "solver", "residuals", "fit"}
+_TABLE = {"config", "cells"}
+
+
+# argv without --out, the exit code, and the files written: each JSON with
+# its top-level keys, each CSV with None; None when nothing is written
+@pytest.mark.parametrize("argv,code,written", [
+    (["classify", "--N", "5", "--family", "power", "--p", "2"], 0,
+     {"summary.json": _CLASSIFIED}),
+    (["classify", "--N", "5", "--family", "power", "--p", "3"], 3,
+     {"summary.json": _CLASSIFIED}),
+    (["construct", "--N", "5", "--family", "power", "--p", "2.4"], 3,
+     {"summary.json": _CLASSIFIED}),
+    (["verify", "--N", "5", "--family", "power", "--p", "2.4"], 3,
+     {"summary.json": _CLASSIFIED}),
+    # a grid ending at rho0 + 40 leaves only six envelope maxima: no
+    # prediction or verification beside the fit error
+    (["verify", "--N", "5", "--family", "power_sum", "--p", "2", "--r", "1",
+      "--M", "1025", "--rho-max", "43"], 4,
+     {"profile.csv": None,
+      "summary.json": {*_SOLVED, "limit_diagnostics", "lipschitz"}}),
+    # absurd boundary data: no contracting rho0 exists
+    (["construct", "--N", "5", "--family", "power_sum", "--p", "2", "--r",
+      "1", "--alpha", "5", "--beta", "5", "--M", "129"], 2, None),
+    (["sweep", "--N", "5", "--family", "power_sum", "--p", "3", "--r", "1"],
+     3, {"sweep.json": _CLASSIFIED}),
+    (["sweep", "--N", "5", "--family", "power_sum", "--p", "2", "--r", "1",
+      "--pairs", "5:5", "--M", "129"], 2, None),
+    (["tables", "--N", "5", "--p", "3", "--r", "1", "--M", "257"], 3,
+     {"tables.json": _TABLE}),
+    (["tables", "--N", "5", "--cells", "2:1", "--M", "513", "--max-iter",
+      "1"], 2, {"tables.json": _TABLE}),
+    (["tables", "--N", "5", "--cells", "3:1,2:1", "--M", "513"], 0,
+     {"tables.json": _TABLE, "cell_01_profile.csv": None}),
+], ids=["classify", "classify_out_of_regime", "construct_out_of_regime",
+        "verify_out_of_regime", "verify_fit_fails", "construct_no_rho0",
+        "sweep_out_of_regime", "sweep_no_rho0", "tables_out_of_regime",
+        "tables_max_iter_1", "tables_one_cell_out_of_regime"])
+def test_exit_codes_and_written_files(tmp_path, capsys, argv, code, written):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    if written is None:
+        assert not out.exists()
+        return
+    assert {p.name for p in out.iterdir()} == set(written)
+    for name, keys in written.items():
+        if keys is None:
+            continue
+        assert set(json.loads((out / name).read_text())) == keys
+        # the JSON replays to the same exit code
+        assert main([argv[0], "--config", str(out / name),
+                     "--out", str(tmp_path / "replay")]) == code
+
+
+@pytest.mark.parametrize("argv,builds", [
+    *[(_VALID[command], 1) for command in
+      ("classify", "construct", "verify", "sweep", "appendix")],
+    (["tables", "--N", "5", "--M", "257"], len(DEFAULT_CELLS)),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_each_nonlinearity_is_built_once(tmp_path, capsys, monkeypatch, argv,
+                                         builds):
+    # validate builds every nonlinearity the run uses, and the run reads
+    # them from the config: one from_spec per nonlinearity, under whatever
+    # name a module calls it
+    specs = []
+    build = nl_mod.from_spec
+    for module in list(sys.modules.values()):
+        if getattr(module, "from_spec", None) is build:
+            monkeypatch.setattr(module, "from_spec",
+                                lambda spec: specs.append(spec) or build(spec))
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(specs) == builds
 
 
 def test_tables_writes_each_cell_before_solving_the_next(
@@ -507,14 +589,6 @@ def test_appendix_subcommand(tmp_path):
 
 def test_appendix_requires_power_sum():
     assert main(["appendix", "--family", "power", "--p", "2"]) == 1
-
-
-def test_convergence_failure_exit2(tmp_path):
-    # absurd boundary data: no contracting rho0 exists
-    code = main(["construct", "--N", "5", "--family", "power_sum", "--p", "2",
-                 "--r", "1", "--alpha", "5", "--beta", "5",
-                 "--M", "129", "--out", str(tmp_path)])
-    assert code == 2
 
 
 def test_verify_subcommand_full_report(tmp_path):

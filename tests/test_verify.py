@@ -20,7 +20,7 @@ from singular_forge import (
     ode_residual_radial,
     picard_solve,
     predicted_decay,
-    table_report,
+    table_cell,
     to_radial,
 )
 from singular_forge.cli import DEFAULT_CELLS
@@ -204,8 +204,14 @@ def test_residual_eta_refinement_rate():
     assert 3.4 <= res[1024] / res[2047] <= 4.6
 
 
+def _cells(cells, family=PowerSum, M=4096, **params):
+    # table_cell's dict for each (p, r) of cells, in order
+    return [table_cell(5, p, r, family(p, r, **params), M=M).body
+            for p, r in cells]
+
+
 def test_table_report_single_cell():
-    reports = table_report(5, [(1.75, 1.0)], M=1025)
+    reports = _cells([(1.75, 1.0)], M=1025)
     (cell,) = reports
     assert "error" not in cell
     assert cell["within_tolerance"]
@@ -216,7 +222,7 @@ def test_table_report_single_cell():
 
 def test_table_report_slow_forced_cells_fit_on_the_default_grid():
     # 22 pi / k and 14 / lambda lengthen these grids past the complex floor
-    reports = table_report(5, [(1.9, 1.0), (1.85, 1.0), (1.81, 1.0)], M=4096)
+    reports = _cells([(1.9, 1.0), (1.85, 1.0), (1.81, 1.0)], M=4096)
     for cell in reports:
         assert "error" not in cell, cell
         assert cell["within_tolerance"], cell
@@ -225,7 +231,7 @@ def test_table_report_slow_forced_cells_fit_on_the_default_grid():
 
 def test_default_table_cells_keep_their_grid_ends():
     # the ends tables --N 5 has always written; M does not move them
-    ends = [cell["rho_max"] for cell in table_report(5, DEFAULT_CELLS, M=257)]
+    ends = [cell["rho_max"] for cell in _cells(DEFAULT_CELLS, M=257)]
     assert ends == [48.0, 107.99999999999991, 31.0, 58.0, 72.99999999999994]
 
 
@@ -246,30 +252,27 @@ def test_grid_span_takes_the_largest_of_its_three_rules():
 
 
 def test_table_report_isolates_cell_failures():
-    reports = table_report(5, [(3.0, 1.0)], M=257)  # supercritical
-    assert "error" in reports[0]
-
-
-def test_table_report_bad_parameters_become_cell_errors():
-    # p <= 1 is rejected by the family constructor: a configuration error
-    reports = table_report(5, [(0.5, 0.25), (1.75, 1.0)], M=257)
-    assert reports[0]["error"].startswith("ConfigError: p must exceed 1")
-    assert "error" not in reports[1]
+    rep = table_cell(5, 3.0, 1.0, PowerSum(3.0, 1.0), M=257)  # supercritical
+    assert rep.body == {"p": 3.0, "r": 1.0,
+                        "error": "out of scope: Supercritical"}
+    assert rep.verdict == "out_of_scope" and rep.solved is None
+    # a cell that cannot be solved records its typed error
+    rep = table_cell(5, 2.0, 1.0, PowerSum(2.0, 1.0), M=257, max_iter=1)
+    assert rep.body["error"].startswith("ConvergenceError: ")
+    assert rep.verdict == "failed" and rep.solved is None
 
 
 def test_table_report_needs_a_family_with_a_predicted_rate():
-    (cell,) = table_report(5, [(2.0, 1.0)], family="power_log", M=257)
-    assert cell["error"] == (
+    rep = table_cell(5, 2.0, 1.0, PowerLog(2.0, 1.0), M=257)
+    assert rep.body["error"] == (
         "ConfigError: family: 'power_log' has no predicted decay rate")
+    assert rep.verdict == "failed"
 
 
 def test_table_report_power_sum_log_needs_log_exp():
-    # no silent log power 0: the cell records what the CLI refuses
-    (cell,) = table_report(5, [(2.0, 1.0)], family="power_sum_log", M=257)
-    assert cell == {"p": 2.0, "r": 1.0, "error": (
-        "ConfigError: log_exp: required for family 'power_sum_log'")}
-    (cell,) = table_report(5, [(2.0, 1.0)], family="power_sum_log",
-                           log_exp=1.0, M=257)
+    # the cell solves with its log power; without one the CLI refuses the
+    # run before any cell (test_tables_power_sum_log_needs_log_exp)
+    (cell,) = _cells([(2.0, 1.0)], family=PowerSumLog, M=257, log_exp=1.0)
     assert "error" not in cell
 
 
