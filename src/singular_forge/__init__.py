@@ -77,6 +77,7 @@ from .verify import (
     rate_report,
     run_cell,
     run_report,
+    sweep_report,
     table_cell,
 )
 

@@ -1,9 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: parses and validates a run's configuration, calls
+its subcommand's report in ``verify``, writes its files and maps its verdict
+to the exit code.
 
-Subcommands: classify, construct, verify, sweep, tables, appendix.
-Exit codes, each the verdict of a run: 0 success, 1 config/validation
-error, 2 convergence failure, 3 out of regime (for ``tables``, every cell),
-4 verification failed (``verify`` could not fit the decay rate;
+Subcommands: classify, construct, verify, sweep, tables, appendix.  Exit
+codes: 0 success, 1 a configuration refused before the run, nothing written,
+2 the run failed (its JSON says why), 3 out of regime (for ``tables``, every
+cell), 4 verification failed (``verify`` could not fit the decay rate;
 summary.json still records the fit error).  All file output is
 deterministic: identical inputs give byte-identical CSV/JSON (17
 significant digits, LF endings, sorted keys), and every JSON embeds the
@@ -18,34 +20,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import nonlinearity as nl_mod
 from ._csvfmt import format_rows
 from .classification import classify
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    NoContractionError,
-    SingularForgeError,
-)
-from .profile import build_context, to_radial
-from .solver import sweep
-from .verify import (
-    FAILED,
-    OK,
-    OUT_OF_SCOPE,
-    RATE_FAMILIES,
-    UNVERIFIED,
-    appendix_check,
-    resolve_grid,
-    run_report,
-    table_cell,
-)
+from .errors import ConfigError, DomainError, SingularForgeError
+from .profile import to_radial
+from .verify import (FAILED, OK, OUT_OF_SCOPE, RATE_FAMILIES, UNVERIFIED,
+                     appendix_check, run_report, sweep_report, table_cell)
 
 DEFAULT_CELLS = [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0), (2.0, 1.0), (2.0, 1.9)]
+DEFAULT_PAIRS = [(a, b) for a in (1e-4, 3e-4, 1e-3)
+                 for b in (1e-4, 3e-4, 1e-3)]
 DEFAULT_SIGMAS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 _FORMATS = ("csv", "json")
 
@@ -91,9 +80,9 @@ class RunConfig:
         """Check every field's type and range (a config file is outside
         input too); then refuse a field the subcommand does not read (see
         _READS) that a flag set, whatever its value, or that differs from
-        its default; then the nonlinearity, by building each one the run
-        uses through from_spec.  pairs and cells come out as lists of
-        tuples, and tables' cells default to DEFAULT_CELLS."""
+        its default; then each nonlinearity the run uses, built through
+        from_spec, and appendix's sigmas.  pairs and cells come out as lists
+        of tuples, and the list the run reads defaults to DEFAULT_*."""
         if self.command not in _READS:
             raise ConfigError(f"command: unknown subcommand {self.command!r}")
         for key in ("rho0", "tol", "alpha", "beta"):
@@ -140,6 +129,8 @@ class RunConfig:
                     key in flags or getattr(self, key) != getattr(default, key)):
                 raise ConfigError(f"{_FLAGS[key]}: {self.command} does not "
                                   "read it")
+        if self.command == "appendix" and self.family != "power_sum":
+            raise ConfigError("family: appendix check needs family power_sum")
         if self.command == "tables":
             names = [c.name for c in RATE_FAMILIES]
             if self.family not in names:
@@ -147,7 +138,16 @@ class RunConfig:
                     f"--family: tables needs a family with a predicted decay "
                     f"rate, one of {names}")
             self.cells = self.cells or list(DEFAULT_CELLS)
+        elif self.command == "sweep":
+            self.pairs = self.pairs or list(DEFAULT_PAIRS)
+        elif self.command == "appendix":
+            self.sigmas = self.sigmas or list(DEFAULT_SIGMAS)
         self.nonlinearities  # built, and so checked, once
+        if self.command == "appendix":
+            try:
+                nl_mod.check_sigma(*self.nonlinearities, self.sigmas)
+            except DomainError as exc:
+                raise ConfigError(f"sigmas: {exc}") from exc
         return self
 
     @functools.cached_property
@@ -356,13 +356,14 @@ _EXIT = {OK: 0, FAILED: 2, OUT_OF_SCOPE: 3, UNVERIFIED: 4}
 
 def _finish(cfg, body, verdict):
     """Write the run's JSON, config and body, if json is among the formats;
-    return the verdict's exit code.  A run of one nonlinearity out of
-    regime, or a verify run that could not fit, says why on stderr."""
-    os.makedirs(cfg.out, exist_ok=True)
+    say on stderr why a run raised, was out of regime or could not be
+    verified; return the verdict's exit code."""
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, _COMMANDS[cfg.command][1]),
                    {"config": cfg.as_dict(), **body})
-    if verdict == OUT_OF_SCOPE and "classification" in body:
+    if "error" in body:
+        print(f"run failed: {body['error']}", file=sys.stderr)
+    elif verdict == OUT_OF_SCOPE and "classification" in body:
         print(f"out of regime: {body['classification']['regime']['reason']}",
               file=sys.stderr)
     elif verdict == UNVERIFIED:
@@ -385,7 +386,6 @@ def cmd_construct(cfg):
                      rho_max=cfg.rho_max, auto_rho0=cfg.auto_rho0, M=cfg.M,
                      tol=cfg.tol, max_iter=cfg.max_iter)
     if rep.solved is not None:
-        os.makedirs(cfg.out, exist_ok=True)
         if "csv" in cfg.formats:
             write_profile_csv(os.path.join(cfg.out, "profile.csv"),
                               rep.solved[2])
@@ -396,39 +396,19 @@ def cmd_construct(cfg):
 
 def cmd_sweep(cfg):
     (nl,) = cfg.nonlinearities
-    cls = classify(nl, cfg.N)
-    if not cls.in_scope:
-        return _finish(cfg, {"classification": cls.as_dict()}, OUT_OF_SCOPE)
-    pairs = cfg.pairs or [(a, b) for a in (1e-4, 3e-4, 1e-3)
-                          for b in (1e-4, 3e-4, 1e-3)]
-    rho0, rho_max = resolve_grid(
-        nl, cls, max(a for a, _ in pairs), max(b for _, b in pairs),
-        cfg.rho0, cfg.rho_max, cfg.auto_rho0,
-    )
-    ctx = build_context(nl, cls, rho0, rho_max, cfg.M)
-    result = sweep(ctx, pairs, tol=cfg.tol, max_iter=cfg.max_iter)
-    os.makedirs(cfg.out, exist_ok=True)
-    agg = {
-        "classification": cls.as_dict(),
-        "grid": asdict(ctx.grid),
-        "pairs": [list(p) for p in result.pairs],
-        "failures": {f"{a}:{b}": msg
-                     for (a, b), msg in sorted(result.failures.items())},
-        "max_converged_alpha_plus_beta": result.max_converged_size,
-        "boundary_distinct": result.boundary_distinct,
-        "sup_separations": result.sup_separations,
-        "solutions": {},
-    }
-    for i, pair in enumerate(result.pairs):
-        if pair not in result.solutions:
-            continue
-        sol = result.solutions[pair]
-        agg["solutions"][f"{pair[0]}:{pair[1]}"] = sol.as_dict()
-        if "csv" in cfg.formats:
-            write_profile_csv(os.path.join(cfg.out, f"profile_{i:03d}.csv"),
-                              to_radial(ctx, sol.eta, sol.deta))
-    print(f"{len(result.solutions)}/{len(pairs)} pairs converged")
-    return _finish(cfg, agg, OK if result.solutions else FAILED)
+    rep = sweep_report(nl, classify(nl, cfg.N), cfg.pairs, cfg.tol,
+                       cfg.max_iter, rho0=cfg.rho0, rho_max=cfg.rho_max,
+                       auto_rho0=cfg.auto_rho0, M=cfg.M)
+    if rep.solved is not None:
+        ctx, result = rep.solved
+        for i, pair in enumerate(result.pairs):
+            sol = result.solutions.get(pair)
+            if sol is not None and "csv" in cfg.formats:
+                write_profile_csv(
+                    os.path.join(cfg.out, f"profile_{i:03d}.csv"),
+                    to_radial(ctx, sol.eta, sol.deta))
+        print(f"{len(result.solutions)}/{len(result.pairs)} pairs converged")
+    return _finish(cfg, rep.body, rep.verdict)
 
 
 def _report_cell(cfg, i, p, r, nl):
@@ -442,7 +422,6 @@ def _report_cell(cfg, i, p, r, nl):
 
 
 def cmd_tables(cfg):
-    os.makedirs(cfg.out, exist_ok=True)
     reports, verdicts = zip(*[
         _report_cell(cfg, i, p, r, nl)
         for i, ((p, r), nl) in enumerate(zip(cfg.cells, cfg.nonlinearities))])
@@ -462,9 +441,7 @@ def cmd_tables(cfg):
 
 
 def cmd_appendix(cfg):
-    if cfg.family != "power_sum":
-        raise ConfigError("family: appendix check needs family power_sum")
-    result = appendix_check(*cfg.nonlinearities, cfg.sigmas or DEFAULT_SIGMAS)
+    result = appendix_check(*cfg.nonlinearities, cfg.sigmas)
     print(json.dumps(_clean(result), sort_keys=True, indent=2))
     return _finish(cfg, {"appendix": result}, OK)
 
@@ -498,8 +475,13 @@ _COMMANDS = {
 
 
 def run(cfg):
-    """Dispatch a validated RunConfig; returns the process exit code."""
-    return _COMMANDS[cfg.command][0](cfg)
+    """Dispatch a validated RunConfig in its out directory; returns the exit
+    code.  A run that raises is FAILED: its JSON records the typed error."""
+    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        return _COMMANDS[cfg.command][0](cfg)
+    except SingularForgeError as exc:
+        return _finish(cfg, {"error": f"{type(exc).__name__}: {exc}"}, FAILED)
 
 
 @functools.cache
@@ -513,16 +495,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, NoContractionError) as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return 2
-    except SingularForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -179,7 +179,7 @@ class PurePower(Nonlinearity):
         return s ** (1.0 - self.p) / (self.p - 1.0)
 
     def F_inv(self, sigma):
-        sigma = _check_sigma(self, sigma)
+        sigma = check_sigma(self, sigma)
         return ((self.p - 1.0) * sigma) ** (-1.0 / (self.p - 1.0))
 
     def deficit_fpF(self, s):
@@ -259,7 +259,7 @@ class PowerSum(Nonlinearity):
 
     def F_inv(self, sigma):
         if self.r == 1.0:
-            sigma = _check_sigma(self, sigma)
+            sigma = check_sigma(self, sigma)
             p = self.p
             return np.expm1((p - 1.0) * sigma) ** (-1.0 / (p - 1.0))
         return _invert_F(self, sigma)
@@ -568,7 +568,8 @@ def eval_F(nl, s):
     return nl.F(s)
 
 
-def _check_sigma(nl, sigma):
+def check_sigma(nl, sigma):
+    """sigma as an array; DomainError unless each lies in (0, F_sup)."""
     sigma = np.asarray(sigma, dtype=float)
     if not np.all((sigma > 0.0) & (sigma < nl.F_sup)):
         raise DomainError(
@@ -588,7 +589,7 @@ def _invert_F(nl, sigma):
     where F underflows, comes down in a few passes).  A node whose bracket
     holds no float any more, where F's own rounding exceeds the stop test,
     raises ConvergenceError at once with its residual."""
-    sigma = _check_sigma(nl, sigma)
+    sigma = check_sigma(nl, sigma)
     scalar = sigma.ndim == 0
     sig = np.atleast_1d(sigma).astype(float)
 

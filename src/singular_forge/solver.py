@@ -98,15 +98,11 @@ def apply_T(ctx, homogeneous, eta, deta):
     ``homogeneous`` is the pair (Phi, Phi') of the boundary data on this
     grid, the same at every step (picard_solve passes the pair it starts
     from).  An iterate that takes phi (1 + eta) out of the nonlinearity's
-    domain raises IterateOutOfDomainError.  The linear part of T alone
+    domain raises nonlinear_term's DomainError.  The linear part of T alone
     (N off) is one kernels.convolve_cumulative of I + L1 eta + L2 eta', and
     its fixed point is kernels.solve_linear_volterra.
     """
-    g = ctx.I + ctx.L1 * eta + ctx.L2 * deta
-    try:
-        g = g + nonlinear_term(ctx, eta)
-    except DomainError as exc:
-        raise IterateOutOfDomainError(str(exc)) from exc
+    g = ctx.I + ctx.L1 * eta + ctx.L2 * deta + nonlinear_term(ctx, eta)
     ik, idk = convolve_cumulative(ctx.ks, ctx.rho, g)
     phi_h, dphi_h = homogeneous
     return phi_h - ik, dphi_h - idk
@@ -174,11 +170,11 @@ def picard_solve(ctx, alpha, beta, tol=1e-10, max_iter=200, *,
     for sol.iterations in range(1, max_iter + 1):
         try:
             eta, deta = apply_T(ctx, homogeneous, sol.eta, sol.deta)
-        except IterateOutOfDomainError as exc:
+        except DomainError as exc:
             raise IterateOutOfDomainError(
                 f"iterate left the nonlinearity domain: {exc}",
                 solution=sol, ratios=ratios,
-            )
+            ) from exc
         change = _sup_change(eta, deta, sol.eta, sol.deta)
         sol.eta, sol.deta = eta, deta
         if prev_change is not None and prev_change > 0.0:

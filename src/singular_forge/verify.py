@@ -1,5 +1,6 @@
-"""Verification harness: run_report, the one report of a solved run; ODE
-residuals, limit diagnostics, decay-rate fits and the sum family's check.
+"""Verification harness: run_report, the one report of a solved run, and
+sweep_report, that of a sweep on one context; ODE residuals, limit
+diagnostics, decay-rate fits and the sum family's check.
 
 Residual conventions.  The radial operator is evaluated through the Emden
 chain rule, -u'' - (N-1)/r u' = e^{2 rho} ((N-2) u_rho - u_rhorho), with
@@ -19,7 +20,7 @@ from .errors import ConfigError, FitError, SingularForgeError
 from .nonlinearity import PowerSum, PowerSumLog
 from .profile import (build_context, dyadic_edges, nonlinear_term,
                       nonlinear_term_at, to_radial)
-from .solver import picard_solve, select_rho0
+from .solver import picard_solve, select_rho0, sweep
 
 # a fitted decay rate within this fraction of the predicted one matches it
 _RATE_TOLERANCE = 0.10
@@ -259,30 +260,30 @@ def grid_span(nl, cls):
     return max(floor, 14.0 / lam)
 
 
-def resolve_grid(nl, cls, alpha, beta, rho0, rho_max=None, auto_rho0=True):
-    """(rho0, rho_max) of a run: rho0 from select_rho0 starting at the given
-    one when auto_rho0, and rho_max as given or else rho0 + grid_span."""
+def run_context(nl, cls, alpha, beta, rho0=3.0, rho_max=None, *,
+                auto_rho0=True, M=4096):
+    """The context of M nodes a run solves boundary data up to (alpha, beta)
+    on: rho0 from select_rho0 starting at the given one when auto_rho0, and
+    rho_max as given or else rho0 + grid_span."""
     if auto_rho0:
         rho0 = select_rho0(nl, cls, alpha, beta, rho0)
     if rho_max is None:
         rho_max = rho0 + grid_span(nl, cls)
-    return rho0, rho_max
+    return build_context(nl, cls, rho0, rho_max, M)
 
 
 def run_cell(nl, cls, alpha=1e-3, beta=2e-3, rho0=3.0, rho_max=None, *,
              auto_rho0=True, M=4096, tol=1e-10, max_iter=200):
-    """(ctx, sol) of one run: the grid from resolve_grid, its context of M
-    nodes, and picard_solve for (alpha, beta) at tol and max_iter.  The
-    defaults are a table cell's."""
-    rho0, rho_max = resolve_grid(nl, cls, alpha, beta, rho0, rho_max,
-                                 auto_rho0)
-    ctx = build_context(nl, cls, rho0, rho_max, M)
+    """(ctx, sol) of one run: run_context's context and picard_solve for
+    (alpha, beta) at tol and max_iter.  The defaults are a table cell's."""
+    ctx = run_context(nl, cls, alpha, beta, rho0, rho_max,
+                      auto_rho0=auto_rho0, M=M)
     return ctx, picard_solve(ctx, alpha, beta, tol=tol, max_iter=max_iter)
 
 
 # a run's verdicts, each its own exit code in the CLI: solved (and, when
-# verified, fitted); not solved or fitted (a tables cell); out of regime,
-# nothing solved; and, when verified, solved but not fitted
+# verified, fitted); failed (a cell not solved or fitted, no pair solved,
+# a run that raised); out of regime; and, when verified, solved, not fitted
 OK, FAILED = "ok", "failed"
 OUT_OF_SCOPE, UNVERIFIED = "out_of_scope", "unverified"
 
@@ -290,8 +291,8 @@ OUT_OF_SCOPE, UNVERIFIED = "out_of_scope", "unverified"
 @dataclass
 class RunReport:
     """What a run found: ``body``, its JSON-ready report; ``verdict``;
-    ``solved``, the (ctx, sol, prof) the profile CSV is written from, or
-    None; and ``fit``, decay_fit's result, or None."""
+    ``solved``, what its profile CSVs are written from, or None; and
+    ``fit``, decay_fit's result, or None."""
     body: dict
     verdict: str = OK
     solved: tuple = None
@@ -354,6 +355,31 @@ def run_report(nl, cls, full_verify=False, **run):
                    if faster else []),
         )
     return rep
+
+
+def sweep_report(nl, cls, pairs, tol=1e-10, max_iter=200, **grid):
+    """The report of solver.sweep over the (alpha, beta) pairs on the one
+    run_context (``grid``: rho0, rho_max, auto_rho0, M) of their largest
+    alpha and beta; out of regime, or raising, as run_report does.  FAILED
+    when no pair converged; solved is (ctx, SweepResult)."""
+    body = {"classification": cls.as_dict()}
+    if not cls.in_scope:
+        return RunReport(body, OUT_OF_SCOPE)
+    ctx = run_context(nl, cls, max(a for a, _ in pairs),
+                      max(b for _, b in pairs), **grid)
+    result = sweep(ctx, pairs, tol=tol, max_iter=max_iter)
+    body.update(
+        grid=asdict(ctx.grid),
+        pairs=[list(p) for p in result.pairs],
+        failures={f"{a}:{b}": msg for (a, b), msg in result.failures.items()},
+        max_converged_alpha_plus_beta=result.max_converged_size,
+        boundary_distinct=result.boundary_distinct,
+        sup_separations=result.sup_separations,
+        solutions={f"{a}:{b}": sol.as_dict()
+                   for (a, b), sol in result.solutions.items()},
+    )
+    return RunReport(body, OK if result.solutions else FAILED,
+                     solved=(ctx, result))
 
 
 def table_cell(N, p, r, nl, M=4096, tol=1e-10, max_iter=200):

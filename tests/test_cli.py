@@ -16,6 +16,8 @@ from singular_forge import nonlinearity as nl_mod
 from singular_forge.classification import classify
 from singular_forge.cli import (
     DEFAULT_CELLS,
+    DEFAULT_PAIRS,
+    DEFAULT_SIGMAS,
     build_parser,
     load_config,
     main,
@@ -349,10 +351,12 @@ def test_tables_refuses_a_bad_cell(tmp_path, capsys):
 _CLASSIFIED = {"config", "classification"}
 _SOLVED = {*_CLASSIFIED, "grid", "solver", "residuals", "fit"}
 _TABLE = {"config", "cells"}
+_FAILED = {"config", "error"}
 
 
 # argv without --out, the exit code, and the files written: each JSON with
-# its top-level keys, each CSV with None; None when nothing is written
+# its top-level keys, each CSV with None; None when nothing is written, a
+# configuration refused before the run
 @pytest.mark.parametrize("argv,code,written", [
     (["classify", "--N", "5", "--family", "power", "--p", "2"], 0,
      {"summary.json": _CLASSIFIED}),
@@ -370,25 +374,35 @@ _TABLE = {"config", "cells"}
       "summary.json": {*_SOLVED, "limit_diagnostics", "lipschitz"}}),
     # absurd boundary data: no contracting rho0 exists
     (["construct", "--N", "5", "--family", "power_sum", "--p", "2", "--r",
-      "1", "--alpha", "5", "--beta", "5", "--M", "129"], 2, None),
+      "1", "--alpha", "5", "--beta", "5", "--M", "129"], 2,
+     {"summary.json": _FAILED}),
+    # near p_S = 5 the default grid's far end leaves F^{-1}'s domain
+    (["verify", "--N", "3", "--family", "power_sum", "--p", "4.95", "--r",
+      "1"], 2, {"summary.json": _FAILED}),
     (["sweep", "--N", "5", "--family", "power_sum", "--p", "3", "--r", "1"],
      3, {"sweep.json": _CLASSIFIED}),
     (["sweep", "--N", "5", "--family", "power_sum", "--p", "2", "--r", "1",
-      "--pairs", "5:5", "--M", "129"], 2, None),
+      "--pairs", "5:5", "--M", "129"], 2, {"sweep.json": _FAILED}),
     (["tables", "--N", "5", "--p", "3", "--r", "1", "--M", "257"], 3,
      {"tables.json": _TABLE}),
     (["tables", "--N", "5", "--cells", "2:1", "--M", "513", "--max-iter",
       "1"], 2, {"tables.json": _TABLE}),
     (["tables", "--N", "5", "--cells", "3:1,2:1", "--M", "513"], 0,
      {"tables.json": _TABLE, "cell_01_profile.csv": None}),
+    (["appendix", "--family", "power", "--p", "2"], 1, None),
+    (["appendix", "--family", "power_sum", "--p", "2", "--r", "0.5",
+      "--sigmas", "1e3"], 1, None),
 ], ids=["classify", "classify_out_of_regime", "construct_out_of_regime",
         "verify_out_of_regime", "verify_fit_fails", "construct_no_rho0",
-        "sweep_out_of_regime", "sweep_no_rho0", "tables_out_of_regime",
-        "tables_max_iter_1", "tables_one_cell_out_of_regime"])
+        "verify_domain_error", "sweep_out_of_regime", "sweep_no_rho0",
+        "tables_out_of_regime", "tables_max_iter_1",
+        "tables_one_cell_out_of_regime", "appendix_not_power_sum",
+        "appendix_sigma_above_F_sup"])
 def test_exit_codes_and_written_files(tmp_path, capsys, argv, code, written):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == code
     if written is None:
+        assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
         return
     assert {p.name for p in out.iterdir()} == set(written)
@@ -589,6 +603,47 @@ def test_appendix_subcommand(tmp_path):
 
 def test_appendix_requires_power_sum():
     assert main(["appendix", "--family", "power", "--p", "2"]) == 1
+
+
+@pytest.mark.parametrize("sigma", ["1e3", "0", "-1"])
+def test_appendix_refuses_sigmas_outside_F_range(tmp_path, capsys, sigma):
+    # F maps the domain onto (0, F_sup): a sigma outside it is a
+    # configuration error, refused before the run with nothing written
+    out = tmp_path / "out"
+    assert main(["appendix", "--family", "power_sum", "--p", "2", "--r",
+                 "0.5", "--sigmas", sigma, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: sigmas: power_sum: sigma must lie in (0, F_sup = "
+        "2.41839915")
+    assert not out.exists()
+
+
+def test_failed_run_says_why_and_records_the_typed_error(tmp_path, capsys):
+    argv = ["construct", "--N", "5", "--family", "power_sum", "--p", "2",
+            "--r", "1", "--alpha", "5", "--beta", "5", "--M", "129",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: NoContractionError: no contracting "
+                          "rho0 in probe window starting at 3.0 (last: ")
+    error = json.loads((tmp_path / "summary.json").read_text())["error"]
+    assert err == f"run failed: {error}\n"
+
+
+@pytest.mark.parametrize("argv,key,default", [
+    (["sweep", "--N", "5", "--family", "power_sum", "--p", "2", "--r", "1",
+      "--M", "257", "--rho-max", "18"], "pairs", DEFAULT_PAIRS),
+    (["appendix", "--family", "power_sum", "--p", "2", "--r", "1"], "sigmas",
+     DEFAULT_SIGMAS),
+], ids=["sweep", "appendix"])
+def test_an_omitted_list_is_recorded_as_its_default(tmp_path, capsys, argv,
+                                                    key, default):
+    assert main([*argv, "--format", "json", "--out", str(tmp_path)]) == 0
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    assert data["config"][key] == json.loads(json.dumps(default))
+    if key == "pairs":
+        assert len(data["solutions"]) == len(DEFAULT_PAIRS)
 
 
 def test_verify_subcommand_full_report(tmp_path):

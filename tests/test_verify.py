@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,8 +26,9 @@ from singular_forge import (
     table_cell,
     to_radial,
 )
-from singular_forge.cli import DEFAULT_CELLS
-from singular_forge.solver import RemainderSolution
+from singular_forge.cli import DEFAULT_CELLS, _clean, main
+from singular_forge.solver import RemainderSolution, select_rho0, sweep
+from singular_forge.verify import FAILED, OK, OUT_OF_SCOPE, sweep_report
 
 
 def _fit_synthetic(cls, rho0, span, M, eta_fn, deta_fn):
@@ -310,3 +314,64 @@ def test_limit_diagnostics_reuses_the_context_deficits(monkeypatch):
     diag = limit_diagnostics(ctx)
     assert diag["fpF_minus_qf"]["windows"][0] == float(
         np.max(np.abs(ctx.deficit_fpF[(ctx.rho >= 33.0) & (ctx.rho <= 48.0)])))
+
+
+def _json(body):
+    # the body as a JSON file holds it
+    return json.loads(json.dumps(_clean(body), sort_keys=True))
+
+
+def test_sweep_report_out_of_regime_is_the_classification_alone():
+    nl = PowerSum(3.0, 1.0)  # supercritical in N = 5
+    rep = sweep_report(nl, classify(nl, 5), [(1e-4, 1e-4)])
+    assert rep.verdict == OUT_OF_SCOPE and rep.solved is None
+    assert list(rep.body) == ["classification"]
+    assert rep.body["classification"]["regime"]["reason"] == "Supercritical"
+
+
+def test_sweep_report_with_every_pair_failing_is_failed():
+    # one iteration cannot converge: each pair's failure is recorded
+    nl = PowerSum(2.0, 1.0)
+    pairs = [(1e-4, 1e-4), (2e-4, 1e-4)]
+    rep = sweep_report(nl, classify(nl, 5), pairs, max_iter=1, M=129,
+                       rho_max=16.0)
+    assert rep.verdict == FAILED
+    assert rep.body["solutions"] == {} and rep.body["sup_separations"] == {}
+    assert set(rep.body["failures"]) == {"0.0001:0.0001", "0.0002:0.0001"}
+    for msg in rep.body["failures"].values():
+        assert msg == "tolerance 1e-10 not reached in 1 iterations"
+    assert rep.body["max_converged_alpha_plus_beta"] == 0.0
+    ctx, result = rep.solved
+    assert ctx.grid.M == 129 and result.pairs == pairs
+
+
+def test_sweep_report_is_the_readme_sweep_json(tmp_path, capsys):
+    # README's sweep line: the body sweep.json records beside its config,
+    # as the CLI assembled it from select_rho0 and grid_span for the
+    # largest alpha and beta, one context of 4096 nodes and solver.sweep
+    nl = PowerSum(2.0, 1.0)
+    cls = classify(nl, 5)
+    pairs = [(1e-4, 1e-4), (2e-4, 1e-4), (5e-4, 5e-4)]
+    rep = sweep_report(nl, cls, pairs)
+    assert rep.verdict == OK
+    rho0 = select_rho0(nl, cls, 5e-4, 5e-4, 3.0)
+    ctx = build_context(nl, cls, rho0, rho0 + grid_span(nl, cls), 4096)
+    result = sweep(ctx, pairs)
+    expected = {
+        "classification": cls.as_dict(),
+        "grid": asdict(ctx.grid),
+        "pairs": [list(p) for p in pairs],
+        "failures": {},
+        "max_converged_alpha_plus_beta": result.max_converged_size,
+        "boundary_distinct": result.boundary_distinct,
+        "sup_separations": result.sup_separations,
+        "solutions": {f"{a}:{b}": result.solutions[(a, b)].as_dict()
+                      for a, b in pairs},
+    }
+    assert _json(rep.body) == _json(expected)
+    assert main(["sweep", "--N", "5", "--family", "power_sum", "--p", "2",
+                 "--r", "1", "--pairs", "1e-4:1e-4,2e-4:1e-4,5e-4:5e-4",
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "sweep.json").read_text())
+    assert written.pop("config")["pairs"] == [list(p) for p in pairs]
+    assert written == _json(rep.body)
