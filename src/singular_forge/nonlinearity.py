@@ -18,6 +18,10 @@ cumulatively from the largest point down, and panels above it until the
 rest of the tail is below rounding.  A lone point and the same point in a
 batch differ only by rounding.  F^{-1} is Newton on log F against
 log(s - s_min), nearly linear for every family here, in a per-node bracket.
+Its last pass evaluates F at the root it returns, and ``F_inv(sigma,
+with_F=True)`` hands that array back, so ``deficits(s, F)`` at the root
+runs no F pass of its own: a context costs the inversion's passes alone
+(PowerSumLog's two deficits add one pass of their shared remainder R1).
 """
 
 import math
@@ -106,18 +110,27 @@ class Nonlinearity:
         return False
 
     # -- deficits -----------------------------------------------------------
-    def deficit_fpF(self, s):
+    def deficits(self, s, F=None):
+        """(f'F - q_f, fF/s - 1/(p_f - 1)) at s.  ``F``, when given, is F(s)
+        (F_inv's last pass at its root), and no F pass is run."""
         s = np.asarray(s, dtype=float)
-        return self.f1(s) * self.F(s) - self.qf
+        F = self.F(s) if F is None else F
+        fpF = self.f1(s) * F - self.qf
+        fF = self.f(s) * F / s - 1.0 / (self.pf - 1.0)
+        return fpF, fF
+
+    def deficit_fpF(self, s):
+        return self.deficits(s)[0]
 
     def deficit_fF(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.f(s) * self.F(s) / s - 1.0 / (self.pf - 1.0)
+        return self.deficits(s)[1]
 
     # -- inverse ------------------------------------------------------------
-    def F_inv(self, sigma):
-        """Unique s > s_min with F(s) = sigma (F is strictly decreasing)."""
-        return _invert_F(self, sigma)
+    def F_inv(self, sigma, with_F=False):
+        """Unique s > s_min with F(s) = sigma (F is strictly decreasing);
+        with ``with_F`` the pair (s, F(s)), F(s) from the inversion's last
+        pass, or None where the inverse is a closed form."""
+        return _invert_F(self, sigma, with_F)
 
     def _check_domain(self, s):
         s = np.asarray(s, dtype=float)
@@ -178,15 +191,14 @@ class PurePower(Nonlinearity):
         s = np.asarray(s, float)
         return s ** (1.0 - self.p) / (self.p - 1.0)
 
-    def F_inv(self, sigma):
+    def F_inv(self, sigma, with_F=False):
         sigma = check_sigma(self, sigma)
-        return ((self.p - 1.0) * sigma) ** (-1.0 / (self.p - 1.0))
+        s = ((self.p - 1.0) * sigma) ** (-1.0 / (self.p - 1.0))
+        return (s, None) if with_F else s
 
-    def deficit_fpF(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-    def deficit_fF(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
+    def deficits(self, s, F=None):
+        s = np.asarray(s, dtype=float)
+        return np.zeros_like(s), np.zeros_like(s)
 
 
 class PowerSum(Nonlinearity):
@@ -257,12 +269,13 @@ class PowerSum(Nonlinearity):
         c = self._c if self._c <= 0.5 else (1.0 - self.r) / (self.p - self.r)
         return math.pi / ((self.p - self.r) * math.sin(math.pi * c))
 
-    def F_inv(self, sigma):
-        if self.r == 1.0:
-            sigma = check_sigma(self, sigma)
-            p = self.p
-            return np.expm1((p - 1.0) * sigma) ** (-1.0 / (p - 1.0))
-        return _invert_F(self, sigma)
+    def F_inv(self, sigma, with_F=False):
+        if self.r != 1.0:
+            return _invert_F(self, sigma, with_F)
+        sigma = check_sigma(self, sigma)
+        p = self.p
+        s = np.expm1((p - 1.0) * sigma) ** (-1.0 / (p - 1.0))
+        return (s, None) if with_F else s
 
     def _deficit_series(self, s, coef):
         """Sum_{k>=1} (-1)^(k-1) coef(k) x^k with x = s^(r-p) <= 0.85, by
@@ -299,26 +312,23 @@ class PowerSum(Nonlinearity):
         d = p - r
         return d / ((p - 1.0 + k * d) * (p - 1.0 + (k - 1) * d))
 
-    def _deficit(self, s, direct, coef):
-        """direct(s) below _s_series, the series of coef at and above it."""
+    def deficits(self, s, F=None):
+        """Direct below _s_series, F evaluated there on that subset alone
+        (hyp2f1_1c picks its degree from the call's largest argument, so a
+        slice of a full-grid F could differ by rounding); the series at
+        and above it.  ``F`` is not read."""
         s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
+        fpF, fF = np.empty_like(s), np.empty_like(s)
         small = s < self._s_series
         if np.any(small):
-            out[small] = direct(s[small])
+            t = s[small]
+            Ft = self.F(t)
+            fpF[small] = self.f1(t) * Ft - self.qf_exact
+            fF[small] = self.f(t) * Ft / t - 1.0 / (self.p - 1.0)
         if np.any(~small):
-            out[~small] = self._deficit_series(s[~small], coef)
-        return out
-
-    def deficit_fpF(self, s):
-        return self._deficit(
-            s, lambda t: self.f1(t) * self.F(t) - self.qf_exact,
-            self._coef_fpF)
-
-    def deficit_fF(self, s):
-        return self._deficit(
-            s, lambda t: self.f(t) * self.F(t) / t - 1.0 / (self.p - 1.0),
-            self._coef_fF)
+            fpF[~small] = self._deficit_series(s[~small], self._coef_fpF)
+            fF[~small] = self._deficit_series(s[~small], self._coef_fF)
+        return fpF, fF
 
 
 class PowerLog(Nonlinearity):
@@ -493,19 +503,15 @@ class PowerSumLog(Nonlinearity):
         )
         return s ** (1.0 - self.p) * J
 
-    def deficit_fpF(self, s):
+    def deficits(self, s, F=None):
+        """Both deficits from one pass of R1; ``F`` is not read."""
         s = np.asarray(s, dtype=float)
         R1 = self._R1(s)
         w = self._w(s)
         sw1 = self._sw1(s)
         m1 = 1.0 / (self.p - 1.0)
-        return -self.p * R1 + (self.p * w + sw1) * (m1 - R1)
-
-    def deficit_fF(self, s):
-        s = np.asarray(s, dtype=float)
-        R1 = self._R1(s)
-        w = self._w(s)
-        return w / (self.p - 1.0) - (1.0 + w) * R1
+        return (-self.p * R1 + (self.p * w + sw1) * (m1 - R1),
+                w / (self.p - 1.0) - (1.0 + w) * R1)
 
 
 class Generic(Nonlinearity):
@@ -578,7 +584,7 @@ def check_sigma(nl, sigma):
     return sigma
 
 
-def _invert_F(nl, sigma):
+def _invert_F(nl, sigma, with_F=False):
     """F(s) = sigma, vectorized in sigma, by Newton on log F against log d,
     d = s - s_min: d <- d exp(log(F/sigma) f F/d), exact for a pure power,
     until |F - sigma| <= 1e-13 sigma at every node (at most 100 F passes).
@@ -588,7 +594,9 @@ def _invert_F(nl, sigma):
     sqrt(d) toward s_min when that is farther (a seed far above the root,
     where F underflows, comes down in a few passes).  A node whose bracket
     holds no float any more, where F's own rounding exceeds the stop test,
-    raises ConvergenceError at once with its residual."""
+    raises ConvergenceError at once with its residual.  The last pass
+    evaluates F at the root itself; ``with_F`` hands it back beside the
+    root, (s, F(s)), so a caller needs no pass of its own."""
     sigma = check_sigma(nl, sigma)
     scalar = sigma.ndim == 0
     sig = np.atleast_1d(sigma).astype(float)
@@ -633,7 +641,9 @@ def _invert_F(nl, sigma):
         x = np.where(done, x, xn)
     else:
         raise ConvergenceError("F inverse root finder exceeded iteration cap")
-    return float(x[0]) if scalar else x
+    if scalar:
+        x, F = float(x[0]), float(F[0])
+    return (x, F) if with_F else x
 
 
 @dataclass

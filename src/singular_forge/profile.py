@@ -57,7 +57,9 @@ z4 = 0.0223 for 4 points and z8 = 0.347 for 8 (0.0219 and 0.258 for
 zeta < 0, whose singularity lies beyond t = 1, nearer the segment).  f'' is
 evaluated for several Gauss nodes in one call, as many as keep a call near
 _GROUP_POINTS points: a whole rule on a grid of up to 256 nodes, one node
-at a time on a 4096-node grid.
+at a time on a 4096-node grid.  The call keeps each f'' row times its
+weights and sums them by one reduction in Gauss-node order, bitwise the
+sum a loop over the rows would make.
 """
 
 import math
@@ -286,24 +288,32 @@ def tilde_u(nl, cls, r):
 def build_context(nl, cls, rho0, rho_max, M):
     """Cache phi, phi', I, L1, L2 on the uniform rho-grid; ks is shared.
     Fphi is sigma = e^{-2rho}/b, which F(phi) matches within F_inv's stop
-    test."""
+    test.  The deficits take F(phi) from F_inv's last pass, so the
+    inversion's F passes are the context's (PowerSumLog adds one pass of
+    R1).  GridError where sigma underflows to 0 or phi(rho0) is not above
+    s_min."""
     if not cls.in_scope:
         raise GridError(f"regime out of scope: {cls.regime.reason}")
     grid = Grid(float(rho0), float(rho_max), int(M))
     rho = grid.rho
     b = cls.b
     sigma = np.exp(-2.0 * rho) / b
+    if sigma[-1] == 0.0:
+        raise GridError(
+            f"sigma = e^(-2 rho)/b underflows to 0 from rho = "
+            f"{float(rho[np.argmax(sigma == 0.0)])!r} on; the grid runs to "
+            f"rho_max = {grid.rho_max!r}")
     if sigma[0] >= nl.F_sup:
         raise GridError(
             "phi(rho0) would fall below s_min; increase rho0"
         )
-    phi = np.asarray(nl.F_inv(sigma), dtype=float)
+    phi, F = nl.F_inv(sigma, with_F=True)
+    phi = np.asarray(phi, dtype=float)
     if phi[0] <= nl.s_min:
         raise GridError("phi(rho0) <= s_min; increase rho0")
     phi.flags.writeable = False  # to_radial hands it out as tilde_u
 
-    d1 = np.asarray(nl.deficit_fpF(phi), dtype=float)
-    d2 = np.asarray(nl.deficit_fF(phi), dtype=float)
+    d1, d2 = (np.asarray(d, dtype=float) for d in nl.deficits(phi, F))
     m_half = 1.0 / (nl.pf - 1.0)
     fF_over_phi = m_half + d2
     I = 4.0 * fF_over_phi * d1
@@ -395,29 +405,36 @@ def _remainder(ctx, nodes, eta, derivative=False):
 
 def _gauss_remainder(ctx, nodes, eta, derivative):
     """_remainder by the Gauss rule.  One f2 call takes a group of Gauss
-    nodes, a (group, points) array; the rows are summed in node order, so
-    the value does not depend on the grouping."""
+    nodes, a (group, points) array, and the call keeps each row times its
+    weight (and derivative weight).  One reduction then sums them in
+    Gauss-node order from 0.0, as a loop over the rows would, so the value
+    does not depend on the grouping."""
     phi = ctx.phi[nodes]
     phi_b, eta_b = np.broadcast_arrays(phi, eta)
     shape = phi_b.shape
     phi_b, eta_b = phi_b.reshape(-1), eta_b.reshape(-1)
     gauss_t, gauss_w, gauss_wd = _gauss_rule(ctx, phi_b, eta_b)
     group = max(1, _GROUP_POINTS // max(phi_b.size, 1))
-    acc = dacc = 0.0
+    weights = np.stack((gauss_w, gauss_wd) if derivative else (gauss_w,))
+    # (weight sets, Gauss nodes, points)
+    terms = np.empty((len(weights), len(gauss_t), phi_b.size))
     for start in range(0, len(gauss_t), group):
         stop = start + group
-        rows = np.asarray(
-            ctx.nl.f2(phi_b * (1.0 + gauss_t[start:stop, None] * eta_b)),
-            dtype=float,
-        )
-        for w, wd, f2 in zip(gauss_w[start:stop], gauss_wd[start:stop],
-                             rows):
-            acc = acc + w * f2
-            if derivative:
-                dacc = dacc + wd * f2
+        rows = ctx.nl.f2(phi_b * (1.0 + gauss_t[start:stop, None] * eta_b))
+        np.multiply(weights[:, start:stop, None], rows,
+                    out=terms[:, start:stop])
+    if phi_b.size > 1:
+        sums = np.add.reduce(terms, axis=1, initial=0.0)
+    else:
+        # over one point numpy would sum the Gauss nodes pairwise;
+        # accumulate adds them in order (the + 0.0 is the loop's start,
+        # which turns a sum of -0.0 terms into 0.0)
+        sums = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
     scale = ctx.cls.b * ctx.Fphi[nodes] * phi * eta
-    value = scale * eta * np.reshape(acc, shape)
-    return (value, scale * np.reshape(dacc, shape)) if derivative else value
+    value = scale * eta * np.reshape(sums[0], shape)
+    if not derivative:
+        return value
+    return value, scale * np.reshape(sums[1], shape)
 
 
 def nonlinear_term(ctx, eta):

@@ -376,7 +376,7 @@ _FAILED = {"config", "error"}
     (["construct", "--N", "5", "--family", "power_sum", "--p", "2", "--r",
       "1", "--alpha", "5", "--beta", "5", "--M", "129"], 2,
      {"summary.json": _FAILED}),
-    # near p_S = 5 the default grid's far end leaves F^{-1}'s domain
+    # near p_S = 5 sigma underflows to 0 before the default grid's far end
     (["verify", "--N", "3", "--family", "power_sum", "--p", "4.95", "--r",
       "1"], 2, {"summary.json": _FAILED}),
     (["sweep", "--N", "5", "--family", "power_sum", "--p", "3", "--r", "1"],
@@ -628,6 +628,30 @@ def test_failed_run_says_why_and_records_the_typed_error(tmp_path, capsys):
                           "rho0 in probe window starting at 3.0 (last: ")
     error = json.loads((tmp_path / "summary.json").read_text())["error"]
     assert err == f"run failed: {error}\n"
+
+
+def test_sigma_underflow_is_a_grid_error_naming_its_rho(tmp_path, capsys):
+    # near p_S = 5 the default span (about 2200) runs past rho = 372, where
+    # sigma = e^(-2 rho)/b underflows to 0: build_context says so, and the
+    # run fails with exit 2 and its JSON
+    argv = ["verify", "--N", "3", "--family", "power_sum", "--p", "4.95",
+            "--r", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    error = json.loads((tmp_path / "summary.json").read_text())["error"]
+    assert capsys.readouterr().err == f"run failed: {error}\n"
+    head = "GridError: sigma = e^(-2 rho)/b underflows to 0 from rho = "
+    assert error.startswith(head)
+    rho, rest = error[len(head):].split(" on; the grid runs to rho_max = ")
+    rho, rho_max = float(rho), float(rest)
+    b = classify(nl_mod.PowerSum(4.95, 1.0), 3).b
+    lo, hi = 300.0, 400.0  # sigma > 0 at lo, = 0 at hi: bisect to the edge
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if np.exp(-2.0 * mid) / b == 0.0 else (mid, hi)
+    # the first zero node lies within one step past the edge; rho0 is at
+    # least 3, so the 4096-node grid's step is at most h
+    h = (rho_max - 3.0) / 4095
+    assert hi <= rho < hi + h < rho_max
 
 
 @pytest.mark.parametrize("argv,key,default", [

@@ -241,17 +241,71 @@ def test_build_context_reuses_the_qf_estimate(monkeypatch):
     assert len(calls) == 1
 
 
-def _per_node_remainder(ctx, nodes, eta):
+@pytest.mark.parametrize("nl,M", [
+    (PowerLog(2.0, 1.0), 801),
+    (PowerExpLog(2.0, 0.5), 801),
+    (PowerSumLog(2.0, 1.0, 1.0), 801),
+    (GENERIC_POWER_SUM, 257),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_build_context_runs_the_inversions_F_passes_alone(monkeypatch, nl, M):
+    # the deficits take F(phi) from F_inv's last pass: a context runs the
+    # inversion's F passes and no other, and power_sum_log's two deficits
+    # share one tail pass of R1
+    cls = classify(nl, 5)
+    nl.F_sup  # cached before counting, as in any run after classify
+    calls = {"F": 0, "tail": 0}
+    F, tail = nl.F, nonlinearity.tail_integrals
+
+    def counted_F(s):
+        calls["F"] += 1
+        return F(s)
+
+    def counted_tail(*args):
+        calls["tail"] += 1
+        return tail(*args)
+
+    monkeypatch.setattr(nl, "F", counted_F)
+    monkeypatch.setattr(nonlinearity, "tail_integrals", counted_tail)
+    ctx = build_context(nl, cls, 3.0, 43.0, M)
+    built = dict(calls)
+    calls.update(F=0, tail=0)
+    nl.F_inv(np.exp(-2.0 * ctx.rho) / cls.b)
+    passes = calls["F"]
+    assert passes >= 2 and built["F"] == passes
+    by_quadrature = 0 if nl.name == "power_log" else passes
+    assert calls["tail"] == by_quadrature
+    assert built["tail"] == by_quadrature + (nl.name == "power_sum_log")
+
+
+def test_quad_verify_context_makes_five_tail_passes(monkeypatch):
+    # the benchmark's quad_verify grid, built once per process: F_sup's one
+    # pass (kept on the nonlinearity) and four inversion passes, where the
+    # two deficits added two more before they took F(phi) from the inversion
+    nl = PowerExpLog(2.0, 0.5)
+    cls = classify(nl, 5)
+    tail, calls = nonlinearity.tail_integrals, []
+    monkeypatch.setattr(nonlinearity, "tail_integrals",
+                        lambda *args: calls.append(1) or tail(*args))
+    build_context(nl, cls, 3.0, 58.0, 192)
+    assert len(calls) == 5
+
+
+def _per_node_remainder(ctx, nodes, eta, derivative=False):
     # one f2 call per Gauss node of the rule the call picks, accumulated in
-    # node order
+    # node order; with derivative the wd rows too, in the same order
     eta = np.asarray(eta, dtype=float)
     phi = ctx.phi[nodes]
-    gauss_t, gauss_w, _ = _gauss_rule(ctx, *np.broadcast_arrays(phi, eta))
-    acc = 0.0
-    for t, w in zip(gauss_t, gauss_w):
-        acc = acc + w * np.asarray(ctx.nl.f2(phi * (1.0 + t * eta)),
-                                   dtype=float)
-    return ctx.cls.b * ctx.Fphi[nodes] * phi * eta * eta * acc
+    gauss_t, gauss_w, gauss_wd = _gauss_rule(
+        ctx, *np.broadcast_arrays(phi, eta))
+    acc = dacc = 0.0
+    for t, w, wd in zip(gauss_t, gauss_w, gauss_wd):
+        f2 = np.asarray(ctx.nl.f2(phi * (1.0 + t * eta)), dtype=float)
+        acc = acc + w * f2
+        dacc = dacc + wd * f2
+    value = ctx.cls.b * ctx.Fphi[nodes] * phi * eta * eta * acc
+    if not derivative:
+        return value
+    return value, ctx.cls.b * ctx.Fphi[nodes] * phi * eta * dacc
 
 
 def _gauss_twin(nl):
@@ -289,6 +343,14 @@ def test_grouped_remainder_equals_per_node_loop_bitwise(nl):
             assert np.shape(got) == np.shape(want), (M, nodes)
             assert (np.asarray(got).tobytes()
                     == np.asarray(want).tobytes()), (M, nodes)
+            # the derivative path: N' from the same rows, summed with the
+            # plain weights in node order, and N as without it
+            got = _remainder(ctx, nodes, eta, derivative=True)
+            want = _per_node_remainder(ctx, nodes, eta, derivative=True)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w), (M, nodes)
+                assert (np.asarray(g).tobytes()
+                        == np.asarray(w).tobytes()), (M, nodes)
 
 
 def _mp_f(nl):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from singular_forge import (
     FitError,
+    Generic,
     PowerExpLog,
     PowerLog,
     PowerSum,
@@ -298,6 +299,24 @@ def test_radial_residual_refinement_on_fixed_point():
 
 
 def test_limit_diagnostics_reuses_the_context_deficits(monkeypatch):
+    # the context's deficits, which take F(phi) from F_inv's last pass (or
+    # share power_sum_log's R1 pass), equal the deficits evaluated afresh;
+    # the power_sum grid has 8 nodes below _s_series, where F is direct
+    for other, grid in [
+        (PowerLog(2.0, 1.0), (3.0, 63.0, 193)),
+        (PowerSumLog(2.0, 1.0, 1.0), (3.0, 63.0, 193)),
+        (Generic(lambda s: s * s + s, lambda s: 2.0 * s + 1.0,
+                 lambda s: 2.0), (3.0, 43.0, 129)),
+        (PowerSum(1.75, 1.7), (1.0, 21.0, 257)),
+    ]:
+        ctx = build_context(other, classify(other, 5), *grid)
+        if other.name == "power_sum":
+            assert np.count_nonzero(ctx.phi < other._s_series) == 8
+        assert ctx.deficit_fpF.tobytes() == np.asarray(
+            other.deficit_fpF(ctx.phi), dtype=float).tobytes(), other
+        assert ctx.deficit_fF.tobytes() == np.asarray(
+            other.deficit_fF(ctx.phi), dtype=float).tobytes(), other
+
     nl = PowerExpLog(2.0, 0.5)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 63.0, 193)
@@ -306,11 +325,12 @@ def test_limit_diagnostics_reuses_the_context_deficits(monkeypatch):
     assert ctx.deficit_fF.tobytes() == np.asarray(
         nl.deficit_fF(ctx.phi), dtype=float).tobytes()
 
-    def no_pass(s):
+    def no_pass(*args):
         raise AssertionError("the deficits were evaluated again")
 
     monkeypatch.setattr(nl, "deficit_fpF", no_pass)
     monkeypatch.setattr(nl, "deficit_fF", no_pass)
+    monkeypatch.setattr(nl, "deficits", no_pass)
     diag = limit_diagnostics(ctx)
     assert diag["fpF_minus_qf"]["windows"][0] == float(
         np.max(np.abs(ctx.deficit_fpF[(ctx.rho >= 33.0) & (ctx.rho <= 48.0)])))
