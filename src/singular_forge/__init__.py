@@ -50,8 +50,6 @@ from .profile import (
     build_context,
     case_classify,
     nonlinear_term,
-    nonlinear_term_and_derivative,
-    nonlinear_term_at,
     tilde_u,
     to_radial,
 )

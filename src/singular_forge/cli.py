@@ -30,7 +30,8 @@ from .classification import classify
 from .errors import ConfigError, DomainError, SingularForgeError
 from .profile import to_radial
 from .verify import (FAILED, OK, OUT_OF_SCOPE, RATE_FAMILIES, UNVERIFIED,
-                     appendix_check, run_report, sweep_report, table_cell)
+                     appendix_check, failed_checks, run_report, sweep_report,
+                     table_cell)
 
 DEFAULT_CELLS = [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0), (2.0, 1.0), (2.0, 1.9)]
 DEFAULT_PAIRS = [(a, b) for a in (1e-4, 3e-4, 1e-3)
@@ -367,7 +368,9 @@ def _finish(cfg, body, verdict):
         print(f"out of regime: {body['classification']['regime']['reason']}",
               file=sys.stderr)
     elif verdict == UNVERIFIED:
-        print(f"verification failed: {body['fit']['error']}", file=sys.stderr)
+        why = (body["fit"].get("error")
+               or ", ".join(failed_checks(body["verification"])))
+        print(f"verification failed: {why}", file=sys.stderr)
     return _EXIT[verdict]
 
 

@@ -1,15 +1,15 @@
 """Nonlinearity families: f, its derivatives, the decreasing primitive F,
 its inverse, and the classification limit.
 
-Each family also exposes the two "deficit" combinations that drive the
+Each family's ``deficits(s)`` returns the two combinations that drive the
 whole construction,
 
-    deficit_fpF(s) = f'(s) F(s) - q_f
-    deficit_fF(s)  = f(s) F(s) / s - 1/(p_f - 1),
+    (f'(s) F(s) - q_f,  f(s) F(s) / s - 1/(p_f - 1)),
 
 evaluated in cancellation-free form (series / one-sided quadrature) where a
 direct float64 subtraction would lose all digits on the far tail.  The
-direct formulas and these forms are algebraically identical.
+direct formulas and these forms are algebraically identical.  One call
+makes both, so they share its F (or remainder) pass.
 
 PowerExpLog, PowerSumLog and Generic have no closed form for F.  Their F
 goes through ``_special.tail_integrals``, a scalar being a batch of one:
@@ -118,12 +118,6 @@ class Nonlinearity:
         fpF = self.f1(s) * F - self.qf
         fF = self.f(s) * F / s - 1.0 / (self.pf - 1.0)
         return fpF, fF
-
-    def deficit_fpF(self, s):
-        return self.deficits(s)[0]
-
-    def deficit_fF(self, s):
-        return self.deficits(s)[1]
 
     # -- inverse ------------------------------------------------------------
     def F_inv(self, sigma, with_F=False):

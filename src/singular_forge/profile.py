@@ -17,7 +17,8 @@ remainder is
 taken in a form that keeps it relatively accurate where the direct
 difference of near-equal f values would drown in rounding, with its
 derivative in eta, N'[eta] = b F(phi) (f'(phi(1+eta)) - f'(phi)), from the
-same pass.
+same pass.  nonlinear_term is its one entry, on every node or on a
+selection of nodes, with or without N'.
 
 For a sum of powers f = sum_j s^{a_j} (``nl.exponents``, leading exponent
 p first) the remainder is a series in eta with coefficients fixed per grid,
@@ -386,10 +387,13 @@ def _gauss_rule(ctx, phi, eta):
     return _RULES[-1][0]
 
 
-def _remainder(ctx, nodes, eta, derivative=False):
-    """N[eta] at the grid nodes selected by ``nodes`` (an index, an index
-    array or a slice), eta broadcasting against them; with ``derivative``
-    the pair (N[eta], N'[eta]).  A sum of powers sums its series where the
+def nonlinear_term(ctx, eta, nodes=slice(None), derivative=False):
+    """N[eta] = b (F(phi)/phi) (f(phi(1+eta)) - f(phi) - f'(phi) phi eta)
+    at the grid nodes selected by ``nodes`` (an index, an index array or a
+    slice; every node by default), eta broadcasting against them.  With
+    ``derivative`` the pair (N[eta], N'[eta]) from the same pass, N'[eta] =
+    b F(phi) (f'(phi(1+eta)) - f'(phi)) the derivative of N in eta, and N
+    the same as without it.  A sum of powers sums its series where the
     degree stays within _SERIES_CAP; otherwise the Gauss rule.  Raises
     DomainError when phi(1+eta) leaves (s_min, inf).
     """
@@ -404,7 +408,7 @@ def _remainder(ctx, nodes, eta, derivative=False):
 
 
 def _gauss_remainder(ctx, nodes, eta, derivative):
-    """_remainder by the Gauss rule.  One f2 call takes a group of Gauss
+    """nonlinear_term by the Gauss rule.  One f2 call takes a group of Gauss
     nodes, a (group, points) array, and the call keeps each row times its
     weight (and derivative weight).  One reduction then sums them in
     Gauss-node order from 0.0, as a loop over the rows would, so the value
@@ -435,29 +439,6 @@ def _gauss_remainder(ctx, nodes, eta, derivative):
     if not derivative:
         return value
     return value, scale * np.reshape(sums[1], shape)
-
-
-def nonlinear_term(ctx, eta):
-    """N[eta] nodewise: b (F(phi)/phi) (f(phi(1+eta)) - f(phi) - f'(phi) phi eta).
-
-    eta is a full grid array or a scalar applied at every node.  Raises
-    DomainError when phi(1+eta) leaves (s_min, inf).
-    """
-    return _remainder(ctx, slice(None), eta)
-
-
-def nonlinear_term_and_derivative(ctx, eta):
-    """(N[eta], N'[eta]) nodewise from one pass of the series or of f2
-    over the Gauss nodes, N'[eta] = b F(phi) (f'(phi(1+eta)) - f'(phi))
-    the derivative of N in eta.  Raises DomainError when phi(1+eta) leaves
-    (s_min, inf).
-    """
-    return _remainder(ctx, slice(None), eta, derivative=True)
-
-
-def nonlinear_term_at(ctx, node, eta_val):
-    """N[eta] at one grid node, or at an index array of nodes."""
-    return _remainder(ctx, node, eta_val)
 
 
 @dataclass(frozen=True)

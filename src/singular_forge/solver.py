@@ -48,12 +48,7 @@ from .errors import (
     SingularForgeError,
 )
 from .kernels import convolve_cumulative, homogeneous_pair, solve_linear_volterra
-from .profile import (
-    build_context,
-    check_domain,
-    nonlinear_term,
-    nonlinear_term_and_derivative,
-)
+from .profile import build_context, check_domain, nonlinear_term
 
 # Newton takes over after this many ratios of T steps (so one ratio past
 # the first two reaches contraction_ratio), when the last is above
@@ -116,16 +111,16 @@ def _newton_phase(ctx, homogeneous, eta, deta, tol):
     """Newton steps on the discrete equation from the T iterate (eta, eta').
 
     Each step solves eta = Phi - K*(c + (L1 + N'[eta_k]) eta + L2 eta'),
-    c = I + N[eta_k] - N'[eta_k] eta_k, by one march.  Returns
-    ((eta, eta'), steps) once a change falls below tol or the quadratic
-    rate puts the next one (about change^3 / previous^2) a hundredfold
-    below it, or (None, steps) when a step leaves the domain, stops
-    shrinking, or _NEWTON_MAX steps pass.
+    c = I + N[eta_k] - N'[eta_k] eta_k, by one march, N and N' from one
+    nonlinear_term pass.  Returns ((eta, eta'), steps) once a change falls
+    below tol or the quadratic rate puts the next one (about change^3 /
+    previous^2) a hundredfold below it, or (None, steps) when a step
+    leaves the domain, stops shrinking, or _NEWTON_MAX steps pass.
     """
     prev = math.inf
     for step in range(1, _NEWTON_MAX + 1):
         try:
-            n, dn = nonlinear_term_and_derivative(ctx, eta)
+            n, dn = nonlinear_term(ctx, eta, derivative=True)
         except DomainError:
             return None, step - 1
         c, p = ctx.I + (n - dn * eta), ctx.L1 + dn

@@ -18,8 +18,7 @@ import numpy as np
 from .classification import REGIME_COMPLEX, REGIME_DOUBLE, classify
 from .errors import ConfigError, FitError, SingularForgeError
 from .nonlinearity import PowerSum, PowerSumLog
-from .profile import (build_context, dyadic_edges, nonlinear_term,
-                      nonlinear_term_at, to_radial)
+from .profile import build_context, dyadic_edges, nonlinear_term, to_radial
 from .solver import picard_solve, select_rho0, sweep
 
 # a fitted decay rate within this fraction of the predicted one matches it
@@ -115,9 +114,8 @@ def lipschitz_check(ctx, samples=10000):
     for start in range(0, samples, 2000):
         sl = slice(start, min(start + 2000, samples))
         ii = idx[sl]
-        sub = nonlinear_term_at(ctx, ii, e1[sl]) - nonlinear_term_at(
-            ctx, ii, e2[sl]
-        )
+        sub = (nonlinear_term(ctx, e1[sl], nodes=ii)
+               - nonlinear_term(ctx, e2[sl], nodes=ii))
         denom = (np.abs(e1[sl]) + np.abs(e2[sl])) * np.abs(e1[sl] - e2[sl])
         worst = max(worst, float(np.max(np.abs(sub) / denom)))
     return {"max_ratio": worst, "heuristic_cap": cap, "bounded": worst <= cap}
@@ -282,8 +280,9 @@ def run_cell(nl, cls, alpha=1e-3, beta=2e-3, rho0=3.0, rho_max=None, *,
 
 
 # a run's verdicts, each its own exit code in the CLI: solved (and, when
-# verified, fitted); failed (a cell not solved or fitted, no pair solved,
-# a run that raised); out of regime; and, when verified, solved, not fitted
+# verified, fitted and checked); failed (a cell not solved or fitted, no
+# pair solved, a run that raised); out of regime; and, when verified,
+# solved but not fitted or failing a check
 OK, FAILED = "ok", "failed"
 OUT_OF_SCOPE, UNVERIFIED = "out_of_scope", "unverified"
 
@@ -299,14 +298,28 @@ class RunReport:
     fit: FitResult = None
 
 
+# the note that excuses a failed rate flag: the prediction is an upper bound
+_FASTER_NOTE = "consistent with bound (faster decay than predicted)"
+
+
+def failed_checks(verification):
+    """The names of the pass flags that fail in a report's verification
+    block; the rate flag is excused when the fit decays faster than
+    predicted."""
+    excused = ("lambda_within_10pct" if _FASTER_NOTE in verification["notes"]
+               else None)
+    return [name for name, ok in verification["passes"].items()
+            if not ok and name != excused]
+
+
 def run_report(nl, cls, full_verify=False, **run):
     """The report of run_cell(nl, cls, **run): out of regime, the
     classification alone; else also the grid, the solve, both residuals
     and decay_fit's rate or error.  ``full_verify`` adds the limit
     diagnostics, lipschitz_check and, with a predicted rate, the prediction
     and the verification (rate_report's flags among pass flags, each a pure
-    function of stored numbers, and notes); a failed fit is then UNVERIFIED.
-    A failed solve raises."""
+    function of stored numbers, and notes); a failed fit or any failed
+    check (failed_checks) is then UNVERIFIED.  A failed solve raises."""
     body = {"classification": cls.as_dict()}
     if not cls.in_scope:
         return RunReport(body, OUT_OF_SCOPE)
@@ -351,9 +364,10 @@ def run_report(nl, cls, full_verify=False, **run):
                 "boundary_data_exact": bool(
                     sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta),
             },
-            notes=(["consistent with bound (faster decay than predicted)"]
-                   if faster else []),
+            notes=[_FASTER_NOTE] if faster else [],
         )
+        if failed_checks(body["verification"]):
+            rep.verdict = UNVERIFIED
     return rep
 
 

@@ -488,7 +488,8 @@ def test_pure_power_deficits_vanish():
     nl = PurePower(2.0)
     s = np.logspace(-3, 12, 16)
     assert (nl.qf, 1.0 / (nl.pf - 1.0)) == (2.0, 1.0)
-    assert not np.any(nl.deficit_fpF(s)) and not np.any(nl.deficit_fF(s))
+    fpF, fF = nl.deficits(s)
+    assert not np.any(fpF) and not np.any(fF)
 
 
 def test_degenerate_leading_term_flag():
@@ -589,8 +590,9 @@ def test_deficits_against_50_digit_reference(nl, bound):
         us = [mp.mpf(v) for v in s]
         ref_fpF = [f1(u) * F(u) - q for u in us]
         ref_fF = [f(u) * F(u) / u - 1 / (q / (q - 1) - 1) for u in us]
-    assert _max_rel_err(nl.deficit_fpF(s), ref_fpF) <= bound
-    assert _max_rel_err(nl.deficit_fF(s), ref_fF) <= bound
+    fpF, fF = nl.deficits(s)
+    assert _max_rel_err(fpF, ref_fpF) <= bound
+    assert _max_rel_err(fF, ref_fF) <= bound
 
 
 def _mp_deficit_series(p, r, s, fpF):
@@ -633,8 +635,9 @@ def test_deficits_match_direct_in_safe_range():
         s = np.array([nl.s_min + 1.5, 10.0, 50.0])
         direct_fpF = nl.f1(s) * nl.F(s) - nl.qf
         direct_fF = nl.f(s) * nl.F(s) / s - 1.0 / (nl.p - 1.0)
-        assert_allclose(nl.deficit_fpF(s), direct_fpF, rtol=2e-9, atol=1e-13)
-        assert_allclose(nl.deficit_fF(s), direct_fF, rtol=2e-9, atol=1e-13)
+        fpF, fF = nl.deficits(s)
+        assert_allclose(fpF, direct_fpF, rtol=2e-9, atol=1e-13)
+        assert_allclose(fF, direct_fF, rtol=2e-9, atol=1e-13)
 
 
 def test_deficit_tail_tracks_asymptotics():
@@ -642,7 +645,8 @@ def test_deficit_tail_tracks_asymptotics():
     # cancellation floor of the direct subtraction
     nl = PowerSum(2.0, 1.0)
     for s in (1e8, 1e15):
-        assert_allclose(float(nl.deficit_fpF(s)), 1.0 / (6.0 * s * s), rtol=1e-6)
+        assert_allclose(float(nl.deficits(s)[0]), 1.0 / (6.0 * s * s),
+                        rtol=1e-6)
 
 
 def test_from_spec_roundtrip():

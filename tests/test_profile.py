@@ -16,17 +16,10 @@ from singular_forge import (
     build_context,
     classify,
     nonlinear_term,
-    nonlinear_term_and_derivative,
-    nonlinear_term_at,
     tilde_u,
     to_radial,
 )
-from singular_forge.profile import (
-    _RULES,
-    _SERIES_CAP,
-    _gauss_rule,
-    _remainder,
-)
+from singular_forge.profile import _RULES, _SERIES_CAP, _gauss_rule
 
 
 def test_tilde_u_pure_power_closed_form():
@@ -130,7 +123,7 @@ def test_nonlinear_term_zero_and_closed_form():
     # N[eta] = b ((1+eta)^2 - 1 - 2 eta)/(p-1) = 2 eta^2 for p = 2, N = 5
     eta = np.full(101, 0.1)
     assert_allclose(nonlinear_term(ctx, eta), 0.02, rtol=1e-12)
-    assert_allclose(nonlinear_term_at(ctx, 7, 0.1), 0.02, rtol=1e-12)
+    assert_allclose(nonlinear_term(ctx, 0.1, nodes=7), 0.02, rtol=1e-12)
 
 
 def test_nonlinear_term_quadratic_smallness():
@@ -338,14 +331,14 @@ def test_grouped_remainder_equals_per_node_loop_bitwise(nl):
             (tail, 0.4),
         ]
         for nodes, eta in cases:
-            got = _remainder(ctx, nodes, eta)
+            got = nonlinear_term(ctx, eta, nodes=nodes)
             want = _per_node_remainder(ctx, nodes, eta)
             assert np.shape(got) == np.shape(want), (M, nodes)
             assert (np.asarray(got).tobytes()
                     == np.asarray(want).tobytes()), (M, nodes)
             # the derivative path: N' from the same rows, summed with the
             # plain weights in node order, and N as without it
-            got = _remainder(ctx, nodes, eta, derivative=True)
+            got = nonlinear_term(ctx, eta, nodes=nodes, derivative=True)
             want = _per_node_remainder(ctx, nodes, eta, derivative=True)
             for g, w in zip(got, want):
                 assert np.shape(g) == np.shape(w), (M, nodes)
@@ -394,7 +387,7 @@ def test_remainder_against_50_digit_taylor_remainder(nl):
         for zeta in (up_cut, -down_cut):
             eta = zeta * (1.0 - 1e-12) * (phi - nl.s_min) / phi
             assert _gauss_rule(ctx, phi, eta) is rule
-            n, dn = _remainder(ctx, nodes, eta, derivative=True)
+            n, dn = nonlinear_term(ctx, eta, nodes=nodes, derivative=True)
             with mp.workdps(50):
                 for k, node in enumerate(nodes):
                     s, e = mp.mpf(phi[k]), mp.mpf(eta[k])
@@ -449,7 +442,7 @@ def test_nonlinear_term_derivative_from_the_same_pass(nl):
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 23.0, 257)
     eta = 0.2 * np.sin(ctx.rho)
-    n, dn = nonlinear_term_and_derivative(ctx, eta)
+    n, dn = nonlinear_term(ctx, eta, derivative=True)
     assert n.tobytes() == nonlinear_term(ctx, eta).tobytes()
     # N'[eta] = b F(phi) (f'(phi(1+eta)) - f'(phi)), differenced directly
     # where eta is large enough that the difference keeps its digits
@@ -458,7 +451,7 @@ def test_nonlinear_term_derivative_from_the_same_pass(nl):
     big = np.abs(eta) > 0.05
     assert_allclose(dn[big], direct[big], rtol=1e-12, atol=0.0)
     with pytest.raises(DomainError):
-        nonlinear_term_and_derivative(ctx, np.full_like(eta, -2.0))
+        nonlinear_term(ctx, np.full_like(eta, -2.0), derivative=True)
 
 
 SERIES_FAMILIES = [PurePower(1.8), PowerSum(1.75, 1.7), PowerSum(1.75, 1.0),
@@ -498,8 +491,8 @@ def test_series_remainder_against_50_digit_sum_of_powers(nl):
         for mag in mags:
             for eta in (mag, -mag):
                 assert series.degree(mag) <= _SERIES_CAP
-                n, dn = _remainder(ctx, nodes, np.full(9, eta),
-                                   derivative=True)
+                n, dn = nonlinear_term(ctx, np.full(9, eta), nodes=nodes,
+                                       derivative=True)
                 e = mp.mpf(eta)
                 for k, node in enumerate(nodes):
                     s = mp.mpf(phi[k])
@@ -523,7 +516,7 @@ def test_series_is_exact_at_degree_two(monkeypatch, nl):
     monkeypatch.setattr(nl, "f2", None)
     eta = 0.9 * np.sin(ctx.rho)
     assert ctx.power_series.degree(0.999) == 2
-    n, dn = nonlinear_term_and_derivative(ctx, eta)
+    n, dn = nonlinear_term(ctx, eta, derivative=True)
     w = cls.b * ctx.Fphi * ctx.phi
     assert n.tobytes() == (w * eta * eta).tobytes()
     assert dn.tobytes() == (w * eta * 2.0).tobytes()
@@ -572,11 +565,11 @@ def test_series_value_does_not_depend_on_the_derivative(nl):
     tail = rng.integers(400, 801, size=2000)
     for mag in (1e-6, 1e-3, 0.05, 0.3, 0.44):
         eta = mag * np.sin(ctx.rho)
-        n, _ = nonlinear_term_and_derivative(ctx, eta)
+        n, _ = nonlinear_term(ctx, eta, derivative=True)
         assert n.tobytes() == nonlinear_term(ctx, eta).tobytes()
         e = rng.uniform(-mag, mag, tail.size)
-        n, _ = _remainder(ctx, tail, e, derivative=True)
-        assert n.tobytes() == _remainder(ctx, tail, e).tobytes()
+        n, _ = nonlinear_term(ctx, e, nodes=tail, derivative=True)
+        assert n.tobytes() == nonlinear_term(ctx, e, nodes=tail).tobytes()
 
 
 def test_series_at_the_shapes_lipschitz_check_passes():
@@ -585,15 +578,15 @@ def test_series_at_the_shapes_lipschitz_check_passes():
     rng = np.random.default_rng(7)
     ii = rng.integers(400, 801, size=2000)
     e = rng.uniform(-0.1, 0.1, size=2000)
-    got = nonlinear_term_at(ctx, ii, e)
+    got = nonlinear_term(ctx, e, nodes=ii)
     assert got.shape == (2000,)
-    one = [nonlinear_term_at(ctx, int(i), float(v)) for i, v in zip(ii, e)]
+    one = [nonlinear_term(ctx, float(v), nodes=int(i)) for i, v in zip(ii, e)]
     assert all(np.shape(v) == () for v in one)
     assert_allclose(got, one, rtol=SERIES_RTOL, atol=0.0)
     # at one degree a node's value is the full grid's, bitwise
     full = nonlinear_term(ctx, np.full(801, 0.07))
-    assert nonlinear_term_at(ctx, 600, 0.07) == full[600]
-    assert (nonlinear_term_at(ctx, ii, 0.07).tobytes()
+    assert nonlinear_term(ctx, 0.07, nodes=600) == full[600]
+    assert (nonlinear_term(ctx, 0.07, nodes=ii).tobytes()
             == full[ii].tobytes())
 
 
@@ -602,11 +595,11 @@ def test_series_domain_error_as_before():
     ctx = build_context(nl, classify(nl, 5), 3.0, 43.0, 257)
     eta = np.full(257, 0.01)
     eta[5] = -1.0  # phi (1 + eta) = 0 = s_min
-    for call in (nonlinear_term, nonlinear_term_and_derivative):
+    for derivative in (False, True):
         with pytest.raises(DomainError, match="node 5:"):
-            call(ctx, eta)
+            nonlinear_term(ctx, eta, derivative=derivative)
     with pytest.raises(DomainError, match="node 9:"):
-        nonlinear_term_at(ctx, np.array([3, 9, 9]),
-                          np.array([0.1, -1.5, 0.2]))
+        nonlinear_term(ctx, np.array([0.1, -1.5, 0.2]),
+                       nodes=np.array([3, 9, 9]))
     with pytest.raises(DomainError, match="node 200:"):
-        nonlinear_term_at(ctx, 200, -2.0)
+        nonlinear_term(ctx, -2.0, nodes=200)

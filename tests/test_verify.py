@@ -117,7 +117,7 @@ def test_tilde_u_defect_identity(nl):
     z = np.zeros(ctx.grid.M)
     prof = to_radial(ctx, z, z)
     m1 = 1.0 / (nl.p - 1.0)
-    pred = np.abs(ctx.I) / (cls.b * (m1 + np.asarray(nl.deficit_fF(ctx.phi))))
+    pred = np.abs(ctx.I) / (cls.b * (m1 + np.asarray(nl.deficits(ctx.phi)[1])))
     mask = pred > 1e-8
     mask[:2] = mask[-2:] = False
     assert np.count_nonzero(mask) > 100
@@ -312,24 +312,22 @@ def test_limit_diagnostics_reuses_the_context_deficits(monkeypatch):
         ctx = build_context(other, classify(other, 5), *grid)
         if other.name == "power_sum":
             assert np.count_nonzero(ctx.phi < other._s_series) == 8
+        fpF, fF = other.deficits(ctx.phi)
         assert ctx.deficit_fpF.tobytes() == np.asarray(
-            other.deficit_fpF(ctx.phi), dtype=float).tobytes(), other
+            fpF, dtype=float).tobytes(), other
         assert ctx.deficit_fF.tobytes() == np.asarray(
-            other.deficit_fF(ctx.phi), dtype=float).tobytes(), other
+            fF, dtype=float).tobytes(), other
 
     nl = PowerExpLog(2.0, 0.5)
     cls = classify(nl, 5)
     ctx = build_context(nl, cls, 3.0, 63.0, 193)
-    assert ctx.deficit_fpF.tobytes() == np.asarray(
-        nl.deficit_fpF(ctx.phi), dtype=float).tobytes()
-    assert ctx.deficit_fF.tobytes() == np.asarray(
-        nl.deficit_fF(ctx.phi), dtype=float).tobytes()
+    fpF, fF = nl.deficits(ctx.phi)
+    assert ctx.deficit_fpF.tobytes() == np.asarray(fpF, dtype=float).tobytes()
+    assert ctx.deficit_fF.tobytes() == np.asarray(fF, dtype=float).tobytes()
 
     def no_pass(*args):
         raise AssertionError("the deficits were evaluated again")
 
-    monkeypatch.setattr(nl, "deficit_fpF", no_pass)
-    monkeypatch.setattr(nl, "deficit_fF", no_pass)
     monkeypatch.setattr(nl, "deficits", no_pass)
     diag = limit_diagnostics(ctx)
     assert diag["fpF_minus_qf"]["windows"][0] == float(
