@@ -5,13 +5,13 @@ to the exit code.
 Subcommands: classify, construct, verify, sweep, tables, appendix.  Exit
 codes: 0 success, 1 a configuration refused before the run, nothing written,
 2 the run failed (its JSON says why), 3 out of regime (for ``tables``, every
-cell), 4 verification failed (``verify`` could not fit the decay rate;
-summary.json still records the fit error).  All file output is
+cell), 4 verification failed (``verify`` could not fit the decay rate, or a
+pass flag failed; summary.json is written all the same).  All file output is
 deterministic: identical inputs give byte-identical CSV/JSON (17
 significant digits, LF endings, sorted keys), and every JSON embeds the
 resolved fields its subcommand reads (``_READS``), so it can be re-fed via
---config to reproduce the run.  A flag or config-file value the subcommand
-does not read exits 1.
+--config to reproduce the run.  A malformed or unknown flag exits 1, as does
+a flag or config-file value the subcommand does not read.
 """
 
 import argparse
@@ -30,7 +30,7 @@ from .classification import classify
 from .errors import ConfigError, DomainError, SingularForgeError
 from .profile import to_radial
 from .verify import (FAILED, OK, OUT_OF_SCOPE, RATE_FAMILIES, UNVERIFIED,
-                     appendix_check, failed_checks, run_report, sweep_report,
+                     RunReport, appendix_check, run_report, sweep_report,
                      table_cell)
 
 DEFAULT_CELLS = [(1.75, 1.0), (1.75, 1.7), (1.8, 1.0), (2.0, 1.0), (2.0, 1.9)]
@@ -221,6 +221,7 @@ _PARSERS = {
 
 
 _HELP = {
+    "family": "one of " + ", ".join(nl_mod.FAMILIES),
     "rho_max": "end of the grid (default rho0 + grid_span: the span the "
     "decay fit needs)",
     "pairs": "alpha:beta comma list, e.g. 1e-4:1e-4,2e-4:1e-4",
@@ -230,11 +231,18 @@ _HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its subparsers share the class: a bad flag is a ConfigError, exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
     """One subparser per subcommand, each with a flag for every RunConfig
     field: of the field's type, or text when _PARSERS reads it (--p and --r
     take comma lists for tables, the cross product defining its cells)."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="singular-forge",
         description="Construct and verify singular radial solutions of "
         "-Laplace(u) = f(u) near the origin.",
@@ -250,8 +258,7 @@ def build_parser():
             else:
                 sp.add_argument(
                     _FLAGS[f.name], dest=f.name, help=_HELP.get(f.name),
-                    type=None if f.name in _PARSERS else f.type,
-                    choices=nl_mod.FAMILIES if f.name == "family" else None)
+                    type=None if f.name in _PARSERS else f.type)
     return ap
 
 
@@ -351,34 +358,31 @@ def write_profile_csv(path, prof):
             fh.write(format_rows(block, order))
 
 
-# the exit code of each verdict
-_EXIT = {OK: 0, FAILED: 2, OUT_OF_SCOPE: 3, UNVERIFIED: 4}
+# the exit code of each verdict, and the words stderr puts before a reason
+_EXIT = {OK: (0, None), FAILED: (2, "run failed"),
+         OUT_OF_SCOPE: (3, "out of regime"),
+         UNVERIFIED: (4, "verification failed")}
 
 
-def _finish(cfg, body, verdict):
-    """Write the run's JSON, config and body, if json is among the formats;
-    say on stderr why a run raised, was out of regime or could not be
-    verified; return the verdict's exit code."""
+def _finish(cfg, rep):
+    """Write the run's JSON, config and the report's body, if json is among
+    the formats; print the report's reason, if any, after the words for its
+    verdict on stderr; return the verdict's exit code."""
     if "json" in cfg.formats:
         write_json(os.path.join(cfg.out, _COMMANDS[cfg.command][1]),
-                   {"config": cfg.as_dict(), **body})
-    if "error" in body:
-        print(f"run failed: {body['error']}", file=sys.stderr)
-    elif verdict == OUT_OF_SCOPE and "classification" in body:
-        print(f"out of regime: {body['classification']['regime']['reason']}",
-              file=sys.stderr)
-    elif verdict == UNVERIFIED:
-        why = (body["fit"].get("error")
-               or ", ".join(failed_checks(body["verification"])))
-        print(f"verification failed: {why}", file=sys.stderr)
-    return _EXIT[verdict]
+                   {"config": cfg.as_dict(), **rep.body})
+    code, words = _EXIT[rep.verdict]
+    if rep.reason is not None:
+        print(f"{words}: {rep.reason}", file=sys.stderr)
+    return code
 
 
 def cmd_classify(cfg):
     cls = classify(*cfg.nonlinearities, cfg.N)
     print(json.dumps(_clean(cls.as_dict()), sort_keys=True, indent=2))
-    return _finish(cfg, {"classification": cls.as_dict()},
-                   OK if cls.in_scope else OUT_OF_SCOPE)
+    body = {"classification": cls.as_dict()}
+    return _finish(cfg, RunReport(body) if cls.in_scope else
+                   RunReport(body, OUT_OF_SCOPE, cls.regime.reason))
 
 
 def cmd_construct(cfg):
@@ -394,7 +398,7 @@ def cmd_construct(cfg):
                               rep.solved[2])
         print(json.dumps(_clean(rep.body["solver"]), sort_keys=True,
                          indent=2))
-    return _finish(cfg, rep.body, rep.verdict)
+    return _finish(cfg, rep)
 
 
 def cmd_sweep(cfg):
@@ -411,7 +415,7 @@ def cmd_sweep(cfg):
                     os.path.join(cfg.out, f"profile_{i:03d}.csv"),
                     to_radial(ctx, sol.eta, sol.deta))
         print(f"{len(result.solutions)}/{len(result.pairs)} pairs converged")
-    return _finish(cfg, rep.body, rep.verdict)
+    return _finish(cfg, rep)
 
 
 def _report_cell(cfg, i, p, r, nl):
@@ -440,13 +444,13 @@ def cmd_tables(cfg):
     # any cell solved: 0; every cell out of regime: 3; else 2
     verdict = (OK if OK in verdicts else OUT_OF_SCOPE
                if set(verdicts) == {OUT_OF_SCOPE} else FAILED)
-    return _finish(cfg, {"cells": list(reports)}, verdict)
+    return _finish(cfg, RunReport({"cells": list(reports)}, verdict))
 
 
 def cmd_appendix(cfg):
     result = appendix_check(*cfg.nonlinearities, cfg.sigmas)
     print(json.dumps(_clean(result), sort_keys=True, indent=2))
-    return _finish(cfg, {"appendix": result}, OK)
+    return _finish(cfg, RunReport({"appendix": result}))
 
 
 _CLASSIFY_READS = ("N", "family", *nl_mod.PARAMS, "out", "formats")
@@ -484,7 +488,8 @@ def run(cfg):
     try:
         return _COMMANDS[cfg.command][0](cfg)
     except SingularForgeError as exc:
-        return _finish(cfg, {"error": f"{type(exc).__name__}: {exc}"}, FAILED)
+        why = f"{type(exc).__name__}: {exc}"
+        return _finish(cfg, RunReport({"error": why}, FAILED, why))
 
 
 @functools.cache
@@ -495,9 +500,8 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args)
+        cfg = load_config(_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -290,26 +290,14 @@ OUT_OF_SCOPE, UNVERIFIED = "out_of_scope", "unverified"
 @dataclass
 class RunReport:
     """What a run found: ``body``, its JSON-ready report; ``verdict``;
+    ``reason``, the one line saying why the verdict is not OK, or None;
     ``solved``, what its profile CSVs are written from, or None; and
     ``fit``, decay_fit's result, or None."""
     body: dict
     verdict: str = OK
+    reason: str = None
     solved: tuple = None
     fit: FitResult = None
-
-
-# the note that excuses a failed rate flag: the prediction is an upper bound
-_FASTER_NOTE = "consistent with bound (faster decay than predicted)"
-
-
-def failed_checks(verification):
-    """The names of the pass flags that fail in a report's verification
-    block; the rate flag is excused when the fit decays faster than
-    predicted."""
-    excused = ("lambda_within_10pct" if _FASTER_NOTE in verification["notes"]
-               else None)
-    return [name for name, ok in verification["passes"].items()
-            if not ok and name != excused]
 
 
 def run_report(nl, cls, full_verify=False, **run):
@@ -318,11 +306,13 @@ def run_report(nl, cls, full_verify=False, **run):
     and decay_fit's rate or error.  ``full_verify`` adds the limit
     diagnostics, lipschitz_check and, with a predicted rate, the prediction
     and the verification (rate_report's flags among pass flags, each a pure
-    function of stored numbers, and notes); a failed fit or any failed
-    check (failed_checks) is then UNVERIFIED.  A failed solve raises."""
+    function of stored numbers, and notes); a failed fit or any failed pass
+    flag, but the rate flag of a fit faster than predicted, is then
+    UNVERIFIED, its reason the fit error or the failed flags' names.  Out
+    of regime, the reason is the regime's.  A failed solve raises."""
     body = {"classification": cls.as_dict()}
     if not cls.in_scope:
-        return RunReport(body, OUT_OF_SCOPE)
+        return RunReport(body, OUT_OF_SCOPE, cls.regime.reason)
     ctx, sol = run_cell(nl, cls, **run)
     prof = to_radial(ctx, sol.eta, sol.deta)
     res_radial, res_eta = ode_residual_radial(prof), ode_residual_eta(sol, ctx)
@@ -340,7 +330,7 @@ def run_report(nl, cls, full_verify=False, **run):
     except FitError as exc:
         body["fit"] = {"error": str(exc)}
         if full_verify:
-            rep.verdict = UNVERIFIED
+            rep.verdict, rep.reason = UNVERIFIED, str(exc)
     if not full_verify:
         return rep
     body["limit_diagnostics"] = limit_diagnostics(ctx)
@@ -350,24 +340,28 @@ def run_report(nl, cls, full_verify=False, **run):
         within, faster = rate.pop("within_tolerance"), rate.pop("faster")
         body["prediction"] = {"lambda": rate["lambda_pred"],
                               "power": rate["power_pred"]}
+        passes = {
+            "lambda_within_10pct": within,
+            "eta_residual_below_1e-5": bool(res_eta <= 1e-5),
+            "weighted_norm_at_most_2": bool(sol.weighted_norm_value <= 2.0),
+            "boundary_data_exact": bool(
+                sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta),
+        }
         body["verification"] = dict(
             rate,
             classification=body["classification"],
             residual_radial=res_radial,
             residual_eta=res_eta,
             case=sol.case_tag,
-            passes={
-                "lambda_within_10pct": within,
-                "eta_residual_below_1e-5": bool(res_eta <= 1e-5),
-                "weighted_norm_at_most_2": bool(
-                    sol.weighted_norm_value <= 2.0),
-                "boundary_data_exact": bool(
-                    sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta),
-            },
-            notes=[_FASTER_NOTE] if faster else [],
+            passes=passes,
+            # the prediction is an upper bound: a faster fit is consistent
+            notes=(["consistent with bound (faster decay than predicted)"]
+                   if faster else []),
         )
-        if failed_checks(body["verification"]):
-            rep.verdict = UNVERIFIED
+        failed = [name for name, ok in passes.items() if not ok
+                  and not (faster and name == "lambda_within_10pct")]
+        if failed:
+            rep.verdict, rep.reason = UNVERIFIED, ", ".join(failed)
     return rep
 
 
@@ -378,7 +372,7 @@ def sweep_report(nl, cls, pairs, tol=1e-10, max_iter=200, **grid):
     when no pair converged; solved is (ctx, SweepResult)."""
     body = {"classification": cls.as_dict()}
     if not cls.in_scope:
-        return RunReport(body, OUT_OF_SCOPE)
+        return RunReport(body, OUT_OF_SCOPE, cls.regime.reason)
     ctx = run_context(nl, cls, max(a for a, _ in pairs),
                       max(b for _, b in pairs), **grid)
     result = sweep(ctx, pairs, tol=tol, max_iter=max_iter)
@@ -414,7 +408,7 @@ def table_cell(N, p, r, nl, M=4096, tol=1e-10, max_iter=200):
         cell["error"] = f"{type(exc).__name__}: {exc}"
         return RunReport(cell, FAILED)
     if rep.verdict == OUT_OF_SCOPE:
-        cell["error"] = f"out of scope: {cls.regime.reason}"
+        cell["error"] = f"out of scope: {rep.reason}"
         return RunReport(cell, OUT_OF_SCOPE)
     if rep.fit is None:
         cell["error"] = f"FitError: {rep.body['fit']['error']}"

@@ -85,6 +85,15 @@ def test_bad_config_returns_1(capsys):
     assert "p must exceed 1" in capsys.readouterr().err
 
 
+def test_help_exits_0_and_names_the_families(capsys):
+    # --help is no refusal: the parser prints it and exits 0
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # however it wraps
+    assert "one of power, power_sum, power_log" in out
+
+
 _CONSTRUCT = ["construct", "--N", "5", "--family", "power_sum", "--p", "2",
               "--r", "1"]
 
@@ -109,21 +118,51 @@ _CONSTRUCT = ["construct", "--N", "5", "--family", "power_sum", "--p", "2",
     (None, ["--family", "power"], "r"),
     ({"alhpa": 1e-3}, [], "alhpa"),
     ({"m": 1025}, [], "m"),
+    # the parser's own refusals; the third is from_spec's
+    (None, ["--M", "abc"], "argument --M"),
+    (None, ["--bogus", "1"], "unrecognized arguments"),
+    (None, ["--family", "nope"], "family"),
+    (None, ["--p"], "argument --p"),
+    (None, ["--N", "2"], "N"),
+    (None, ["--tol", "0"], "tol"),
+    (None, ["--alpha", "-1"], "alpha/beta"),
+    (None, ["--rho-max", "2"], "rho_max"),
+    (None, ["--pairs=-1:1"], "pairs"),
+    (None, ["--pairs", "1:2:3"], "pairs"),
+    (None, ["--p", "2,3"], "p"),
+    (None, ["--sigmas", "a"], "sigmas"),
+    ({"family": 3}, [], "family"),
+    ({"out": 3}, [], "out"),
+    (None, ["--config", "no_such_dir/cfg.json"], "config"),
+    ("{not json", [], "config"),
 ], ids=["file_M_str", "file_alpha_nan", "file_pairs_short", "file_cells_str",
         "file_sigmas_inf", "file_formats_str", "file_auto_rho0_int",
         "alpha_nan", "rho0_inf", "rho_max_nan", "tol_nan", "max_iter_0",
         "max_iter_neg", "format_xml", "pairs_nan", "file_list",
-        "power_reads_no_r", "file_misspelt_key", "file_lower_case_M"])
-def test_bad_input_exits_1_with_config_error(tmp_path, capsys, config,
-                                             flags, field):
+        "power_reads_no_r", "file_misspelt_key", "file_lower_case_M",
+        "M_not_int", "unknown_flag", "unknown_family", "p_no_value", "N_2",
+        "tol_0", "alpha_neg", "rho_max_below_rho0", "pairs_neg",
+        "pairs_triple", "p_list", "sigmas_str", "file_family_int",
+        "file_out_int", "config_missing", "config_not_json"])
+def test_bad_input_exits_1_with_config_error(tmp_path, capsys, monkeypatch,
+                                             config, flags, field):
     # unchecked, each of these crashes with a traceback, ends as a
     # "convergence failure" (exit 2) or exits 0 having written nothing, or
-    # (a config key that names no setting) is dropped without a word
+    # (a config key that names no setting) is dropped without a word, or
+    # (the parser's own refusals) exits 2 with argparse's usage text
+    monkeypatch.chdir(tmp_path)  # where the default out would be
     argv = _CONSTRUCT + flags + ["--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        # a string is the file's text as it stands
+        path.write_text(config if isinstance(config, str)
+                        else json.dumps(config))
         argv += ["--config", str(path)]
+        # a flag would win over the file's value: leave the flag out
+        for key in config if isinstance(config, dict) else ():
+            if cli._FLAGS.get(key) in argv:
+                i = argv.index(cli._FLAGS[key])
+                del argv[i:i + 2]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:"), err
@@ -354,55 +393,69 @@ _TABLE = {"config", "cells"}
 _FAILED = {"config", "error"}
 
 
-# argv without --out, the exit code, and the files written: each JSON with
-# its top-level keys, each CSV with None; None when nothing is written, a
-# configuration refused before the run
-@pytest.mark.parametrize("argv,code,written", [
+# argv without --out, the exit code, the files written: each JSON with its
+# top-level keys, each CSV with None; None when nothing is written, a
+# configuration refused before the run; and stderr, exactly
+@pytest.mark.parametrize("argv,code,written,err", [
     (["classify", "--N", "5", "--family", "power", "--p", "2"], 0,
-     {"summary.json": _CLASSIFIED}),
+     {"summary.json": _CLASSIFIED}, ""),
     (["classify", "--N", "5", "--family", "power", "--p", "3"], 3,
-     {"summary.json": _CLASSIFIED}),
+     {"summary.json": _CLASSIFIED}, "out of regime: Supercritical\n"),
     (["construct", "--N", "5", "--family", "power", "--p", "2.4"], 3,
-     {"summary.json": _CLASSIFIED}),
+     {"summary.json": _CLASSIFIED}, "out of regime: Supercritical\n"),
     (["verify", "--N", "5", "--family", "power", "--p", "2.4"], 3,
-     {"summary.json": _CLASSIFIED}),
+     {"summary.json": _CLASSIFIED}, "out of regime: Supercritical\n"),
     # a grid ending at rho0 + 40 leaves only six envelope maxima: no
     # prediction or verification beside the fit error
     (["verify", "--N", "5", "--family", "power_sum", "--p", "2", "--r", "1",
       "--M", "1025", "--rho-max", "43"], 4,
      {"profile.csv": None,
-      "summary.json": {*_SOLVED, "limit_diagnostics", "lipschitz"}}),
+      "summary.json": {*_SOLVED, "limit_diagnostics", "lipschitz"}},
+     "verification failed: only 6 envelope maxima in the fit window\n"),
     # absurd boundary data: no contracting rho0 exists
     (["construct", "--N", "5", "--family", "power_sum", "--p", "2", "--r",
       "1", "--alpha", "5", "--beta", "5", "--M", "129"], 2,
-     {"summary.json": _FAILED}),
+     {"summary.json": _FAILED},
+     "run failed: NoContractionError: no contracting rho0 in probe window "
+     "starting at 3.0 (last: iterate left the nonlinearity domain: iterate "
+     "leaves domain at node 86: phi(1+eta) <= s_min)\n"),
     # near p_S = 5 sigma underflows to 0 before the default grid's far end
     (["verify", "--N", "3", "--family", "power_sum", "--p", "4.95", "--r",
-      "1"], 2, {"summary.json": _FAILED}),
+      "1"], 2, {"summary.json": _FAILED},
+     "run failed: GridError: sigma = e^(-2 rho)/b underflows to 0 from "
+     "rho = 373.0170940170985 on; the grid runs to "
+     "rho_max = 2215.000000000027\n"),
     (["sweep", "--N", "5", "--family", "power_sum", "--p", "3", "--r", "1"],
-     3, {"sweep.json": _CLASSIFIED}),
+     3, {"sweep.json": _CLASSIFIED}, "out of regime: Supercritical\n"),
     (["sweep", "--N", "5", "--family", "power_sum", "--p", "2", "--r", "1",
-      "--pairs", "5:5", "--M", "129"], 2, {"sweep.json": _FAILED}),
+      "--pairs", "5:5", "--M", "129"], 2, {"sweep.json": _FAILED},
+     "run failed: NoContractionError: no contracting rho0 in probe window "
+     "starting at 3.0 (last: iterate left the nonlinearity domain: iterate "
+     "leaves domain at node 86: phi(1+eta) <= s_min)\n"),
     (["tables", "--N", "5", "--p", "3", "--r", "1", "--M", "257"], 3,
-     {"tables.json": _TABLE}),
+     {"tables.json": _TABLE}, ""),
     (["tables", "--N", "5", "--cells", "2:1", "--M", "513", "--max-iter",
-      "1"], 2, {"tables.json": _TABLE}),
+      "1"], 2, {"tables.json": _TABLE}, ""),
     (["tables", "--N", "5", "--cells", "3:1,2:1", "--M", "513"], 0,
-     {"tables.json": _TABLE, "cell_01_profile.csv": None}),
-    (["appendix", "--family", "power", "--p", "2"], 1, None),
+     {"tables.json": _TABLE, "cell_01_profile.csv": None}, ""),
+    (["appendix", "--family", "power", "--p", "2"], 1, None,
+     "config error: family: appendix check needs family power_sum\n"),
     (["appendix", "--family", "power_sum", "--p", "2", "--r", "0.5",
-      "--sigmas", "1e3"], 1, None),
+      "--sigmas", "1e3"], 1, None,
+     "config error: sigmas: power_sum: sigma must lie in "
+     "(0, F_sup = 2.4183991523122903)\n"),
 ], ids=["classify", "classify_out_of_regime", "construct_out_of_regime",
         "verify_out_of_regime", "verify_fit_fails", "construct_no_rho0",
         "verify_domain_error", "sweep_out_of_regime", "sweep_no_rho0",
         "tables_out_of_regime", "tables_max_iter_1",
         "tables_one_cell_out_of_regime", "appendix_not_power_sum",
         "appendix_sigma_above_F_sup"])
-def test_exit_codes_and_written_files(tmp_path, capsys, argv, code, written):
+def test_exit_codes_and_written_files(tmp_path, capsys, argv, code, written,
+                                      err):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
     if written is None:
-        assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
         return
     assert {p.name for p in out.iterdir()} == set(written)

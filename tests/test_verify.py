@@ -29,7 +29,8 @@ from singular_forge import (
 )
 from singular_forge.cli import DEFAULT_CELLS, _clean, main
 from singular_forge.solver import RemainderSolution, select_rho0, sweep
-from singular_forge.verify import FAILED, OK, OUT_OF_SCOPE, sweep_report
+from singular_forge.verify import (FAILED, OK, OUT_OF_SCOPE, UNVERIFIED,
+                                   run_report, sweep_report)
 
 
 def _fit_synthetic(cls, rho0, span, M, eta_fn, deta_fn):
@@ -361,6 +362,38 @@ def test_sweep_report_with_every_pair_failing_is_failed():
     assert rep.body["max_converged_alpha_plus_beta"] == 0.0
     ctx, result = rep.solved
     assert ctx.grid.M == 129 and result.pairs == pairs
+
+
+@pytest.mark.parametrize("nl, N, run, verdict, reason", [
+    (PowerSum(3.0, 1.0), 5, {}, OUT_OF_SCOPE, "Supercritical"),
+    # the CLI's boundary data on a grid ending at rho0 + 40: only six
+    # envelope maxima
+    (PowerSum(2.0, 1.0), 5,
+     {"alpha": 1e-3, "beta": 1e-3, "M": 1025, "rho_max": 43.0}, UNVERIFIED,
+     "only 6 envelope maxima in the fit window"),
+    # the fit, 0.292, is more than 10% below the predicted 1/3
+    (PowerSum(2.5, 1.0), 4, {}, UNVERIFIED, "lambda_within_10pct"),
+    # faster than predicted: the rate flag alone fails, and is excused
+    (PowerSum(2.0, 1.75), 5, {}, OK, None),
+    (PowerSum(2.0, 1.0), 5, {"M": 1025}, OK, None),
+], ids=["out_of_regime", "fit_error", "rate_flag", "rate_flag_excused",
+        "ok"])
+def test_run_report_says_why_its_verdict_is_not_ok(nl, N, run, verdict,
+                                                   reason):
+    rep = run_report(nl, classify(nl, N), full_verify=True, **run)
+    assert (rep.verdict, rep.reason) == (verdict, reason)
+
+
+def test_sweep_report_reason_is_the_regime_s_alone():
+    # out of regime, the regime's reason; no pair solved is FAILED, and
+    # the failures are in the body
+    nl = PowerSum(3.0, 1.0)
+    assert sweep_report(nl, classify(nl, 5), [(1e-4, 1e-4)]).reason == (
+        "Supercritical")
+    nl = PowerSum(2.0, 1.0)
+    rep = sweep_report(nl, classify(nl, 5), [(1e-4, 1e-4)], max_iter=1,
+                       M=129, rho_max=16.0)
+    assert (rep.verdict, rep.reason) == (FAILED, None)
 
 
 def test_sweep_report_is_the_readme_sweep_json(tmp_path, capsys):
