@@ -394,14 +394,17 @@ class PowerExpLog(Nonlinearity):
         )
 
     def f2(self, s):
+        # s^(p-2) e^(t^r) ((p + g)(p - 1 + g) + (r - 1) g/t), t = log s and
+        # g = r t^(r-1) = r t^r/t: one log, two powers and one exp per point
         s = np.asarray(s, float)
         p, r = self.p, self.r
         t = np.log(s)
-        rt = r * t ** (r - 1.0)
+        tr = t ** r
+        g = r * tr / t
         return (
             s ** (p - 2.0)
-            * np.exp(t ** r)
-            * ((p + rt) * (p - 1.0 + rt) + r * (r - 1.0) * t ** (r - 2.0))
+            * np.exp(tr)
+            * ((p + g) * (p - 1.0 + g) + (r - 1.0) * g / t)
         )
 
     def _psi(self, x):
@@ -411,7 +414,7 @@ class PowerExpLog(Nonlinearity):
 
     def F(self, s):
         s = np.asarray(s, dtype=float)
-        J = tail_integrals(s, np.ones_like, self._psi, self.s_min)
+        J = tail_integrals(s, None, self._psi, self.s_min)
         return np.exp(-self._psi(np.log(s))) * J
 
 

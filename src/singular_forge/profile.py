@@ -83,8 +83,9 @@ from .kernels import convolve_Q_cumulative, kernel_set, super_kernel
 
 
 def _rule(points, nodes, weights):
-    """((nodes, weights folded with (1-t), weights), largest zeta > 0,
-    largest -zeta < 0) of a remainder rule and the zeta it serves.
+    """((nodes, [w], [w, wd]), largest zeta > 0, largest -zeta < 0) of a
+    remainder rule and the zeta it serves: w the weights folded with (1-t),
+    wd the weights, stacked once for N and for (N, N').
 
     The singularity at t = -1/zeta lies at x = |1 + 2/zeta| in u = 2t - 1,
     and the n-point error falls like rho^-2n, rho = x + sqrt(x^2 - 1)
@@ -92,8 +93,9 @@ def _rule(points, nodes, weights):
     """
     rho = 2.0 ** (30.0 / points)
     x = 0.5 * (rho + 1.0 / rho)
-    return ((nodes, weights * (1.0 - nodes), weights),
-            2.0 / (x - 1.0), 2.0 / (x + 1.0))
+    stack = np.stack((weights * (1.0 - nodes), weights))
+    stack.flags.writeable = False  # shared by every call, and [w] is a view
+    return ((nodes, stack[:1], stack), 2.0 / (x - 1.0), 2.0 / (x + 1.0))
 
 
 # fewest points first; the 16-point rule also takes any zeta beyond its own
@@ -376,9 +378,9 @@ def check_domain(ctx, nodes, eta):
 
 
 def _gauss_rule(ctx, phi, eta):
-    """(nodes, folded weights, weights) of the rule of _RULES with the
-    fewest points that serves every (phi, eta) pair; a pure function of
-    phi, eta and s_min."""
+    """(nodes, [w], [w, wd]) of the rule of _RULES with the fewest points
+    that serves every (phi, eta) pair; a pure function of phi, eta and
+    s_min."""
     zeta = eta * phi / (phi - ctx.nl.s_min)
     up, down = np.max(zeta, initial=0.0), -np.min(zeta, initial=0.0)
     for rule, up_cut, down_cut in _RULES:
@@ -417,9 +419,9 @@ def _gauss_remainder(ctx, nodes, eta, derivative):
     phi_b, eta_b = np.broadcast_arrays(phi, eta)
     shape = phi_b.shape
     phi_b, eta_b = phi_b.reshape(-1), eta_b.reshape(-1)
-    gauss_t, gauss_w, gauss_wd = _gauss_rule(ctx, phi_b, eta_b)
+    gauss_t, value_w, both_w = _gauss_rule(ctx, phi_b, eta_b)
     group = max(1, _GROUP_POINTS // max(phi_b.size, 1))
-    weights = np.stack((gauss_w, gauss_wd) if derivative else (gauss_w,))
+    weights = both_w if derivative else value_w
     # (weight sets, Gauss nodes, points)
     terms = np.empty((len(weights), len(gauss_t), phi_b.size))
     for start in range(0, len(gauss_t), group):

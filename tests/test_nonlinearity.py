@@ -1,4 +1,5 @@
 import functools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -115,6 +116,39 @@ def test_derivatives_match_finite_differences(nl):
         fd2 = (nl.f(s + h) - 2 * nl.f(s) + nl.f(s - h)) / (h * h)
         assert_allclose(nl.f1(s), fd1, rtol=1e-8)
         assert_allclose(nl.f2(s), fd2, rtol=1e-4)
+
+
+# largest |f''(s) - ref| / max(|ref|, f(s)/s^2) measured at the points of
+# the test below; each bound is that value times _F2_MARGIN.  The scale
+# f(s)/s^2 holds the error relative where f'' crosses zero
+# (power_exp_log 2,.5 does at log s = 0.085)
+_F2_MARGIN = 1.2
+F2_ORACLE_MEASURED = [
+    (PowerExpLog(2.0, 0.5), 2.438e-15),
+    (PowerExpLog(1.75, 0.3), 7.976e-16),
+    (PowerLog(2.0, 1.0), 2.757e-16),
+    (PowerLog(2.0, -1.0), 7.336e-16),
+    (PowerSumLog(2.0, 1.0, 1.0), 1.183e-16),
+]
+
+
+@pytest.mark.parametrize("nl,measured", F2_ORACLE_MEASURED, ids=[
+    "power_exp_log_2_0.5", "power_exp_log_1.75_0.3", "power_log_2_1",
+    "power_log_2_-1", "power_sum_log_2_1_1"])
+def test_f2_against_40_digit_reference(nl, measured):
+    # 200 points, log s - log s_min geometric from 1e-6 to 110 - log s_min;
+    # the reference differentiates the 40-digit f' in log s
+    x0 = math.log(nl.s_min)
+    s = np.exp(x0 + np.geomspace(1e-6, 110.0 - x0, 200))
+    assert np.all(s > nl.s_min)
+    with mp.workdps(40):
+        f, f1, _ = _mp_family(nl)
+        us = [mp.mpf(v) for v in s]
+        ref = [mp.diff(lambda y: f1(u * mp.exp(y)), 0) / u for u in us]
+        scale = [max(abs(r), f(u) / u ** 2) for r, u in zip(ref, us)]
+        err = max(float(abs(mp.mpf(float(g)) - r) / c)
+                  for g, r, c in zip(nl.f2(s), ref, scale))
+    assert err <= measured * _F2_MARGIN
 
 
 def test_domain_error_below_smin():

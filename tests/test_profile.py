@@ -288,7 +288,7 @@ def _per_node_remainder(ctx, nodes, eta, derivative=False):
     # node order; with derivative the wd rows too, in the same order
     eta = np.asarray(eta, dtype=float)
     phi = ctx.phi[nodes]
-    gauss_t, gauss_w, gauss_wd = _gauss_rule(
+    gauss_t, _, (gauss_w, gauss_wd) = _gauss_rule(
         ctx, *np.broadcast_arrays(phi, eta))
     acc = dacc = 0.0
     for t, w, wd in zip(gauss_t, gauss_w, gauss_wd):

@@ -17,7 +17,7 @@ from singular_forge import (
     build_context,
     classify,
 )
-from singular_forge._special import tail_integrals
+from singular_forge._special import _PANEL_WIDTH, _panel_edges, tail_integrals
 
 
 def _mp_tail(integrand, a):
@@ -151,6 +151,52 @@ def test_helper_closes_a_slow_tail_by_doubling():
     s = np.array([0.5, 3.0, 1e10])
     out = tail_integrals(s, lambda y: np.exp(-0.2 * y), None, 0.0)
     assert_allclose(out, 5.0 * s ** -0.2, rtol=1e-14, atol=0.0)
+
+
+def test_helper_reads_no_weight_as_one():
+    s = np.geomspace(1.5, 1e8, 50)
+    psi = PowerExpLog(2.0, 0.5)._psi
+    assert np.array_equal(tail_integrals(s, None, psi, 1.0),
+                          tail_integrals(s, np.ones_like, psi, 1.0))
+
+
+def _check_panel_edges(x, x_min):
+    """_panel_edges(x, x_min) holds every point, ascends, and has pieces at
+    most _PANEL_WIDTH wide whose distances to x_min grow by at most 2 (the
+    ulp allowances are the rounding of the cuts)."""
+    edges = _panel_edges(x, x_min)
+    assert np.all(np.isin(x, edges))
+    assert edges[0] == x[0] and edges[-1] == x[-1]
+    assert np.all(np.diff(edges) > 0.0)
+    assert np.all(np.diff(edges) <= _PANEL_WIDTH * (1.0 + 1e-15))
+    d = edges - x_min
+    assert np.all(d[1:] / d[:-1] <= 2.0 * (1.0 + 1e-15))
+    return edges
+
+
+def test_panel_edges_on_a_grid_that_needs_no_graded_cut():
+    # power_exp_log's grid in log u (x_min = 0) with tail_integrals' first
+    # sentinel above it: each gap's distance ratio is at most 2, so the
+    # edges are the width cuts alone, those of an ungraded batch
+    nl = PowerExpLog(2.0, 0.5)
+    ctx = build_context(nl, classify(nl, 5), 3.0, 58.0, 192)
+    x = np.log(ctx.phi)
+    x = np.append(x, x[-1] + 64.0)
+    assert np.all(x[1:] / x[:-1] <= 2.0)
+    edges = _check_panel_edges(x, 0.0)
+    assert np.array_equal(edges, _panel_edges(x, -math.inf))
+
+
+def test_panel_edges_grade_points_crowded_near_s_min():
+    # nine gaps of distance ratio 10 near x_min = log 2 take four graded
+    # pieces each; above distance 1 the gaps of ratio 2.5 and 3.6 take two
+    # each, and the two pieces above distance 2.5 take 2 and 4 width cuts
+    x_min = math.log(2.0)
+    x = x_min + np.concatenate([np.geomspace(1e-9, 1.0, 10), [2.5, 9.0]])
+    edges = _check_panel_edges(x, x_min)
+    assert_allclose(edges[:37], x_min + np.geomspace(1e-9, 1.0, 37),
+                    rtol=0.0, atol=4e-16)
+    assert edges.size == 37 + 4 + 2 + 4
 
 
 def test_helper_raises_on_a_tail_that_never_closes():
