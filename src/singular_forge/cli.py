@@ -6,7 +6,7 @@ Subcommands: classify, construct, verify, sweep, tables, appendix.  Exit
 codes: 0 success, 1 a configuration refused before the run, nothing written,
 2 the run failed (its JSON says why), 3 out of regime (for ``tables``, every
 cell), 4 verification failed (``verify`` could not fit the decay rate, or a
-pass flag failed; summary.json is written all the same).  All file output is
+check failed; summary.json is written all the same).  All file output is
 deterministic: identical inputs give byte-identical CSV/JSON (17
 significant digits, LF endings, sorted keys), and every JSON embeds the
 resolved fields its subcommand reads (``_READS``), so it can be re-fed via

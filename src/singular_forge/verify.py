@@ -215,7 +215,7 @@ def predicted_decay(nl, cls):
 
 def rate_report(nl, cls, fit):
     """The fitted decay rate against predicted_decay(nl, cls), as the fields
-    a tables cell and summary.json's verification block share; None when
+    of a tables cell and the flags of run_report's rate check; None when
     the family has no prediction.  Beside the fit, the prediction and both
     r* candidates it holds two flags for the caller to word:
     "within_tolerance", the fit is within 10% of the prediction, and
@@ -287,10 +287,16 @@ OK, FAILED = "ok", "failed"
 OUT_OF_SCOPE, UNVERIFIED = "out_of_scope", "unverified"
 
 
+# one row of a run's verification; the rate row also carries its excuse
+def _check(name, bound, ok, **excuse):
+    return {"name": name, "bound": bound, "ok": bool(ok), **excuse}
+
+
 @dataclass
 class RunReport:
     """What a run found: ``body``, its JSON-ready report; ``verdict``;
-    ``reason``, the one line saying why the verdict is not OK, or None;
+    ``reason``, the one line saying why the verdict is not OK (verified,
+    the fit error or the failed checks of the body's list), or None;
     ``solved``, what its profile CSVs are written from, or None; and
     ``fit``, decay_fit's result, or None."""
     body: dict
@@ -304,12 +310,11 @@ def run_report(nl, cls, full_verify=False, **run):
     """The report of run_cell(nl, cls, **run): out of regime, the
     classification alone; else also the grid, the solve, both residuals
     and decay_fit's rate or error.  ``full_verify`` adds the limit
-    diagnostics, lipschitz_check and, with a predicted rate, the prediction
-    and the verification (rate_report's flags among pass flags, each a pure
-    function of stored numbers, and notes); a failed fit or any failed pass
-    flag, but the rate flag of a fit faster than predicted, is then
-    UNVERIFIED, its reason the fit error or the failed flags' names.  Out
-    of regime, the reason is the regime's.  A failed solve raises."""
+    diagnostics, lipschitz_check, the prediction where the family has one
+    and the verification, one list of checks for every family; a failed
+    fit, or else a failed check without an excuse, is then UNVERIFIED,
+    its reason the fit error or the failed checks' names.  Out of regime,
+    the reason is the regime's.  A failed solve raises."""
     body = {"classification": cls.as_dict()}
     if not cls.in_scope:
         return RunReport(body, OUT_OF_SCOPE, cls.regime.reason)
@@ -335,33 +340,27 @@ def run_report(nl, cls, full_verify=False, **run):
         return rep
     body["limit_diagnostics"] = limit_diagnostics(ctx)
     body["lipschitz"] = lipschitz_check(ctx, samples=2000)
-    rate = rep.fit and rate_report(nl, cls, rep.fit)
-    if rate:
-        within, faster = rate.pop("within_tolerance"), rate.pop("faster")
-        body["prediction"] = {"lambda": rate["lambda_pred"],
-                              "power": rate["power_pred"]}
-        passes = {
-            "lambda_within_10pct": within,
-            "eta_residual_below_1e-5": bool(res_eta <= 1e-5),
-            "weighted_norm_at_most_2": bool(sol.weighted_norm_value <= 2.0),
-            "boundary_data_exact": bool(
-                sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta),
-        }
-        body["verification"] = dict(
-            rate,
-            classification=body["classification"],
-            residual_radial=res_radial,
-            residual_eta=res_eta,
-            case=sol.case_tag,
-            passes=passes,
+    checks = []
+    pred = predicted_decay(nl, cls)
+    if pred:
+        body["prediction"] = {"lambda": pred[0], "power": pred[1]}
+        if rep.fit:
+            rate = rate_report(nl, cls, rep.fit)
             # the prediction is an upper bound: a faster fit is consistent
-            notes=(["consistent with bound (faster decay than predicted)"]
-                   if faster else []),
-        )
-        failed = [name for name, ok in passes.items() if not ok
-                  and not (faster and name == "lambda_within_10pct")]
-        if failed:
-            rep.verdict, rep.reason = UNVERIFIED, ", ".join(failed)
+            checks.append(_check(
+                "lambda_within_10pct", _RATE_TOLERANCE,
+                rate["within_tolerance"], excuse=(
+                    "consistent with bound (faster decay than predicted)"
+                    if rate["faster"] else None)))
+        checks.append(_check("eta_residual_below_1e-5", 1e-5, res_eta <= 1e-5))
+    checks += [
+        _check("weighted_norm_at_most_2", 2.0, sol.weighted_norm_value <= 2.0),
+        _check("boundary_data_exact", 0.0,
+               sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta)]
+    body["verification"] = checks
+    failed = [c["name"] for c in checks if not (c["ok"] or c.get("excuse"))]
+    if failed and rep.verdict == OK:
+        rep.verdict, rep.reason = UNVERIFIED, ", ".join(failed)
     return rep
 
 

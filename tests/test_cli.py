@@ -405,12 +405,14 @@ _FAILED = {"config", "error"}
      {"summary.json": _CLASSIFIED}, "out of regime: Supercritical\n"),
     (["verify", "--N", "5", "--family", "power", "--p", "2.4"], 3,
      {"summary.json": _CLASSIFIED}, "out of regime: Supercritical\n"),
-    # a grid ending at rho0 + 40 leaves only six envelope maxima: no
-    # prediction or verification beside the fit error
+    # a grid ending at rho0 + 40 leaves only six envelope maxima: the fit
+    # error is the reason, beside the prediction and the checks without a
+    # fitted rate
     (["verify", "--N", "5", "--family", "power_sum", "--p", "2", "--r", "1",
       "--M", "1025", "--rho-max", "43"], 4,
      {"profile.csv": None,
-      "summary.json": {*_SOLVED, "limit_diagnostics", "lipschitz"}},
+      "summary.json": {*_SOLVED, "limit_diagnostics", "lipschitz",
+                       "prediction", "verification"}},
      "verification failed: only 6 envelope maxima in the fit window\n"),
     # absurd boundary data: no contracting rho0 exists
     (["construct", "--N", "5", "--family", "power_sum", "--p", "2", "--r",
@@ -723,6 +725,15 @@ def test_an_omitted_list_is_recorded_as_its_default(tmp_path, capsys, argv,
         assert len(data["solutions"]) == len(DEFAULT_PAIRS)
 
 
+# each check's name and its stated bound
+BOUNDS = {"lambda_within_10pct": 0.1, "eta_residual_below_1e-5": 1e-5,
+          "weighted_norm_at_most_2": 2.0, "boundary_data_exact": 0.0}
+
+
+def _outcomes(rows):
+    return {row["name"]: row["ok"] for row in rows}
+
+
 def test_verify_subcommand_full_report(tmp_path):
     code = main(["verify", "--N", "5", "--family", "power_sum", "--p", "2",
                  "--r", "1", "--M", "1025", "--out", str(tmp_path)])
@@ -731,27 +742,22 @@ def test_verify_subcommand_full_report(tmp_path):
     assert "limit_diagnostics" in data and "lipschitz" in data
     assert data["prediction"]["lambda"] == pytest.approx(0.5)
     assert data["residuals"]["radial_max_relative"] < 1e-3
-    rep = data["verification"]
-    assert rep["passes"]["boundary_data_exact"]
-    assert rep["passes"]["weighted_norm_at_most_2"]
-    assert abs(rep["r_star"] - 1.75) < 1e-12
+    assert abs(data["classification"]["r_star"] - 1.75) < 1e-12
     # the report's shape: sorted keys would hide a dropped one
     assert set(data["prediction"]) == {"lambda", "power"}
-    assert set(rep) == {
-        "classification", "residual_radial", "residual_eta", "lambda_fit",
-        "lambda_stderr", "power_fit", "power_stderr", "lambda_pred",
-        "power_pred", "case", "r_star", "r_star_literal", "passes", "notes",
-    }
-    assert set(rep["passes"]) == {
-        "lambda_within_10pct", "eta_residual_below_1e-5",
-        "weighted_norm_at_most_2", "boundary_data_exact",
-    }
-    assert rep["notes"] == []
-    assert rep["classification"] == data["classification"]
+    rows = data["verification"]
+    assert [row["name"] for row in rows] == list(BOUNDS)
+    assert _outcomes(rows) == dict.fromkeys(BOUNDS, True)
+    assert rows[0] == {"name": "lambda_within_10pct", "bound": 0.1,
+                       "ok": True, "excuse": None}
+    for row in rows[1:]:
+        assert row == {"name": row["name"], "bound": BOUNDS[row["name"]],
+                       "ok": True}
 
 
 def test_verify_without_a_predicted_rate_writes_no_rate_report(tmp_path):
-    # power_exp_log has no predicted decay rate: the fit is reported alone
+    # power_exp_log has no predicted decay rate: the fit is reported alone,
+    # and the checks are the two every family has
     code = main(["verify", "--N", "5", "--family", "power_exp_log", "--p",
                  "2", "--r", "0.5", "--M", "192", "--no-auto-rho0",
                  "--out", str(tmp_path)])
@@ -759,29 +765,29 @@ def test_verify_without_a_predicted_rate_writes_no_rate_report(tmp_path):
     data = json.loads((tmp_path / "summary.json").read_text())
     assert "error" not in data["fit"]
     assert "limit_diagnostics" in data and "lipschitz" in data
-    assert "prediction" not in data and "verification" not in data
+    assert "prediction" not in data
+    assert data["verification"] == [
+        {"name": "weighted_norm_at_most_2", "bound": 2.0, "ok": True},
+        {"name": "boundary_data_exact", "bound": 0.0, "ok": True}]
 
 
 def test_verify_notes_a_fit_faster_than_predicted(tmp_path, capsys):
     # r = r* = 1.75: the fit decays faster than the prediction, an upper
-    # bound, so the rate check fails and the report says why; the note
-    # excuses it, but on 2049 nodes the eta residual fails too: exit 4
+    # bound, so the rate check fails and its row says why; the excuse
+    # holds, but on 2049 nodes the eta residual fails too: exit 4
     code = main(["verify", "--N", "5", "--family", "power_sum", "--p", "2",
                  "--r", "1.75", "--M", "2049", "--format", "json",
                  "--out", str(tmp_path)])
     assert code == 4
-    rep = json.loads((tmp_path / "summary.json").read_text())["verification"]
-    assert rep["lambda_fit"] > 1.1 * rep["lambda_pred"]
-    assert not rep["passes"]["lambda_within_10pct"]
-    assert rep["notes"] == [
-        "consistent with bound (faster decay than predicted)"]
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["fit"]["lambda"] > 1.1 * data["prediction"]["lambda"]
+    rate = data["verification"][0]
+    assert rate == {"name": "lambda_within_10pct", "bound": 0.1, "ok": False,
+                    "excuse": "consistent with bound (faster decay than "
+                              "predicted)"}
     err = capsys.readouterr().err
     assert "eta_residual_below_1e-5" in err
     assert "lambda_within_10pct" not in err
-
-
-PASS_FLAGS = ("lambda_within_10pct", "eta_residual_below_1e-5",
-              "weighted_norm_at_most_2", "boundary_data_exact")
 
 
 @pytest.mark.parametrize("N, p, r, extra, fails, named", [
@@ -792,7 +798,7 @@ PASS_FLAGS = ("lambda_within_10pct", "eta_residual_below_1e-5",
      ["eta_residual_below_1e-5"]),
     (3, 3.05, 1.0, [], {"eta_residual_below_1e-5"},
      ["eta_residual_below_1e-5"]),
-    # faster than predicted, which excuses the rate flag alone: residual
+    # faster than predicted, which excuses the rate check alone: residual
     # 3.6e-5 on 2049 nodes, 9.1e-6 on the default 4096
     (5, 2.0, 1.75, ["--M", "2049"],
      {"lambda_within_10pct", "eta_residual_below_1e-5"},
@@ -805,19 +811,65 @@ PASS_FLAGS = ("lambda_within_10pct", "eta_residual_below_1e-5",
 ])
 def test_verify_exits_4_on_a_failed_check(tmp_path, capsys, N, p, r, extra,
                                           fails, named):
-    # every pass flag counts but the excused rate flag; the JSON is the
-    # same whatever the exit code
+    # every check counts but the excused rate check; the JSON is the same
+    # whatever the exit code
     code = main(["verify", "--N", str(N), "--family", "power_sum", "--p",
                  str(p), "--r", str(r), *extra, "--format", "json",
                  "--out", str(tmp_path)])
-    rep = json.loads((tmp_path / "summary.json").read_text())["verification"]
-    assert rep["passes"] == {flag: flag not in fails for flag in PASS_FLAGS}
+    rows = json.loads((tmp_path / "summary.json").read_text())["verification"]
+    assert _outcomes(rows) == {name: name not in fails for name in BOUNDS}
     err = capsys.readouterr().err
     if named:
         assert code == 4
         assert err == f"verification failed: {', '.join(named)}\n"
     else:
         assert code == 0 and err == ""
+
+
+def _leaves(node, key=None):
+    """(key, value) of every leaf of a JSON value, a list's items under
+    the list's key."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaves(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _leaves(v, key)
+    else:
+        yield key, node
+
+
+# the quad_verify benchmark's invocation at seed 1, without --out
+QUAD_VERIFY_ARGV = [
+    "verify", "--N", "5", "--family", "power_exp_log", "--p", "2", "--r",
+    "0.5", "--M", "192", "--no-auto-rho0", "--alpha",
+    "0.00042012443052897615", "--beta", "0.00039494106589712326"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (None, list(BOUNDS)),
+    (QUAD_VERIFY_ARGV, ["weighted_norm_at_most_2", "boundary_data_exact"]),
+], ids=["readme_verify", "quad_verify"])
+def test_verification_holds_the_checks_and_no_copied_field(tmp_path, argv,
+                                                           names):
+    # README's verify line or the quad_verify argv: each row is a check's
+    # name, its stated bound, its outcome and, for the rate, its excuse;
+    # no field repeats one summary.json records elsewhere, under the same
+    # key or, for a number, under any key
+    argv = argv or _readme_argv("verify")
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "summary.json").read_text())
+    rows = data.pop("verification")
+    assert [row["name"] for row in rows] == names
+    recorded = set(_leaves(data))
+    numbers = {v for _, v in recorded if isinstance(v, float)}
+    for row in rows:
+        assert set(row) <= {"name", "bound", "ok", "excuse"}
+        assert row["bound"] == BOUNDS[row["name"]]
+        for key, value in _leaves(row):
+            assert (key, value) not in recorded, (row["name"], key)
+            if isinstance(value, float) and key != "bound":
+                assert value not in numbers, (row["name"], key)
 
 
 def test_verify_fit_failure_exits_4(tmp_path):
@@ -844,19 +896,24 @@ def test_verify_default_grid_fits_half(tmp_path, family):
     assert abs(data["fit"]["lambda"] - 0.5) <= 0.05
 
 
-def test_readme_construct_example_fits_half(tmp_path):
-    # run the README's construct line as written, output redirected
+def _readme_argv(subcommand):
+    """The argv of README's line for the subcommand, without --out."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text().splitlines()
     i = next(i for i, line in enumerate(lines)
-             if line.startswith("singular-forge construct "))
+             if line.startswith(f"singular-forge {subcommand} "))
     text = lines[i]
     while text.endswith("\\"):
         i += 1
         text = text[:-1] + lines[i]
     argv = shlex.split(text)[1:]
-    argv[argv.index("--out") + 1] = str(tmp_path)
-    assert main(argv) == 0
+    out = argv.index("--out")
+    return argv[:out] + argv[out + 2:]
+
+
+def test_readme_construct_example_fits_half(tmp_path):
+    # run the README's construct line as written, output redirected
+    assert main([*_readme_argv("construct"), "--out", str(tmp_path)]) == 0
     fit = json.loads((tmp_path / "summary.json").read_text())["fit"]
     assert "error" not in fit
     assert abs(fit["lambda"] - 0.5) <= 0.05

@@ -27,6 +27,7 @@ from singular_forge import (
     table_cell,
     to_radial,
 )
+from singular_forge import solver
 from singular_forge.cli import DEFAULT_CELLS, _clean, main
 from singular_forge.solver import RemainderSolution, select_rho0, sweep
 from singular_forge.verify import (FAILED, OK, OUT_OF_SCOPE, UNVERIFIED,
@@ -382,6 +383,24 @@ def test_run_report_says_why_its_verdict_is_not_ok(nl, N, run, verdict,
                                                    reason):
     rep = run_report(nl, classify(nl, N), full_verify=True, **run)
     assert (rep.verdict, rep.reason) == (verdict, reason)
+
+
+@pytest.mark.parametrize("norm, verdict, reason", [
+    (None, OK, None), (3.0, UNVERIFIED, "weighted_norm_at_most_2")],
+    ids=["as_solved", "norm_forced_to_3"])
+def test_run_report_checks_a_family_without_a_predicted_rate(
+        monkeypatch, norm, verdict, reason):
+    # power_exp_log has no predicted rate, yet its checks decide its verdict
+    # as a sum family's do; at M = 192 its weighted norm reads 0.76-1.28
+    # for alpha = beta from 3e-4 to 5e-2
+    if norm is not None:
+        monkeypatch.setattr(solver, "weighted_norm", lambda sol, ctx: norm)
+    nl = PowerExpLog(2.0, 0.5)
+    rep = run_report(nl, classify(nl, 5), full_verify=True, alpha=3e-4,
+                     beta=5e-4, M=192, auto_rho0=False)
+    assert (rep.verdict, rep.reason) == (verdict, reason)
+    assert [row["ok"] for row in rep.body["verification"]] == [
+        norm is None, True]
 
 
 def test_sweep_report_reason_is_the_regime_s_alone():
