@@ -9,7 +9,6 @@ from .errors import (
     DomainError,
     FitError,
     GridError,
-    InconclusiveError,
     IterateOutOfDomainError,
     NoContractionError,
     NoLimitError,
@@ -48,7 +47,6 @@ from .profile import (
     ProfileContext,
     SolutionProfile,
     build_context,
-    case_classify,
     nonlinear_term,
     tilde_u,
     to_radial,

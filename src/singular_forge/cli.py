@@ -438,7 +438,7 @@ def cmd_tables(cfg):
         else:
             print(
                 f"p={c['p']} r={c['r']}: lambda_fit={c['lambda_fit']:.4f} "
-                f"pred={c['lambda_pred']:.4f} case={c['case']} "
+                f"pred={c['lambda_pred']:.4f} "
                 f"ok={c['within_tolerance']} supports={c['supports']}"
             )
     # any cell solved: 0; every cell out of regime: 3; else 2

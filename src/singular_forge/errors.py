@@ -46,10 +46,6 @@ class NoContractionError(SingularForgeError):
     """No starting point in the probe window produced a contracting map."""
 
 
-class InconclusiveError(SingularForgeError):
-    """Not enough data (grid too short) to decide a diagnostic."""
-
-
 class FitError(SingularForgeError):
     """Too few envelope points for a decay-rate fit."""
 

@@ -78,7 +78,7 @@ from ._special import (
     GL8_01_NODES,
     GL8_01_WEIGHTS,
 )
-from .errors import DomainError, GridError, InconclusiveError
+from .errors import DomainError, GridError
 from .kernels import convolve_Q_cumulative, kernel_set, super_kernel
 
 
@@ -236,8 +236,9 @@ class Grid:
 class ProfileContext:
     """One Emden grid of one nonlinearity: the cached profile arrays, the
     shared KernelSet of the classification's regime (kernels.kernel_set),
-    and what a solver derives from them alone, each computed on first use
-    and kept for every later solve."""
+    and what a solver derives from them alone (the weighted norm's terms,
+    the remainder's series), each computed on first use and kept for every
+    later solve."""
 
     nl: object
     cls: object
@@ -267,14 +268,6 @@ class ProfileContext:
     def power_series(self):
         """The remainder's series in eta for a sum of powers, else None."""
         return _PowerSeries.of(self)
-
-    @cached_property
-    def case_tag(self):
-        """case_classify's tag, or "?" when the grid is too short to tell."""
-        try:
-            return case_classify(self)[0]
-        except InconclusiveError:
-            return "?"
 
 
 def tilde_u(nl, cls, r):
@@ -325,44 +318,6 @@ def build_context(nl, cls, rho0, rho_max, M):
     dphi = 2.0 * phi * fF_over_phi
     return ProfileContext(nl, cls, kernel_set(cls), grid, phi, dphi, sigma, I,
                           L1, L2, d1, d2)
-
-
-def dyadic_edges(rho):
-    """Edges of the last three dyadic windows of the grid rho."""
-    rho0, span = rho[0], rho[-1] - rho[0]
-    return [rho0 + w * span for w in (0.5, 0.75, 0.875, 1.0)]
-
-
-def case_classify(ctx):
-    """Tag A when J(rho) = int e^{Lambda tau}|I| has geometrically decaying
-    per-width increments over the last three dyadic windows, else B.
-    """
-    rho = ctx.rho
-    rho0 = rho[0]
-    span = rho[-1] - rho0
-    h = ctx.grid.h
-    weight = np.exp(ctx.cls.Lambda * (rho - rho0)) * np.abs(ctx.I)
-    pieces = 0.5 * (weight[1:] + weight[:-1]) * h
-    J_total = float(np.sum(pieces))
-    idx = np.minimum(np.searchsorted(rho, dyadic_edges(rho)), len(rho) - 1)
-    if idx[3] - idx[2] < 4:
-        raise InconclusiveError("grid too short for three dyadic windows")
-    # window increments summed directly (a converged J would cancel to
-    # rounding noise if differenced), normalized by window width
-    incs = []
-    for a, b in zip(idx[:-1], idx[1:]):
-        width = rho[b] - rho[a]
-        incs.append(float(np.sum(pieces[a:b])) / width)
-    trace = {"J_total": J_total, "window_increments": incs}
-    if J_total < 1e-280 or all(inc * span <= 1e-12 * J_total
-                               for inc in incs):
-        # the integral has already converged on this grid
-        return "A", trace
-    r1 = incs[1] / incs[0] if incs[0] > 0.0 else math.inf
-    r2 = incs[2] / incs[1] if incs[1] > 0.0 else math.inf
-    tag = "A" if (r1 <= 0.5 and r2 <= 0.5) else "B"
-    trace["ratios"] = [r1, r2]
-    return tag, trace
 
 
 def check_domain(ctx, nodes, eta):

@@ -71,7 +71,6 @@ class RemainderSolution:
     contraction_ratio: float = math.nan
     ratios: list = field(default_factory=list)
     weighted_norm_value: float = math.nan
-    case_tag: str = ""
     converged: bool = False
     newton_steps: int = 0
 
@@ -82,7 +81,7 @@ class RemainderSolution:
             "iterations": self.iterations, "newton_steps": self.newton_steps,
             "final_change": self.final_change,
             "contraction_ratio": self.contraction_ratio,
-            "weighted_norm": self.weighted_norm_value, "case": self.case_tag,
+            "weighted_norm": self.weighted_norm_value,
             "converged": self.converged,
         }
 
@@ -205,7 +204,6 @@ def picard_solve(ctx, alpha, beta, tol=1e-10, max_iter=200, *,
     sol.contraction_ratio = max([r for r in ratios[2:] if r > 0.0] or ratios,
                                 default=math.nan)
     sol.weighted_norm_value = weighted_norm(sol, ctx)
-    sol.case_tag = ctx.case_tag
     return sol
 
 

@@ -1,6 +1,7 @@
 """Verification harness: run_report, the one report of a solved run, and
 sweep_report, that of a sweep on one context; ODE residuals, limit
-diagnostics, decay-rate fits and the sum family's check.
+diagnostics over the tail's dyadic windows (one row of run_report's checks),
+decay-rate fits and the sum family's check.
 
 Residual conventions.  The radial operator is evaluated through the Emden
 chain rule, -u'' - (N-1)/r u' = e^{2 rho} ((N-2) u_rho - u_rhorho), with
@@ -18,11 +19,14 @@ import numpy as np
 from .classification import REGIME_COMPLEX, REGIME_DOUBLE, classify
 from .errors import ConfigError, FitError, SingularForgeError
 from .nonlinearity import PowerSum, PowerSumLog
-from .profile import build_context, dyadic_edges, nonlinear_term, to_radial
+from .profile import build_context, nonlinear_term, to_radial
 from .solver import picard_solve, select_rho0, sweep
 
 # a fitted decay rate within this fraction of the predicted one matches it
 _RATE_TOLERANCE = 0.10
+# a window maximum may exceed the one before it by this fraction and still
+# count as decreasing
+_TAIL_SLACK = 1e-9
 
 
 def ode_residual_radial(prof):
@@ -64,9 +68,9 @@ def limit_diagnostics(ctx):
     """Tail behavior of the classification limits on the context grid.
 
     Returns per-quantity window maxima over the last three dyadic windows
-    and flags whether each decreases monotonically (the zero case of the
-    pure power passes trivially).  The deficits are the ones build_context
-    evaluated for ctx.
+    and flags whether each decreases monotonically, up to _TAIL_SLACK (the
+    zero case of the pure power passes trivially).  The deficits are the
+    ones build_context evaluated for ctx.
     """
     rho = ctx.rho
     span = rho[-1] - rho[0]
@@ -77,13 +81,13 @@ def limit_diagnostics(ctx):
         "I": ctx.I,
         "dI_drho": dI,
     }
-    edges = dyadic_edges(rho)
+    edges = [rho[0] + w * span for w in (0.5, 0.75, 0.875, 1.0)]
     bounds = list(zip(edges[:-1], edges[1:]))
     out = {}
     for name, vals in quantities.items():
         wins = [_window_max(vals, rho, lo, hi) for lo, hi in bounds]
         mono = all(
-            wins[i + 1] <= wins[i] * (1.0 + 1e-9) + 1e-300
+            wins[i + 1] <= wins[i] * (1.0 + _TAIL_SLACK) + 1e-300
             for i in range(len(wins) - 1)
         )
         out[name] = {"windows": wins, "monotone_decrease": mono}
@@ -310,11 +314,14 @@ def run_report(nl, cls, full_verify=False, **run):
     """The report of run_cell(nl, cls, **run): out of regime, the
     classification alone; else also the grid, the solve, both residuals
     and decay_fit's rate or error.  ``full_verify`` adds the limit
-    diagnostics, lipschitz_check, the prediction where the family has one
-    and the verification, one list of checks for every family; a failed
-    fit, or else a failed check without an excuse, is then UNVERIFIED,
-    its reason the fit error or the failed checks' names.  Out of regime,
-    the reason is the regime's.  A failed solve raises."""
+    diagnostics, lipschitz_check (recorded, deciding nothing), the
+    prediction where the family has one and the verification, one list of
+    checks for every family: the rate and eta-residual rows where there is
+    a prediction, then the weighted norm, the boundary data and the tail
+    limits' decrease.  A failed fit, or else a failed check without an
+    excuse, is then UNVERIFIED, its reason the fit error or the failed
+    checks' names.  Out of regime, the reason is the regime's.  A failed
+    solve raises."""
     body = {"classification": cls.as_dict()}
     if not cls.in_scope:
         return RunReport(body, OUT_OF_SCOPE, cls.regime.reason)
@@ -338,7 +345,7 @@ def run_report(nl, cls, full_verify=False, **run):
             rep.verdict, rep.reason = UNVERIFIED, str(exc)
     if not full_verify:
         return rep
-    body["limit_diagnostics"] = limit_diagnostics(ctx)
+    limits = body["limit_diagnostics"] = limit_diagnostics(ctx)
     body["lipschitz"] = lipschitz_check(ctx, samples=2000)
     checks = []
     pred = predicted_decay(nl, cls)
@@ -356,7 +363,10 @@ def run_report(nl, cls, full_verify=False, **run):
     checks += [
         _check("weighted_norm_at_most_2", 2.0, sol.weighted_norm_value <= 2.0),
         _check("boundary_data_exact", 0.0,
-               sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta)]
+               sol.eta[0] == sol.alpha and sol.deta[0] == sol.beta),
+        _check("limits_decrease_in_tail", _TAIL_SLACK,
+               all(q["monotone_decrease"] for q in limits.values()
+                   if isinstance(q, dict)))]
     body["verification"] = checks
     failed = [c["name"] for c in checks if not (c["ok"] or c.get("excuse"))]
     if failed and rep.verdict == OK:
@@ -425,7 +435,6 @@ def table_cell(N, p, r, nl, M=4096, tol=1e-10, max_iter=200):
         rho0=ctx.grid.rho0,
         rho_max=ctx.grid.rho_max,
         lambda_pred_literal=lam_lit,
-        case=sol.case_tag,
         iterations=sol.iterations,
         weighted_norm=sol.weighted_norm_value,
         supports="corrected" if corrected else "literal",

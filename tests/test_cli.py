@@ -285,7 +285,7 @@ def test_tables_single_p_and_r_define_one_cell(tmp_path):
     assert set(cell) == {
         "p", "r", "rho0", "rho_max", "lambda_fit", "lambda_stderr",
         "power_fit", "power_stderr", "lambda_pred", "power_pred",
-        "lambda_pred_literal", "r_star", "r_star_literal", "case",
+        "lambda_pred_literal", "r_star", "r_star_literal",
         "iterations", "weighted_norm", "within_tolerance", "supports",
         "degenerate_p_minus_r_1", "label", "I_rate_annotation",
     }
@@ -727,7 +727,8 @@ def test_an_omitted_list_is_recorded_as_its_default(tmp_path, capsys, argv,
 
 # each check's name and its stated bound
 BOUNDS = {"lambda_within_10pct": 0.1, "eta_residual_below_1e-5": 1e-5,
-          "weighted_norm_at_most_2": 2.0, "boundary_data_exact": 0.0}
+          "weighted_norm_at_most_2": 2.0, "boundary_data_exact": 0.0,
+          "limits_decrease_in_tail": 1e-9}
 
 
 def _outcomes(rows):
@@ -757,7 +758,7 @@ def test_verify_subcommand_full_report(tmp_path):
 
 def test_verify_without_a_predicted_rate_writes_no_rate_report(tmp_path):
     # power_exp_log has no predicted decay rate: the fit is reported alone,
-    # and the checks are the two every family has
+    # and the checks are the three every family has
     code = main(["verify", "--N", "5", "--family", "power_exp_log", "--p",
                  "2", "--r", "0.5", "--M", "192", "--no-auto-rho0",
                  "--out", str(tmp_path)])
@@ -768,7 +769,8 @@ def test_verify_without_a_predicted_rate_writes_no_rate_report(tmp_path):
     assert "prediction" not in data
     assert data["verification"] == [
         {"name": "weighted_norm_at_most_2", "bound": 2.0, "ok": True},
-        {"name": "boundary_data_exact", "bound": 0.0, "ok": True}]
+        {"name": "boundary_data_exact", "bound": 0.0, "ok": True},
+        {"name": "limits_decrease_in_tail", "bound": 1e-9, "ok": True}]
 
 
 def test_verify_notes_a_fit_faster_than_predicted(tmp_path, capsys):
@@ -808,6 +810,9 @@ def test_verify_notes_a_fit_faster_than_predicted(tmp_path, capsys):
     (3, 3.5, 1.0, [], set(), []),
     (6, 1.9, 1.0, [], set(), []),
     (10, 1.4, 1.0, [], set(), []),
+    # lipschitz's heuristic cap, 2.335, is below its sampled 2.459 (and the
+    # exact supremum 2.468): recorded, it decides nothing
+    (3, 4.7, 1.0, [], set(), []),
 ])
 def test_verify_exits_4_on_a_failed_check(tmp_path, capsys, N, p, r, extra,
                                           fails, named):
@@ -816,8 +821,10 @@ def test_verify_exits_4_on_a_failed_check(tmp_path, capsys, N, p, r, extra,
     code = main(["verify", "--N", str(N), "--family", "power_sum", "--p",
                  str(p), "--r", str(r), *extra, "--format", "json",
                  "--out", str(tmp_path)])
-    rows = json.loads((tmp_path / "summary.json").read_text())["verification"]
+    data = json.loads((tmp_path / "summary.json").read_text())
+    rows = data["verification"]
     assert _outcomes(rows) == {name: name not in fails for name in BOUNDS}
+    assert data["lipschitz"]["bounded"] == ((N, p) != (3, 4.7))
     err = capsys.readouterr().err
     if named:
         assert code == 4
@@ -848,7 +855,8 @@ QUAD_VERIFY_ARGV = [
 
 @pytest.mark.parametrize("argv, names", [
     (None, list(BOUNDS)),
-    (QUAD_VERIFY_ARGV, ["weighted_norm_at_most_2", "boundary_data_exact"]),
+    (QUAD_VERIFY_ARGV, ["weighted_norm_at_most_2", "boundary_data_exact",
+                        "limits_decrease_in_tail"]),
 ], ids=["readme_verify", "quad_verify"])
 def test_verification_holds_the_checks_and_no_copied_field(tmp_path, argv,
                                                            names):

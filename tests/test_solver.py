@@ -19,7 +19,6 @@ from singular_forge import (
     QuadratureError,
     apply_T,
     build_context,
-    case_classify,
     classify,
     convolve_cumulative,
     fundamental_pair,
@@ -87,7 +86,6 @@ def test_power_sum_contraction_metadata():
     assert sol.iterations <= 60
     assert all(r < 0.9 for r in sol.ratios)
     assert sol.weighted_norm_value <= 2.0
-    assert sol.case_tag == "A"
 
 
 def _linear_T(ctx, ks, pair, eta, deta):
@@ -240,23 +238,6 @@ def test_weighted_norm_trivial_cases():
     eta = delta * np.asarray(super_kernel(cls, ctx.rho, ctx.rho[0]))
     sol = RemainderSolution(eta, z, 0.0, 0.0, delta)
     assert_allclose(weighted_norm(sol, ctx), 1.0, rtol=1e-12)
-
-
-def test_case_classify_examples():
-    nl = PurePower(2.0)
-    cls = classify(nl, 5)
-    ctx = build_context(nl, cls, 3.0, 43.0, 513)
-    assert case_classify(ctx)[0] == "A"
-
-    nl = PowerSum(2.0, 1.0)  # I ~ e^{-4 rho} (degenerate), Lambda = 1/2
-    cls = classify(nl, 5)
-    ctx = build_context(nl, cls, 3.0, 43.0, 513)
-    assert case_classify(ctx)[0] == "A"
-
-    nl = PowerSum(2.0, 1.9)  # I ~ e^{-0.2 rho} slower than Lambda = 1/2
-    cls = classify(nl, 5)
-    ctx = build_context(nl, cls, 3.0, 43.0, 513)
-    assert case_classify(ctx)[0] == "B"
 
 
 def test_sweep_distinctness_and_failures():
@@ -432,7 +413,7 @@ def test_sweep_computes_context_terms_once(monkeypatch):
         ctx = build_context(nl, cls, 3.0, 33.0, 769)
         solo[pair] = picard_solve(ctx, *pair)
     counts = {}
-    for name in ("super_kernel", "convolve_Q_cumulative", "case_classify"):
+    for name in ("super_kernel", "convolve_Q_cumulative"):
         real = getattr(profile, name)
 
         def counted(*args, _real=real, _name=name):
@@ -442,10 +423,8 @@ def test_sweep_computes_context_terms_once(monkeypatch):
         monkeypatch.setattr(profile, name, counted)
     ctx = build_context(nl, cls, 3.0, 33.0, 769)
     result = sweep(ctx, pairs)
-    assert counts == {"super_kernel": 1, "convolve_Q_cumulative": 1,
-                      "case_classify": 1}
+    assert counts == {"super_kernel": 1, "convolve_Q_cumulative": 1}
     for pair in pairs:
         got, want = result.solutions[pair], solo[pair]
         assert got.eta.tobytes() == want.eta.tobytes()
         assert got.weighted_norm_value == want.weighted_norm_value
-        assert got.case_tag == want.case_tag

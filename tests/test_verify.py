@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import asdict
 
@@ -27,7 +28,7 @@ from singular_forge import (
     table_cell,
     to_radial,
 )
-from singular_forge import solver
+from singular_forge import solver, verify
 from singular_forge.cli import DEFAULT_CELLS, _clean, main
 from singular_forge.solver import RemainderSolution, select_rho0, sweep
 from singular_forge.verify import (FAILED, OK, OUT_OF_SCOPE, UNVERIFIED,
@@ -138,6 +139,24 @@ def test_lipschitz_pure_power_exact_bound():
     assert rep["bounded"]
 
 
+@pytest.mark.parametrize("N, p", [(5, 2.0), (3, 4.5), (3, 4.7)])
+def test_lipschitz_check_meets_the_pure_power_supremum(N, p):
+    # N[eta] = b ((1+eta)^p - 1 - p eta)/(p-1) for s^p, whose ratio over
+    # |eta| <= 0.1 is largest as eta1, eta2 -> 0.1:
+    # S = b p (1.1^(p-1) - 1) / (0.2 (p-1)); 2000 samples (run_report's)
+    # read 0.9964-1 of it here
+    nl = PurePower(p)
+    cls = classify(nl, N)
+    sup = cls.b * p * (1.1 ** (p - 1.0) - 1.0) / (0.2 * (p - 1.0))
+    rep = lipschitz_check(build_context(nl, cls, 3.0, 23.0, 513),
+                          samples=2000)
+    assert 0.99 * sup <= rep["max_ratio"] <= sup * (1.0 + 1e-6)
+    if p == 4.7:
+        # the heuristic cap is below the supremum: not a bound
+        assert rep["heuristic_cap"] < sup
+        assert not rep["bounded"]
+
+
 def test_lipschitz_power_sum_bounded():
     nl = PowerSum(2.0, 1.0)
     cls = classify(nl, 5)
@@ -222,7 +241,6 @@ def test_table_report_single_cell():
     (cell,) = reports
     assert "error" not in cell
     assert cell["within_tolerance"]
-    assert cell["case"] == "A"
     assert cell["supports"] == "corrected"
     assert abs(cell["lambda_fit"] - 1.0 / 3.0) <= 0.0334
 
@@ -400,7 +418,36 @@ def test_run_report_checks_a_family_without_a_predicted_rate(
                      beta=5e-4, M=192, auto_rho0=False)
     assert (rep.verdict, rep.reason) == (verdict, reason)
     assert [row["ok"] for row in rep.body["verification"]] == [
-        norm is None, True]
+        norm is None, True, True]
+
+
+@pytest.mark.parametrize("rise, verdict, reason", [
+    (False, OK, None), (True, UNVERIFIED, "limits_decrease_in_tail")],
+    ids=["as_built", "one_window_rises"])
+def test_run_report_fails_a_tail_limit_that_rises(monkeypatch, rise, verdict,
+                                                 reason):
+    # the last window of f'F - q_f, the first quantity limit_diagnostics
+    # reads, made twice the largest value over the grid: its flag alone
+    # fails, and that fails the row
+    if rise:
+        real, calls = verify._window_max, itertools.count()
+
+        def window_max(values, rho, lo, hi):
+            if next(calls) == 2:
+                return 2.0 * real(values, rho, rho[0], hi)
+            return real(values, rho, lo, hi)
+
+        monkeypatch.setattr(verify, "_window_max", window_max)
+    nl = PowerSum(2.0, 1.0)
+    rep = run_report(nl, classify(nl, 5), full_verify=True, M=1025)
+    assert (rep.verdict, rep.reason) == (verdict, reason)
+    flags = {k: v["monotone_decrease"]
+             for k, v in rep.body["limit_diagnostics"].items()
+             if isinstance(v, dict)}
+    assert flags == {"fpF_minus_qf": not rise, "fF_over_phi_minus_m": True,
+                     "I": True, "dI_drho": True}
+    assert rep.body["verification"][-1] == {
+        "name": "limits_decrease_in_tail", "bound": 1e-9, "ok": not rise}
 
 
 def test_sweep_report_reason_is_the_regime_s_alone():
